@@ -104,13 +104,17 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
     return _check(out)
 
 
-def _apply_sparse(p: SparseMatrix, arr: np.ndarray) -> np.ndarray:
-    """P @ arr over axis -2, preserving leading batch axes."""
+def _apply_sparse(p: SparseMatrix, arr: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """P @ arr (or P^T @ arr) over axis -2, preserving leading batch axes.
+
+    The batch is folded into the columns, so one GEMM covers every sample.
+    """
     lead = arr.shape[:-2]
     r, d = arr.shape[-2], arr.shape[-1]
+    rows_out = p.cols if transpose else p.rows
     flat = arr.reshape(-1, r, d).transpose(1, 0, 2).reshape(r, -1)
-    y = p.matmul_dense(flat)
-    return y.reshape(p.rows, -1, d).transpose(1, 0, 2).reshape(lead + (p.rows, d))
+    y = p.matmul_dense(flat, transpose=transpose)
+    return y.reshape(rows_out, -1, d).transpose(1, 0, 2).reshape(lead + (rows_out, d))
 
 
 def spmm_diff(tape: Tape, p: SparseMatrix, x: Tensor) -> Tensor:
@@ -118,11 +122,10 @@ def spmm_diff(tape: Tape, p: SparseMatrix, x: Tensor) -> Tensor:
     if x.value.ndim < 2 or x.value.shape[-2] != p.cols:
         raise ShapeError(f"spmm_diff shape mismatch {p.rows}x{p.cols} @ {x.shape}")
     out = Tensor(_apply_sparse(p, x.value))
-    pt = p.transpose()
 
     def backward():
         x.ensure_grad()
-        x.grad += _apply_sparse(pt, out.grad)
+        x.grad += _apply_sparse(p, out.grad, transpose=True)
 
     tape.record(backward)
     return _check(out)
@@ -188,23 +191,28 @@ def temporal_compress(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     return _check(out)
 
 
-def concat_features(tape: Tape, parts: list[Tensor]) -> Tensor:
-    """Concatenate along the feature (last) axis; backward splits by offset."""
+def concat_features(tape: Tape, parts: list[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate along ``axis`` (default: the feature axis); backward splits by offset."""
     if not parts:
         raise ShapeError("nothing to concatenate")
-    lead = parts[0].value.shape[:-1]
+    ndim = parts[0].value.ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"concat axis {axis} out of range for {ndim}-d parts")
+    axis %= ndim
+    rest = parts[0].value.shape[:axis] + parts[0].value.shape[axis + 1:]
     for p in parts:
-        if p.value.shape[:-1] != lead:
-            raise ShapeError("concat parts must agree on all but the last axis")
-    widths = [p.value.shape[-1] for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=-1))
+        if p.value.ndim != ndim or p.value.shape[:axis] + p.value.shape[axis + 1:] != rest:
+            raise ShapeError(f"concat parts must agree on all but axis {axis}")
+    widths = [p.value.shape[axis] for p in parts]
+    out = Tensor(np.concatenate([p.value for p in parts], axis=axis))
     offsets = np.cumsum([0] + widths)
+    lead = (slice(None),) * axis
 
     def backward():
         g = out.grad
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             p.ensure_grad()
-            p.grad += g[..., lo:hi]
+            p.grad += g[lead + (slice(lo, hi),)]
 
     tape.record(backward)
     return _check(out)

@@ -93,9 +93,17 @@ def cmd_build_adj(args) -> int:
     return 0
 
 
+def _read_synth_spec(path) -> SyntheticSpec:
+    if path is None:
+        return SyntheticSpec()
+    try:
+        return SyntheticSpec.from_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, ArgumentError) as exc:
+        raise FormatError(f"bad synthetic spec {path}: {exc}") from None
+
+
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_json(Path(args.spec).read_text(encoding="utf-8")) \
-        if args.spec else SyntheticSpec()
+    spec = _read_synth_spec(args.spec)
     graph, series = generate_synthetic(spec)
     out = Path(args.out)
     write_manifest(out.parent if out.parent != Path("") else Path("."),

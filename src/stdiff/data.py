@@ -125,9 +125,17 @@ class SyntheticSpec:
     @staticmethod
     def from_json(text: str) -> "SyntheticSpec":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ArgumentError("synthetic spec must be a JSON object")
         unknown = set(data) - set(SyntheticSpec.__dataclass_fields__)
         if unknown:
             raise ArgumentError(f"unknown synthetic spec keys: {sorted(unknown)}")
+        for key, value in data.items():
+            want = type(getattr(SyntheticSpec, key))
+            accepted = (int, float) if want is float else want
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ArgumentError(
+                    f"synthetic spec key {key!r} must be {want.__name__}, got {value!r}")
         return SyntheticSpec(**data)
 
 

@@ -139,7 +139,18 @@ def load_adjacency(prefix) -> SensorGraph:
         for line in reader:
             if not line:
                 continue
-            rows.append(int(line[0]))
-            cols.append(int(line[1]))
-            vals.append(float(line[2]))
+            where = f"{prefix}.csv line {reader.line_num}"
+            if len(line) != 3:
+                raise FormatError(f"{where}: expected 3 fields, got {line!r}")
+            try:
+                r, c, v = int(line[0]), int(line[1]), float(line[2])
+            except ValueError:
+                raise FormatError(f"{where}: bad record {line!r}") from None
+            if not (0 <= r < n and 0 <= c < n):
+                raise FormatError(f"{where}: index out of range for n={n}")
+            if not (math.isfinite(v) and v >= 0):
+                raise FormatError(f"{where}: weight {line[2]!r} is not finite and nonnegative")
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
     return SensorGraph(n, tuple(ids), SparseMatrix.from_coo(n, n, rows, cols, vals))

@@ -11,6 +11,16 @@ independent of the vertex count and the whole network commutes with vertex
 relabeling.  There is no nonlinearity inside the convolution; the only one
 lives in the decoder MLP.
 
+The sum is evaluated in fused form.  The diffusion features
+
+    Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]      (m*n, 2K*d)
+
+depend on the block and its input but not on the channel, so they are
+computed once per block and shared by all s channels.  Each channel stacks
+its 2K thetas along rows into one (2K*d, d) matrix and computes
+LN(X + Z Theta) with a single GEMM.  An ablation drops the same terms from
+Z and from the stacked thetas.
+
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one stacks the running compressed
 snapshot with the next m-1 raw snapshots and compresses again.  When the
@@ -171,6 +181,38 @@ class IstdGcnModel:
         return self._blocks[m]
 
 
+def _hop_terms(block: StBlockGraph, k_hops: int, ablation: str) -> list[tuple]:
+    """(hop power, theta list name, k) of each diffusion term, in summation order.
+
+    ``no_two_step`` drops the decoupled terms; ``no_hstg`` and single-snapshot
+    blocks (which have no couplings) drop the coupled ones.
+    """
+    if len(block.hop_powers_h) < k_hops:
+        raise ShapeError("block graph has fewer precomputed hops than K")
+    terms = []
+    for k in range(k_hops):
+        if ablation != "no_two_step":
+            terms.append((block.hop_powers_nh[k], "theta_nh", k))
+        if ablation != "no_hstg" and block.m > 1:
+            terms.append((block.hop_powers_h[k], "theta_h", k))
+    return terms
+
+
+def diffusion_features(
+    tape: Tape, block: StBlockGraph, x_flat: Tensor, k_hops: int, ablation: str,
+) -> Tensor | None:
+    """The hop products of (..., m*n, d) input, concatenated to (..., m*n, terms*d).
+
+    Returns None when the ablation leaves no diffusion term.
+    """
+    if x_flat.value.shape[-2] != block.m * block.n:
+        raise ShapeError(
+            f"input rows {x_flat.shape} do not match block graph {block.m}x{block.n}"
+        )
+    hops = [ad.spmm_diff(tape, p, x_flat) for p, _, _ in _hop_terms(block, k_hops, ablation)]
+    return ad.concat_features(tape, hops) if hops else None
+
+
 def stsc_forward(
     tape: Tape,
     params: StscChannelParams,
@@ -179,42 +221,41 @@ def stsc_forward(
     *,
     ablation: str = "full",
     ln_eps: float = 1e-5,
+    features: Tensor | None = None,
 ) -> Tensor:
     """One convolution block on the flattened (..., m*n, d) layout.
 
     The same tensor feeds both diffusion terms (decoupled and coupled graphs
     share their vertex set).  The residual path always contributes.
+    ``features`` are this input's ``diffusion_features``; they are computed
+    here when not given.
     """
-    if x_flat.value.shape[-2] != block.m * block.n:
-        raise ShapeError(
-            f"input rows {x_flat.shape} do not match block graph {block.m}x{block.n}"
-        )
-    acc = x_flat
     k_hops = len(params.theta_nh)
-    if len(block.hop_powers_h) < k_hops:
-        raise ShapeError("block graph has fewer precomputed hops than K")
-    for k in range(k_hops):
-        if ablation != "no_two_step":
-            term = ad.linear(tape, ad.spmm_diff(tape, block.hop_powers_nh[k], x_flat),
-                             params.theta_nh[k])
-            acc = ad.add(tape, acc, term)
-        if ablation != "no_hstg" and block.m > 1:
-            term = ad.linear(tape, ad.spmm_diff(tape, block.hop_powers_h[k], x_flat),
-                             params.theta_h[k])
-            acc = ad.add(tape, acc, term)
+    if features is None:
+        features = diffusion_features(tape, block, x_flat, k_hops, ablation)
+    acc = x_flat
+    if features is not None:
+        thetas = [getattr(params, name)[k] for _, name, k in _hop_terms(block, k_hops, ablation)]
+        theta = ad.concat_features(tape, thetas, axis=0)
+        acc = ad.add(tape, x_flat, ad.linear(tape, features, theta))
     return ad.layer_norm(tape, acc, params.ln_scale, params.ln_shift, eps=ln_eps)
 
 
 def multi_channel_forward(tape: Tape, model: IstdGcnModel, x_stacked: Tensor) -> Tensor:
-    """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d)."""
+    """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
+
+    The diffusion features are computed once here and shared by every channel.
+    """
+    cfg = model.config
     m = x_stacked.value.shape[-3]
     n = x_stacked.value.shape[-2]
     block = model.block_graph(m)
     x_flat = ad.merge_time(tape, x_stacked)
+    features = diffusion_features(tape, block, x_flat, cfg.K, cfg.ablation)
     parts = []
     for ch in model.channels:
-        h = stsc_forward(tape, ch, block, x_flat,
-                         ablation=model.config.ablation, ln_eps=model.config.ln_eps)
+        h = stsc_forward(tape, ch, block, x_flat, ablation=cfg.ablation, ln_eps=cfg.ln_eps,
+                         features=features)
         h = ad.split_time(tape, h, m, n)
         parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
     return ad.linear(tape, ad.concat_features(tape, parts), model.mix)

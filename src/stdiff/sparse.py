@@ -4,8 +4,11 @@ Canonical form: within each row the column indices are strictly increasing
 and no explicit zeros are stored.  All arrays are immutable after
 construction, so instances can be shared freely across threads.
 
-The sparse-dense product accumulates in CSR order (row-major over stored
-entries), which keeps results bit-reproducible run to run.
+The sparse-dense product runs as one dense BLAS GEMM against a lazily built,
+read-only dense copy of the matrix; the transposed product uses a transposed
+view of that same copy.  A GEMM's summation order depends only on the shapes
+and the BLAS thread count, so results stay bit-reproducible run to run.  The
+copy costs rows * cols * 8 bytes per matrix.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from .errors import ArgumentError, DomainError, ShapeError
 class SparseMatrix:
     """Real matrix in canonical CSR form."""
 
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "_transpose")
+    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "_dense")
 
     def __init__(self, rows: int, cols: int, row_offsets, col_indices, values):
         row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
@@ -47,7 +50,7 @@ class SparseMatrix:
         self.values = values
         for a in (row_offsets, col_indices, values):
             a.flags.writeable = False
-        self._transpose = None
+        self._dense = None
 
     # -- construction -------------------------------------------------
 
@@ -133,23 +136,22 @@ class SparseMatrix:
 
     # -- kernels ------------------------------------------------------
 
-    def transpose(self) -> "SparseMatrix":
-        if self._transpose is None:
-            rows = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-            t = SparseMatrix.from_coo(self.cols, self.rows, self.col_indices, rows, self.values)
-            t._transpose = self
-            self._transpose = t
-        return self._transpose
+    @property
+    def dense(self) -> np.ndarray:
+        """Read-only dense copy, built on first use and kept."""
+        if self._dense is None:
+            dense = self.to_dense()
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
 
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """Sparse-dense product A @ X with deterministic CSR-order accumulation."""
+    def matmul_dense(self, x: np.ndarray, *, transpose: bool = False) -> np.ndarray:
+        """A @ X (or A^T @ X) as one GEMM against the dense copy."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.cols:
-            raise ShapeError(f"spmm shape mismatch: {self.rows}x{self.cols} @ {x.shape}")
-        out = np.zeros((self.rows, x.shape[1]))
-        rows = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        np.add.at(out, rows, self.values[:, None] * x[self.col_indices])
-        return out
+        a = self.dense.T if transpose else self.dense
+        if x.ndim != 2 or x.shape[0] != a.shape[1]:
+            raise ShapeError(f"spmm shape mismatch: {a.shape[0]}x{a.shape[1]} @ {x.shape}")
+        return a @ x
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
         """Sparse-sparse product via row-wise scatter into a dense scratch row."""

@@ -7,8 +7,9 @@ superdiagonal block, so information flows forward in time only.  The
 decoupled variant drops the couplings entirely and is block-diagonal.
 
 Both adjacencies are row-normalized into transition matrices, and their
-first K matrix powers (plus transposes, needed by the backward pass) are
-precomputed once since the topology never changes during training.
+first K matrix powers are precomputed once since the topology never changes
+during training.  The backward pass multiplies by a transposed view of each
+power's dense copy.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ class StBlockGraph:
     nhstg_transition: SparseMatrix
     hop_powers_h: tuple
     hop_powers_nh: tuple
-    hop_powers_h_t: tuple
-    hop_powers_nh_t: tuple
 
 
 def _block_coo(block: SparseMatrix, br: int, bc: int, n: int):
@@ -128,8 +127,6 @@ def build_hstg(
         nhstg_transition=p_nh,
         hop_powers_h=tuple(pow_h),
         hop_powers_nh=tuple(pow_nh),
-        hop_powers_h_t=tuple(p.transpose() for p in pow_h),
-        hop_powers_nh_t=tuple(p.transpose() for p in pow_nh),
     )
 
 

@@ -177,6 +177,28 @@ class TestConcatFeatures:
         parts = [ParamArray(f"p{i}", rng.standard_normal((2, 3))) for i in range(2)]
         check_op(parts, lambda tape: ad.concat_features(tape, parts), rng)
 
+    def test_row_axis_backward_split(self, rng):
+        parts = [ParamArray(f"p{i}", rng.standard_normal((i + 1, 2))) for i in range(3)]
+        tape = Tape()
+        out = ad.concat_features(tape, parts, axis=0)
+        assert out.value.shape == (6, 2)
+        g = rng.standard_normal(out.value.shape)
+        loss = project(tape, out, g)
+        tape.backward(loss)
+        assert np.array_equal(parts[0].grad, g[0:1])
+        assert np.array_equal(parts[1].grad, g[1:3])
+        assert np.array_equal(parts[2].grad, g[3:6])
+
+    def test_row_axis_finite_differences(self, rng):
+        parts = [ParamArray(f"p{i}", rng.standard_normal((3, 2))) for i in range(2)]
+        check_op(parts, lambda tape: ad.concat_features(tape, parts, axis=0), rng)
+
+    def test_shape_check_ignores_only_the_concat_axis(self, rng):
+        a, b = Tensor(rng.random((2, 3))), Tensor(rng.random((2, 4)))
+        with pytest.raises(ShapeError):
+            ad.concat_features(Tape(), [a, b], axis=0)
+        assert ad.concat_features(Tape(), [a, b]).value.shape == (2, 7)
+
 
 class TestMlpDecode:
     def make_params(self, rng, d, hidden, horizon, d_out):

@@ -98,6 +98,19 @@ class TestSynth:
         series = load_speed_csv(tmp_path / "s_speed.csv", graph=graph)
         assert len(series) == SyntheticSpec().steps
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 4, "steps": ',     # malformed JSON
+        '{"n": "five"}',          # wrongly typed field
+        '{"noise_std": true}',
+        '[4, 30]',                # not an object
+    ])
+    def test_bad_spec_exits_2_naming_file(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 2
+        assert str(spec) in capsys.readouterr().err
+        assert not (tmp_path / "s_speed.csv").exists()
+
 
 class TestTrain:
     def test_smoke_writes_artifacts(self, dataset, tmp_path):
@@ -136,6 +149,16 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         digest = hashlib.sha256((root / "speed.csv").read_bytes()).hexdigest()
         assert manifest["inputs"][str(root / "speed.csv")] == digest
+
+    @pytest.mark.parametrize("record", ["0,x,0.5", "0,1", "0,99,0.5"])
+    def test_bad_adjacency_exits_2_naming_csv(self, dataset, tmp_path, capsys, record):
+        root, _graph, _series = dataset
+        (tmp_path / "adj.json").write_text((root / "adj.json").read_text())
+        (tmp_path / "adj.csv").write_text(f"row,col,weight\n{record}\n")
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--adj") + 1] = str(tmp_path / "adj")
+        assert main(args) == 2
+        assert str(tmp_path / "adj") + ".csv" in capsys.readouterr().err
 
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset

@@ -103,3 +103,17 @@ class TestAdjacencyIO:
         path.write_text("src,dst,w\na,b,1\n")
         with pytest.raises(FormatError):
             load_distance_csv(path)
+
+    @pytest.mark.parametrize("record", [
+        "0,one,0.5",     # non-integer index
+        "0,1",           # short row
+        "0,3,0.5",       # column index out of range for n=3
+        "-1,1,0.5",      # negative index
+        "0,1,nan",       # non-finite weight
+        "0,1,-0.5",      # negative weight
+    ])
+    def test_bad_adjacency_record_names_csv(self, tmp_path, record):
+        (tmp_path / "adj.json").write_text('{"n": 3, "ids": ["a", "b", "c"]}\n')
+        (tmp_path / "adj.csv").write_text(f"row,col,weight\n1,2,0.25\n{record}\n")
+        with pytest.raises(FormatError, match=r"adj\.csv line 3"):
+            load_adjacency(tmp_path / "adj")

@@ -232,6 +232,27 @@ class TestForward:
             got = forward(Tape(), model_p, window[:, perm]).value
             assert np.max(np.abs(got - base[:, perm])) < 1e-10
 
+    def test_diffusion_shared_across_channels(self, rng, monkeypatch):
+        # one spmm per hop and graph per encoder pass, however many channels
+        g = random_sensor_graph(rng, 3)
+        calls = []
+        spmm_diff = ad.spmm_diff
+
+        def counting(tape, p, x):
+            calls.append(p)
+            return spmm_diff(tape, p, x)
+
+        monkeypatch.setattr(ad, "spmm_diff", counting)
+        counts = {}
+        for s in (1, 3):
+            cfg = tiny_config(s=s)
+            model = IstdGcnModel(cfg, g, seed=0)
+            calls.clear()
+            forward(Tape(), model, rng.standard_normal((cfg.T, 3, 1)))
+            counts[s] = len(calls)
+        passes = expected_iterations(cfg.T, cfg.m)
+        assert counts[1] == counts[3] == 2 * cfg.K * passes
+
     def test_end_to_end_gradcheck(self, rng):
         g = random_sensor_graph(rng, 4)
         cfg = tiny_config()

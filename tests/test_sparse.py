@@ -104,6 +104,29 @@ class TestSpmm:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             spmm(SparseMatrix.identity(3), rng.random((4, 2)))
+        with pytest.raises(ShapeError):
+            random_sparse(rng, 3, 4).matmul_dense(rng.random((4, 2)), transpose=True)
+
+    def test_transposed_product_entrywise_oracle(self, rng):
+        for _ in range(200):
+            r = int(rng.integers(1, 9))
+            c = int(rng.integers(1, 9))
+            a = random_sparse(rng, r, c, density=0.5)
+            x = rng.standard_normal((r, int(rng.integers(1, 4))))
+            want = np.zeros((c, x.shape[1]))
+            for i in range(r):
+                for k in range(a.row_offsets[i], a.row_offsets[i + 1]):
+                    want[a.col_indices[k]] += a.values[k] * x[i]
+            got = a.matmul_dense(x, transpose=True)
+            assert got.shape == (c, x.shape[1])
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_dense_copy_built_once_and_read_only(self, rng):
+        a = random_sparse(rng, 4, 6)
+        assert a.dense is a.dense
+        assert np.array_equal(a.dense, densify(a))
+        with pytest.raises(ValueError):
+            a.dense[0, 0] = 1.0
 
 
 class TestSparseProducts:
@@ -121,8 +144,3 @@ class TestSparseProducts:
             for k in range(1, 4):
                 assert np.max(np.abs(densify(matrix_power(p, k)) - expected)) < 1e-12
                 expected = expected @ densify(p)
-
-    def test_transpose_round_trip(self, rng):
-        a = random_sparse(rng, 5, 8)
-        assert np.array_equal(densify(a.transpose()), densify(a).T)
-        assert a.transpose().transpose() is a
