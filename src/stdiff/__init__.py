@@ -12,8 +12,8 @@ from .errors import (ArgumentError, DomainError, FormatError, IdentifierError,
                      NumericError, ShapeError, StdiffError)
 from .graph import DistanceRecord, SensorGraph, build_gaussian_adjacency
 from .model import CompressedSnapshot, IstdGcnModel, ModelConfig, forward
-from .sparse import SparseMatrix, add_self_loops, spmm, transition_matrix
-from .stgraph import StBlockGraph, build_hstg, build_nhstg, hop_power, stack_features
+from .sparse import SparseMatrix, add_self_loops, transition_matrix
+from .stgraph import BlockDiffusion, StBlockGraph, build_hstg
 from .training import NormStats, TrainConfig, inverse_zscore, train, zscore
 
 __all__ = [
@@ -21,8 +21,8 @@ __all__ = [
     "NumericError", "ShapeError", "StdiffError",
     "DistanceRecord", "SensorGraph", "build_gaussian_adjacency",
     "CompressedSnapshot", "IstdGcnModel", "ModelConfig", "forward",
-    "SparseMatrix", "add_self_loops", "spmm", "transition_matrix",
-    "StBlockGraph", "build_hstg", "build_nhstg", "hop_power", "stack_features",
+    "SparseMatrix", "add_self_loops", "transition_matrix",
+    "BlockDiffusion", "StBlockGraph", "build_hstg",
     "NormStats", "TrainConfig", "inverse_zscore", "train", "zscore",
     "__version__",
 ]

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ArgumentError, NumericError, ShapeError
-from .sparse import SparseMatrix
+
+if TYPE_CHECKING:
+    from .stgraph import BlockDiffusion
 
 _DEBUG = os.environ.get("STDIFF_DEBUG", "") not in ("", "0")
 
@@ -104,28 +107,13 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
     return _check(out)
 
 
-def _apply_sparse(p: SparseMatrix, arr: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """P @ arr (or P^T @ arr) over axis -2, preserving leading batch axes.
-
-    The batch is folded into the columns, so one GEMM covers every sample.
-    """
-    lead = arr.shape[:-2]
-    r, d = arr.shape[-2], arr.shape[-1]
-    rows_out = p.cols if transpose else p.rows
-    flat = arr.reshape(-1, r, d).transpose(1, 0, 2).reshape(r, -1)
-    y = p.matmul_dense(flat, transpose=transpose)
-    return y.reshape(rows_out, -1, d).transpose(1, 0, 2).reshape(lead + (rows_out, d))
-
-
-def spmm_diff(tape: Tape, p: SparseMatrix, x: Tensor) -> Tensor:
-    """Y = P @ X with X (..., rows, d).  P carries no gradient."""
-    if x.value.ndim < 2 or x.value.shape[-2] != p.cols:
-        raise ShapeError(f"spmm_diff shape mismatch {p.rows}x{p.cols} @ {x.shape}")
-    out = Tensor(_apply_sparse(p, x.value))
+def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
+    """Y = P @ X for a block diffusion operator P, X (..., m*n, d).  P carries no gradient."""
+    out = Tensor(op.apply(x.value))
 
     def backward():
         x.ensure_grad()
-        x.grad += _apply_sparse(p, out.grad, transpose=True)
+        x.grad += op.apply_transpose(out.grad)
 
     tape.record(backward)
     return _check(out)

@@ -125,11 +125,21 @@ def save_adjacency(graph: SensorGraph, prefix) -> None:
 
 def load_adjacency(prefix) -> SensorGraph:
     prefix = Path(prefix)
+    bad = f"bad adjacency sidecar {prefix}.json"
     try:
         sidecar = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
-        n, ids = int(sidecar["n"]), [str(s) for s in sidecar["ids"]]
-    except (OSError, ValueError, KeyError) as exc:
-        raise FormatError(f"bad adjacency sidecar {prefix}.json: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{bad}: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise FormatError(f"{bad}: expected an object with 'n' and 'ids'")
+    n, ids = sidecar.get("n"), sidecar.get("ids")
+    if type(n) is not int or n < 1:
+        raise FormatError(f"{bad}: 'n' must be a positive integer, got {n!r}")
+    if not isinstance(ids, list) or len(ids) != n:
+        raise FormatError(f"{bad}: 'ids' must be a list of n={n} sensor ids")
+    ids = [str(s) for s in ids]
+    if len(set(ids)) != n:
+        raise FormatError(f"{bad}: duplicate sensor id")
     rows, cols, vals = [], [], []
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

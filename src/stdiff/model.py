@@ -16,8 +16,10 @@ The sum is evaluated in fused form.  The diffusion features
     Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]      (m*n, 2K*d)
 
 depend on the block and its input but not on the channel, so they are
-computed once per block and shared by all s channels.  Each channel stacks
-its 2K thetas along rows into one (2K*d, d) matrix and computes
+computed once per block and shared by all s channels.  Each hop applies its
+graph's structured operator (``stgraph.BlockDiffusion``) to the previous
+hop, P^k X = P (P^{k-1} X); no power of P is ever formed.  Each channel
+stacks its 2K thetas along rows into one (2K*d, d) matrix and computes
 LN(X + Z Theta) with a single GEMM.  An ablation drops the same terms from
 Z and from the stacked thetas.
 
@@ -109,7 +111,6 @@ class StscChannelParams:
 @dataclass(frozen=True)
 class CompressedSnapshot:
     features: Tensor
-    span: tuple
     iterations: int
 
 
@@ -182,19 +183,17 @@ class IstdGcnModel:
 
 
 def _hop_terms(block: StBlockGraph, k_hops: int, ablation: str) -> list[tuple]:
-    """(hop power, theta list name, k) of each diffusion term, in summation order.
+    """(graph operator, theta list name, k) of each diffusion term, in summation order.
 
     ``no_two_step`` drops the decoupled terms; ``no_hstg`` and single-snapshot
     blocks (which have no couplings) drop the coupled ones.
     """
-    if len(block.hop_powers_h) < k_hops:
-        raise ShapeError("block graph has fewer precomputed hops than K")
     terms = []
     for k in range(k_hops):
         if ablation != "no_two_step":
-            terms.append((block.hop_powers_nh[k], "theta_nh", k))
+            terms.append((block.decoupled, "theta_nh", k))
         if ablation != "no_hstg" and block.m > 1:
-            terms.append((block.hop_powers_h[k], "theta_h", k))
+            terms.append((block.coupled, "theta_h", k))
     return terms
 
 
@@ -203,13 +202,17 @@ def diffusion_features(
 ) -> Tensor | None:
     """The hop products of (..., m*n, d) input, concatenated to (..., m*n, terms*d).
 
-    Returns None when the ablation leaves no diffusion term.
+    Hop k of a graph is its operator applied to hop k-1.  Returns None when
+    the ablation leaves no diffusion term.
     """
     if x_flat.value.shape[-2] != block.m * block.n:
         raise ShapeError(
             f"input rows {x_flat.shape} do not match block graph {block.m}x{block.n}"
         )
-    hops = [ad.spmm_diff(tape, p, x_flat) for p, _, _ in _hop_terms(block, k_hops, ablation)]
+    hops, last = [], {}
+    for op, name, _ in _hop_terms(block, k_hops, ablation):
+        last[name] = ad.spmm_diff(tape, op, last.get(name, x_flat))
+        hops.append(last[name])
     return ad.concat_features(tape, hops) if hops else None
 
 
@@ -276,7 +279,7 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor) -> CompressedSnaps
         com = multi_channel_forward(tape, model, stacked)
         idx += take
         iterations += 1
-    return CompressedSnapshot(features=com, span=(0, t_total), iterations=iterations)
+    return CompressedSnapshot(features=com, iterations=iterations)
 
 
 def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:

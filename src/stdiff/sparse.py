@@ -4,11 +4,13 @@ Canonical form: within each row the column indices are strictly increasing
 and no explicit zeros are stored.  All arrays are immutable after
 construction, so instances can be shared freely across threads.
 
-The sparse-dense product runs as one dense BLAS GEMM against a lazily built,
-read-only dense copy of the matrix; the transposed product uses a transposed
-view of that same copy.  A GEMM's summation order depends only on the shapes
-and the BLAS thread count, so results stay bit-reproducible run to run.  The
-copy costs rows * cols * 8 bytes per matrix.
+The sparse-dense product runs as one dense BLAS matmul against a lazily
+built, read-only dense copy of the matrix, broadcast over any leading axes
+of the operand.  A GEMM's summation order depends only on the shapes and
+the BLAS thread count, so results stay bit-reproducible run to run.  The
+copy costs rows * cols * 8 bytes per matrix.  ``matmul_sparse`` and
+``matrix_power`` build the assembled block-graph hop powers that the
+structured diffusion operators are tested against.
 """
 from __future__ import annotations
 
@@ -145,13 +147,12 @@ class SparseMatrix:
             self._dense = dense
         return self._dense
 
-    def matmul_dense(self, x: np.ndarray, *, transpose: bool = False) -> np.ndarray:
-        """A @ X (or A^T @ X) as one GEMM against the dense copy."""
+    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
+        """A @ X for X (..., cols, k), one matmul against the dense copy."""
         x = np.asarray(x, dtype=np.float64)
-        a = self.dense.T if transpose else self.dense
-        if x.ndim != 2 or x.shape[0] != a.shape[1]:
-            raise ShapeError(f"spmm shape mismatch: {a.shape[0]}x{a.shape[1]} @ {x.shape}")
-        return a @ x
+        if x.ndim < 2 or x.shape[-2] != self.cols:
+            raise ShapeError(f"spmm shape mismatch: {self.rows}x{self.cols} @ {x.shape}")
+        return self.dense @ x
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
         """Sparse-sparse product via row-wise scatter into a dense scratch row."""
@@ -187,17 +188,8 @@ class SparseMatrix:
         return SparseMatrix.zeros(self.rows, other.cols)
 
 
-def densify(a: SparseMatrix) -> np.ndarray:
-    return a.to_dense()
-
-
 def sparsify(dense) -> SparseMatrix:
     return SparseMatrix.from_dense(dense)
-
-
-def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact sparse-dense matrix product."""
-    return a.matmul_dense(x)
 
 
 def add_self_loops(a: SparseMatrix) -> SparseMatrix:

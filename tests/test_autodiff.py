@@ -4,9 +4,11 @@ import pytest
 import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.errors import ShapeError
-from stdiff.sparse import SparseMatrix, sparsify
+from stdiff.graph import SensorGraph
+from stdiff.sparse import SparseMatrix
+from stdiff.stgraph import build_hstg
 
-from conftest import random_sparse
+from conftest import random_sensor_graph
 
 
 def project(tape, out, weights):
@@ -65,28 +67,49 @@ class TestLinear:
             ad.linear(Tape(), Tensor(rng.random((2, 3))), Tensor(rng.random((4, 2))))
 
 
+def edgeless_block(n, m, self_loops):
+    g = SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.zeros(n, n))
+    return build_hstg(g, m, self_loops=self_loops)
+
+
+def random_operator(rng):
+    block = build_hstg(random_sensor_graph(rng, int(rng.integers(1, 5))),
+                       int(rng.integers(1, 4)),
+                       temporal_direction=("as_written", "transposed")[int(rng.integers(2))])
+    return block.coupled if rng.integers(2) else block.decoupled
+
+
 class TestSpmmDiff:
     def test_identity_passthrough(self, rng):
+        # an edgeless graph with self-loops diffuses every vertex onto itself
+        op = edgeless_block(5, 1, self_loops=True).decoupled
         x = ParamArray("x", rng.standard_normal((5, 2)))
         tape = Tape()
-        y = ad.spmm_diff(tape, SparseMatrix.identity(5), x)
+        y = ad.spmm_diff(tape, op, x)
         loss = project(tape, y, np.ones(y.value.shape))
         tape.backward(loss)
         assert np.array_equal(y.value, x.value)
         assert np.array_equal(x.grad, np.ones((5, 2)))
 
     def test_shift_semantics(self, rng):
-        shift = sparsify([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        # one edgeless vertex without self-loops: the coupled graph is a pure shift
+        op = edgeless_block(1, 3, self_loops=False).coupled
         x = Tensor(rng.random((3, 2)))
-        y = ad.spmm_diff(Tape(), shift, x)
+        y = ad.spmm_diff(Tape(), op, x)
         assert np.array_equal(y.value[:2], x.value[1:])
         assert np.array_equal(y.value[2], np.zeros(2))
 
     def test_finite_differences(self, rng):
-        for _ in range(100):
-            p = random_sparse(rng, 5, 5)
-            x = ParamArray("x", rng.standard_normal((5, 3)))
-            check_op([x], lambda tape: ad.spmm_diff(tape, p, x), rng)
+        for trial in range(100):
+            op = random_operator(rng)
+            lead = (2,) if trial % 4 == 0 else ()
+            x = ParamArray("x", rng.standard_normal(lead + (op.m * op.n, 3)))
+            check_op([x], lambda tape: ad.spmm_diff(tape, op, x), rng)
+
+    def test_shape_mismatch(self, rng):
+        op = edgeless_block(2, 2, self_loops=True).coupled
+        with pytest.raises(ShapeError):
+            ad.spmm_diff(Tape(), op, Tensor(rng.random((3, 2))))
 
 
 class TestLayerNorm:
@@ -236,7 +259,7 @@ class TestMlpDecode:
 
 class TestTapeDeterminism:
     def test_replay_bit_identical(self, rng):
-        p = random_sparse(rng, 6, 6)
+        p = build_hstg(random_sensor_graph(rng, 3), 2).coupled
         x = ParamArray("x", rng.standard_normal((6, 4)))
         theta = ParamArray("t", rng.standard_normal((4, 4)))
         grads = []

@@ -160,6 +160,16 @@ class TestTrain:
         assert main(args) == 2
         assert str(tmp_path / "adj") + ".csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", ['{"n": 4, "ids": 5}', '{"n": 4, "ids": ["a"]}'])
+    def test_bad_sidecar_exits_2_naming_json(self, dataset, tmp_path, capsys, sidecar):
+        root, _graph, _series = dataset
+        (tmp_path / "adj.json").write_text(sidecar + "\n")
+        (tmp_path / "adj.csv").write_text((root / "adj.csv").read_text())
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--adj") + 1] = str(tmp_path / "adj")
+        assert main(args) == 2
+        assert str(tmp_path / "adj") + ".json" in capsys.readouterr().err
+
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset
         short = type(series)(series.timestamps[:9], series.values[:9], series.ids)

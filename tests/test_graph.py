@@ -117,3 +117,16 @@ class TestAdjacencyIO:
         (tmp_path / "adj.csv").write_text(f"row,col,weight\n1,2,0.25\n{record}\n")
         with pytest.raises(FormatError, match=r"adj\.csv line 3"):
             load_adjacency(tmp_path / "adj")
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"n": 2, "ids": 5}',              # ids not a list
+        '[1, 2]',                          # not an object
+        '{"n": null, "ids": ["a", "b"]}',  # n not an integer
+        '{"n": 3, "ids": ["a", "b"]}',     # ids not n long
+        '{"n": 2, "ids": ["a", "a"]}',     # duplicate ids
+    ])
+    def test_bad_sidecar_names_json(self, tmp_path, sidecar):
+        (tmp_path / "adj.json").write_text(sidecar + "\n")
+        (tmp_path / "adj.csv").write_text("row,col,weight\n0,1,0.25\n")
+        with pytest.raises(FormatError, match=r"adj\.json"):
+            load_adjacency(tmp_path / "adj")

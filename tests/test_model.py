@@ -178,7 +178,6 @@ class TestEncode:
             emb = Tensor(rng.standard_normal((t, 3, 4)))
             com = encode(Tape(), model, emb)
             assert com.features.value.shape == (3, 4)
-            assert com.span == (0, t)
 
     def test_too_short_history_rejected(self, rng):
         g = random_sensor_graph(rng, 2)
@@ -252,6 +251,20 @@ class TestForward:
             counts[s] = len(calls)
         passes = expected_iterations(cfg.T, cfg.m)
         assert counts[1] == counts[3] == 2 * cfg.K * passes
+
+    def test_training_step_leaves_spec_matrices_unbuilt(self, rng):
+        g = random_sensor_graph(rng, 4)
+        cfg = tiny_config(T=6, m=3)  # a full block and a shorter tail block
+        model = IstdGcnModel(cfg, g, seed=0)
+        tape = Tape()
+        loss = mae_l2_loss(tape, forward(tape, model, rng.standard_normal((2, cfg.T, 4, 1))),
+                           rng.standard_normal((2, cfg.H, 4, 1)), model.params(), 1e-4)
+        tape.backward(loss)
+        spec = {"hstg_adjacency", "nhstg_adjacency", "hstg_transition",
+                "nhstg_transition", "hop_powers_h", "hop_powers_nh"}
+        assert sorted(model._blocks) == [2, 3]
+        for block in model._blocks.values():
+            assert not spec & set(vars(block))
 
     def test_end_to_end_gradcheck(self, rng):
         g = random_sensor_graph(rng, 4)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from stdiff.errors import ArgumentError
+import stdiff.autodiff as ad
+from stdiff.autodiff import Tape, Tensor
+from stdiff.errors import ArgumentError, ShapeError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import SparseMatrix, sparsify
-from stdiff.stgraph import (build_hstg, build_hstg_adjacency, build_nhstg,
-                            build_nhstg_adjacency, hop_power, stack_features)
+from stdiff.sparse import SparseMatrix, matrix_power, sparsify
+from stdiff.stgraph import build_hstg, build_hstg_adjacency, build_nhstg_adjacency
 
 from conftest import random_sensor_graph
 
@@ -85,7 +86,7 @@ class TestDenseOracleEquivalence:
         g = random_sensor_graph(rng, 4)
         from stdiff.sparse import add_self_loops, transition_matrix
         single = transition_matrix(add_self_loops(g.adjacency))
-        assert build_nhstg(g, 1) == single
+        assert build_hstg(g, 1).nhstg_transition == single
 
 
 class TestStructureInvariants:
@@ -103,7 +104,7 @@ class TestStructureInvariants:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))
-            p = build_nhstg(random_sensor_graph(rng, n), m)
+            p = build_hstg(random_sensor_graph(rng, n), m).nhstg_transition
             rows = np.repeat(np.arange(p.rows), np.diff(p.row_offsets))
             assert np.all(rows // n == p.col_indices // n)
 
@@ -126,14 +127,15 @@ class TestHopPowers:
     def test_first_power_is_p_itself(self, rng):
         g = random_sensor_graph(rng, 3)
         block = build_hstg(g, 2, num_hops=3)
-        assert hop_power(block.hstg_transition, 1) == block.hstg_transition
+        assert matrix_power(block.hstg_transition, 1) == block.hstg_transition
+        assert block.hop_powers_h[0] == block.hstg_transition
 
     def test_nilpotent_shift(self):
         g = SensorGraph(1, ("a",), SparseMatrix.zeros(1, 1))
         p = build_hstg_adjacency(g, 3, self_loops=False)
-        assert np.array_equal(hop_power(p, 2).to_dense(),
+        assert np.array_equal(matrix_power(p, 2).to_dense(),
                               [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-        assert hop_power(p, 3).nnz == 0
+        assert matrix_power(p, 3).nnz == 0
 
     def test_cached_powers_match_dense_oracle(self, rng):
         for _ in range(20):
@@ -149,22 +151,81 @@ class TestHopPowers:
 
     def test_invalid_hop_rejected(self, rng):
         with pytest.raises(ArgumentError):
-            hop_power(SparseMatrix.identity(2), 0)
+            matrix_power(SparseMatrix.identity(2), 0)
 
 
 class TestStackFeatures:
+    """The (m, n, d) stack and its flat (m*n, d) view, as the encoder builds them."""
+
+    def stack(self, mats):
+        return ad.stack_snapshots(Tape(), [Tensor(x) for x in mats]).value
+
     def test_single_snapshot_identity(self, rng):
         x = rng.random((3, 2))
-        assert np.array_equal(stack_features([x])[0], x)
+        assert np.array_equal(self.stack([x])[0], x)
 
     def test_stacking_order(self):
-        stacked = stack_features([np.array([[5.0]]), np.array([[7.0]])])
+        stacked = self.stack([np.array([[5.0]]), np.array([[7.0]])])
         assert np.array_equal(stacked.reshape(2, 1), [[5.0], [7.0]])
 
     def test_flat_index_convention(self, rng):
         m, n, d = 3, 4, 2
         mats = [rng.random((n, d)) for _ in range(m)]
-        flat = stack_features(mats).reshape(m * n, d)
+        tape = Tape()
+        flat = ad.merge_time(tape, ad.stack_snapshots(tape, [Tensor(x) for x in mats])).value
+        assert flat.shape == (m * n, d)
         for t in range(m):
             for i in range(n):
                 assert np.array_equal(flat[t * n + i], mats[t][i])
+
+
+class TestBlockDiffusion:
+    """The structured operators against the assembled spec matrices."""
+
+    def test_apply_and_transpose_match_assembled_matrices(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 6))
+            self_loops = bool(rng.integers(2))
+            direction = ("as_written", "transposed")[int(rng.integers(2))]
+            lead = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+            d = int(rng.integers(1, 4))
+            block = build_hstg(random_sensor_graph(rng, n), m, self_loops=self_loops,
+                               temporal_direction=direction)
+            x = rng.standard_normal(lead + (m * n, d))
+            for op, p in ((block.coupled, block.hstg_transition),
+                          (block.decoupled, block.nhstg_transition)):
+                dense = p.to_dense()
+                got, got_t = op.apply(x), op.apply_transpose(x)
+                assert got.shape == got_t.shape == x.shape
+                assert np.max(np.abs(got - dense @ x), initial=0.0) < 1e-12
+                assert np.max(np.abs(got_t - dense.T @ x), initial=0.0) < 1e-12
+
+    def test_memory_is_one_spatial_matrix(self, rng):
+        block = build_hstg(random_sensor_graph(rng, 5), 4, num_hops=3)
+        assert block.coupled.spatial is block.decoupled.spatial
+        assert block.coupled.spatial.dense.shape == (5, 5)
+        assert block.coupled.inv_deg.shape == (4, 5)
+
+    def test_shift_direction(self, rng):
+        g = random_sensor_graph(rng, 3)
+        assert build_hstg(g, 3).coupled.shift == 1
+        assert build_hstg(g, 3, temporal_direction="transposed").coupled.shift == -1
+        assert build_hstg(g, 3).decoupled.shift == 0
+        assert build_hstg(g, 1).coupled.shift == 0
+
+    def test_shape_mismatch(self, rng):
+        op = build_hstg(random_sensor_graph(rng, 3), 2).coupled
+        with pytest.raises(ShapeError):
+            op.apply(rng.random((5, 2)))
+        with pytest.raises(ShapeError):
+            op.apply_transpose(rng.random(6))
+
+    def test_invalid_arguments_rejected(self, rng):
+        g = random_sensor_graph(rng, 3)
+        with pytest.raises(ArgumentError):
+            build_hstg(g, 2, temporal_direction="sideways")
+        with pytest.raises(ArgumentError):
+            build_hstg(g, 0)
+        with pytest.raises(ArgumentError):
+            build_hstg(g, 2, num_hops=0)
