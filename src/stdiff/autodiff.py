@@ -108,7 +108,10 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
 
 
 def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
-    """Y = P @ X for a block diffusion operator P, X (..., m*n, d).  P carries no gradient."""
+    """Y = P @ X for a block diffusion operator P.  P carries no gradient.
+
+    X is (..., m, n, d) or (..., m*n, d); Y has the shape of X.
+    """
     out = Tensor(op.apply(x.value))
 
     def backward():
@@ -249,89 +252,32 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     return _check(out)
 
 
-def slice_time(tape: Tape, x: Tensor, t0: int, t1: int) -> Tensor:
-    """Slice [t0, t1) of the snapshot axis of (..., T, n, d)."""
+def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = None) -> Tensor:
+    """One (..., m, n, d) block: snapshots [t0, t1) of the (..., T, n, d) history.
+
+    A (..., n, d) ``carry``, when given, is snapshot 0 and the slice follows it.
+    The block is assembled in one copy; backward splits the gradient between
+    ``carry`` and ``x``.
+    """
     if x.value.ndim < 3 or not (0 <= t0 < t1 <= x.value.shape[-3]):
         raise ShapeError(f"bad time slice [{t0}, {t1}) for {x.shape}")
-    out = Tensor(x.value[..., t0:t1, :, :].copy())
-
-    def backward():
-        x.ensure_grad()
-        x.grad[..., t0:t1, :, :] += out.grad
-
-    tape.record(backward)
-    return _check(out)
-
-
-def stack_snapshots(tape: Tape, parts: list[Tensor]) -> Tensor:
-    """Stack (..., n, d) tensors into (..., m, n, d) along a new snapshot axis."""
-    if not parts:
-        raise ShapeError("nothing to stack")
-    shape = parts[0].value.shape
-    for p in parts:
-        if p.value.shape != shape:
-            raise ShapeError("stack parts must share one shape")
-    out = Tensor(np.stack([p.value for p in parts], axis=-3))
-
-    def backward():
-        for t, p in enumerate(parts):
-            p.ensure_grad()
-            p.grad += out.grad[..., t, :, :]
-
-    tape.record(backward)
-    return _check(out)
-
-
-def concat_time(tape: Tape, parts: list[Tensor]) -> Tensor:
-    """Concatenate (..., m_i, n, d) tensors along the snapshot axis."""
-    if not parts:
-        raise ShapeError("nothing to concatenate")
-    tail = parts[0].value.shape[-2:]
-    lead = parts[0].value.shape[:-3]
-    for p in parts:
-        if p.value.ndim < 3 or p.value.shape[-2:] != tail or p.value.shape[:-3] != lead:
-            raise ShapeError("concat_time parts must agree on all non-snapshot axes")
-    lengths = [p.value.shape[-3] for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=-3))
-    offsets = np.cumsum([0] + lengths)
+    lead, tail = x.value.shape[:-3], x.value.shape[-2:]
+    if carry is not None and carry.value.shape != lead + tail:
+        raise ShapeError(f"carry {carry.shape} is not a snapshot of {x.shape}")
+    c = 0 if carry is None else 1
+    block = np.empty(lead + (c + t1 - t0,) + tail)
+    if carry is not None:
+        block[..., 0, :, :] = carry.value
+    block[..., c:, :, :] = x.value[..., t0:t1, :, :]
+    out = Tensor(block)
 
     def backward():
         g = out.grad
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.ensure_grad()
-            p.grad += g[..., lo:hi, :, :]
-
-    tape.record(backward)
-    return _check(out)
-
-
-def merge_time(tape: Tape, x: Tensor) -> Tensor:
-    """Reshape (..., m, n, d) to the flat (..., m*n, d) vertex layout."""
-    if x.value.ndim < 3:
-        raise ShapeError("merge_time expects (..., m, n, d)")
-    lead = x.value.shape[:-3]
-    m, n, d = x.value.shape[-3:]
-    out = Tensor(x.value.reshape(lead + (m * n, d)))
-
-    def backward():
+        if carry is not None:
+            carry.ensure_grad()
+            carry.grad += g[..., 0, :, :]
         x.ensure_grad()
-        x.grad += out.grad.reshape(x.value.shape)
-
-    tape.record(backward)
-    return _check(out)
-
-
-def split_time(tape: Tape, x: Tensor, m: int, n: int) -> Tensor:
-    """Inverse of merge_time: (..., m*n, d) to (..., m, n, d)."""
-    if x.value.ndim < 2 or x.value.shape[-2] != m * n:
-        raise ShapeError(f"cannot split rows {x.shape} into ({m}, {n})")
-    lead = x.value.shape[:-2]
-    d = x.value.shape[-1]
-    out = Tensor(x.value.reshape(lead + (m, n, d)))
-
-    def backward():
-        x.ensure_grad()
-        x.grad += out.grad.reshape(x.value.shape)
+        x.grad[..., t0:t1, :, :] += g[..., c:, :, :]
 
     tape.record(backward)
     return _check(out)

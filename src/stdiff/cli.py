@@ -68,8 +68,8 @@ def _read_model_config(path) -> ModelConfig:
         return ModelConfig()
     try:
         return ModelConfig.from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read model config {path}: {exc}") from None
+    except (OSError, ValueError, ArgumentError) as exc:
+        raise FormatError(f"bad model config {path}: {exc}") from None
 
 
 # -- commands ----------------------------------------------------------

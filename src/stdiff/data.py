@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,10 @@ def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:
                 raise FormatError(f"{path}: non-numeric entry in {line!r}") from None
     if graph is not None and ids != tuple(graph.vertex_ids):
         raise IdentifierError(f"{path}: sensor columns do not match the adjacency ids")
-    return SpeedSeries(np.asarray(ts, dtype=np.int64), np.asarray(rows), ids)
+    try:
+        return SpeedSeries(np.asarray(ts, dtype=np.int64), np.asarray(rows), ids)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_speed_csv(series: SpeedSeries, path) -> None:
@@ -124,19 +128,30 @@ class SyntheticSpec:
 
     @staticmethod
     def from_json(text: str) -> "SyntheticSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ArgumentError("synthetic spec must be a JSON object")
-        unknown = set(data) - set(SyntheticSpec.__dataclass_fields__)
-        if unknown:
-            raise ArgumentError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        for key, value in data.items():
-            want = type(getattr(SyntheticSpec, key))
-            accepted = (int, float) if want is float else want
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ArgumentError(
-                    f"synthetic spec key {key!r} must be {want.__name__}, got {value!r}")
-        return SyntheticSpec(**data)
+        return dataclass_from_json(SyntheticSpec, text, "synthetic spec")
+
+
+def dataclass_from_json(cls, text: str, what: str):
+    """Build dataclass ``cls`` from a JSON object of some of its fields.
+
+    Each value must have its field's annotated type; an int is accepted for a
+    float and null for an optional field, but a bool never stands in for a
+    number.  ``what`` names the input in error messages.
+    """
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{what} must be a JSON object")
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ArgumentError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        want = typing.get_args(hints[key]) or (hints[key],)
+        accepted = want + (int,) if float in want else want
+        if (isinstance(value, bool) and bool not in want) or not isinstance(value, accepted):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in want)
+            raise ArgumentError(f"{what} key {key!r} must be {names}, got {value!r}")
+    return cls(**data)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[SensorGraph, SpeedSeries]:

@@ -100,12 +100,14 @@ def load_distance_csv(path) -> list[DistanceRecord]:
         for line in reader:
             if not line:
                 continue
+            where = f"{path} line {reader.line_num}"
             if len(line) != 3:
-                raise FormatError(f"{path}: bad record {line!r}")
+                raise FormatError(f"{where}: bad record {line!r}")
             try:
                 records.append(DistanceRecord(line[0], line[1], float(line[2])))
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric distance {line[2]!r}") from None
+            except (ValueError, DomainError):
+                raise FormatError(
+                    f"{where}: distance {line[2]!r} is not a finite nonnegative number") from None
     return records
 
 

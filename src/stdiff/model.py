@@ -1,7 +1,9 @@
 """The forecasting network: synchronous convolution blocks, the iterative
 compression encoder, and the parallel MLP decoder.
 
-One convolution block computes, on the flattened m*n-vertex layout,
+A block is m consecutive snapshots, kept in the (..., m, n, d) layout from
+its assembly to its temporal compression.  One convolution block computes,
+over its m*n vertices,
 
     LN( sum_{k=1..K} (P_nh^k X) Theta_{k,1} + (P_h^k X) Theta_{k,2} + X )
 
@@ -13,21 +15,22 @@ lives in the decoder MLP.
 
 The sum is evaluated in fused form.  The diffusion features
 
-    Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]      (m*n, 2K*d)
+    Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]      (m, n, 2K*d)
 
 depend on the block and its input but not on the channel, so they are
 computed once per block and shared by all s channels.  Each hop applies its
 graph's structured operator (``stgraph.BlockDiffusion``) to the previous
-hop, P^k X = P (P^{k-1} X); no power of P is ever formed.  Each channel
-stacks its 2K thetas along rows into one (2K*d, d) matrix and computes
-LN(X + Z Theta) with a single GEMM.  An ablation drops the same terms from
-Z and from the stacked thetas.
+hop, P^k X = P (P^{k-1} X), in the block layout; no power of P is ever
+formed.  Each channel stacks its 2K thetas along rows into one (2K*d, d)
+matrix and computes LN(X + Z Theta) with a single GEMM.  An ablation drops
+the same terms from Z and from the stacked thetas.
 
 The encoder consumes the T-step history iteratively: the first iteration
-compresses snapshots [0, m); each later one stacks the running compressed
-snapshot with the next m-1 raw snapshots and compresses again.  When the
-remaining history is shorter than m-1, a smaller block graph is built for
-the tail and the shared compression kernel is sliced to its extent.  One
+compresses snapshots [0, m); each later one assembles the running compressed
+snapshot and the next m-1 raw snapshots into one block (a single
+``autodiff.slice_time`` copy) and compresses again.  When the remaining
+history is shorter than m-1, a smaller block graph is built for the tail and
+the shared compression kernel is sliced to its extent.  One
 parameter set is reused at every iteration.
 """
 from __future__ import annotations
@@ -40,9 +43,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamArray, Tape, Tensor
+from .data import dataclass_from_json
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .stgraph import StBlockGraph, build_hstg
+from .stgraph import TEMPORAL_DIRECTIONS, StBlockGraph, build_hstg
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
 
@@ -66,6 +70,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ArgumentError(f"unknown ablation {self.ablation!r}")
+        if self.temporal_direction not in TEMPORAL_DIRECTIONS:
+            raise ArgumentError(f"unknown temporal_direction {self.temporal_direction!r}")
         if self.m < 2:
             raise ArgumentError("m must be >= 2")
         if self.T < self.m:
@@ -88,11 +94,7 @@ class ModelConfig:
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
-        data = json.loads(text)
-        unknown = set(data) - set(ModelConfig.__dataclass_fields__)
-        if unknown:
-            raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
-        return ModelConfig(**data)
+        return dataclass_from_json(ModelConfig, text, "config")
 
 
 @dataclass
@@ -198,20 +200,21 @@ def _hop_terms(block: StBlockGraph, k_hops: int, ablation: str) -> list[tuple]:
 
 
 def diffusion_features(
-    tape: Tape, block: StBlockGraph, x_flat: Tensor, k_hops: int, ablation: str,
+    tape: Tape, block: StBlockGraph, x: Tensor, k_hops: int, ablation: str,
 ) -> Tensor | None:
-    """The hop products of (..., m*n, d) input, concatenated to (..., m*n, terms*d).
+    """The hop products of block input x, concatenated on the feature axis.
 
-    Hop k of a graph is its operator applied to hop k-1.  Returns None when
-    the ablation leaves no diffusion term.
+    x is in either layout, (..., m, n, d) or (..., m*n, d); the output has
+    the input's shape with terms*d features.  Hop k of a graph is its
+    operator applied to hop k-1.  Returns None when the ablation leaves no
+    diffusion term.
     """
-    if x_flat.value.shape[-2] != block.m * block.n:
-        raise ShapeError(
-            f"input rows {x_flat.shape} do not match block graph {block.m}x{block.n}"
-        )
+    shape = x.value.shape
+    if shape[-3:-1] != (block.m, block.n) and shape[-2] != block.m * block.n:
+        raise ShapeError(f"input {shape} does not match block graph {block.m}x{block.n}")
     hops, last = [], {}
     for op, name, _ in _hop_terms(block, k_hops, ablation):
-        last[name] = ad.spmm_diff(tape, op, last.get(name, x_flat))
+        last[name] = ad.spmm_diff(tape, op, last.get(name, x))
         hops.append(last[name])
     return ad.concat_features(tape, hops) if hops else None
 
@@ -220,46 +223,42 @@ def stsc_forward(
     tape: Tape,
     params: StscChannelParams,
     block: StBlockGraph,
-    x_flat: Tensor,
+    x: Tensor,
     *,
     ablation: str = "full",
     ln_eps: float = 1e-5,
     features: Tensor | None = None,
 ) -> Tensor:
-    """One convolution block on the flattened (..., m*n, d) layout.
+    """One convolution block on (..., m, n, d) or (..., m*n, d) input.
 
-    The same tensor feeds both diffusion terms (decoupled and coupled graphs
-    share their vertex set).  The residual path always contributes.
-    ``features`` are this input's ``diffusion_features``; they are computed
-    here when not given.
+    The output has the input's shape.  The same tensor feeds both diffusion
+    terms (decoupled and coupled graphs share their vertex set).  The
+    residual path always contributes.  ``features`` are this input's
+    ``diffusion_features``; they are computed here when not given.
     """
     k_hops = len(params.theta_nh)
     if features is None:
-        features = diffusion_features(tape, block, x_flat, k_hops, ablation)
-    acc = x_flat
+        features = diffusion_features(tape, block, x, k_hops, ablation)
+    acc = x
     if features is not None:
         thetas = [getattr(params, name)[k] for _, name, k in _hop_terms(block, k_hops, ablation)]
         theta = ad.concat_features(tape, thetas, axis=0)
-        acc = ad.add(tape, x_flat, ad.linear(tape, features, theta))
+        acc = ad.add(tape, x, ad.linear(tape, features, theta))
     return ad.layer_norm(tape, acc, params.ln_scale, params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x_stacked: Tensor) -> Tensor:
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
     The diffusion features are computed once here and shared by every channel.
     """
     cfg = model.config
-    m = x_stacked.value.shape[-3]
-    n = x_stacked.value.shape[-2]
-    block = model.block_graph(m)
-    x_flat = ad.merge_time(tape, x_stacked)
-    features = diffusion_features(tape, block, x_flat, cfg.K, cfg.ablation)
+    block = model.block_graph(x.value.shape[-3])
+    features = diffusion_features(tape, block, x, cfg.K, cfg.ablation)
     parts = []
     for ch in model.channels:
-        h = stsc_forward(tape, ch, block, x_flat, ablation=cfg.ablation, ln_eps=cfg.ln_eps,
+        h = stsc_forward(tape, ch, block, x, ablation=cfg.ablation, ln_eps=cfg.ln_eps,
                          features=features)
-        h = ad.split_time(tape, h, m, n)
         parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
     return ad.linear(tape, ad.concat_features(tape, parts), model.mix)
 
@@ -274,9 +273,8 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor) -> CompressedSnaps
     idx, iterations = m, 1
     while idx < t_total:
         take = min(m - 1, t_total - idx)
-        raw = ad.slice_time(tape, embedded, idx, idx + take)
-        stacked = ad.concat_time(tape, [ad.stack_snapshots(tape, [com]), raw])
-        com = multi_channel_forward(tape, model, stacked)
+        block = ad.slice_time(tape, embedded, idx, idx + take, carry=com)
+        com = multi_channel_forward(tape, model, block)
         idx += take
         iterations += 1
     return CompressedSnapshot(features=com, iterations=iterations)

@@ -1,13 +1,14 @@
 """Block spatial-temporal graphs built from m consecutive snapshots.
 
-Vertex (t, i) lives at flat index t*n + i (snapshot-major).  The coupled
-graph is upper block-bidiagonal: the spatial adjacency on the diagonal and
-the coupling matrix C (identity by default, weight 1) on the first
-superdiagonal block, so information flows forward in time only.  The
-decoupled variant drops the couplings entirely and is block-diagonal.
+Vertex (t, i) lives at flat index t*n + i (snapshot-major), which is row
+(t, i) of the (m, n, d) block layout the model keeps its blocks in.  The
+coupled graph is upper block-bidiagonal: the spatial adjacency on the
+diagonal and the identity (weight 1) on the first superdiagonal block, so
+information flows forward in time only.  The decoupled variant drops the
+couplings entirely and is block-diagonal.
 
-The model never assembles these (m*n) x (m*n) matrices.  With the identity
-coupling, block row t of the coupled transition matrix is
+The model never assembles these (m*n) x (m*n) matrices.  Block row t of the
+coupled transition matrix is
 
     ((A+I) X_t + X_{t+1}) / (deg + 1)      for t < m-1,
     (A+I) X_t / deg                         for t = m-1,
@@ -39,7 +40,11 @@ TEMPORAL_DIRECTIONS = ("as_written", "transposed")
 
 @dataclass(frozen=True, eq=False)
 class BlockDiffusion:
-    """One block transition matrix P in structured form, acting on (..., m*n, d).
+    """One block transition matrix P in structured form.
+
+    It acts on a block in either layout, (..., m, n, d) or the flat
+    (..., m*n, d), and returns its result in the input's shape; flat row
+    t*n + i is snapshot t, vertex i.
 
     ``shift`` is +1 when block row t also reads snapshot t+1 (``as_written``),
     -1 when it reads snapshot t-1 (``transposed``), and 0 for the decoupled
@@ -60,6 +65,9 @@ class BlockDiffusion:
         return self.inv_deg.shape[1]
 
     def _blocks(self, x: np.ndarray) -> np.ndarray:
+        """The (..., m, n, d) view of a block in either layout."""
+        if x.shape[-3:-1] == (self.m, self.n):
+            return x
         if x.ndim < 2 or x.shape[-2] != self.m * self.n:
             raise ShapeError(f"block operator {self.m}x{self.n} cannot act on {x.shape}")
         return x.reshape(x.shape[:-2] + (self.m, self.n, x.shape[-1]))
@@ -188,7 +196,6 @@ def build_hstg_adjacency(
     g: SensorGraph,
     m: int,
     *,
-    coupling: SparseMatrix | None = None,
     self_loops: bool = True,
     temporal_direction: str = "as_written",
 ) -> SparseMatrix:
@@ -196,11 +203,7 @@ def build_hstg_adjacency(
         raise ArgumentError("coupled graph needs at least two snapshots")
     spatial = _spatial(g, self_loops)
     _check_direction(temporal_direction)
-    c = SparseMatrix.identity(g.n) if coupling is None else coupling
-    if c.rows != g.n or c.cols != g.n:
-        raise ShapeError("coupling matrix must be n x n")
-    if c.nnz and c.values.min() < 0:
-        raise ArgumentError("coupling weights must be nonnegative")
+    c = SparseMatrix.identity(g.n)
     blocks = [(t, t, spatial) for t in range(m)]
     for t in range(m - 1):
         if temporal_direction == "as_written":

@@ -223,6 +223,31 @@ class TestConcatFeatures:
         assert ad.concat_features(Tape(), [a, b]).value.shape == (2, 7)
 
 
+class TestSliceTime:
+    def test_backward_splits_between_carry_and_history(self, rng):
+        x = ParamArray("x", rng.standard_normal((2, 5, 3, 2)))
+        carry = ParamArray("carry", rng.standard_normal((2, 3, 2)))
+        tape = Tape()
+        out = ad.slice_time(tape, x, 2, 4, carry=carry)
+        g = rng.standard_normal(out.value.shape)
+        tape.backward(project(tape, out, g))
+        assert np.array_equal(carry.grad, g[:, 0])
+        assert np.array_equal(x.grad[:, 2:4], g[:, 1:])
+        assert not x.grad[:, :2].any() and not x.grad[:, 4:].any()
+
+    def test_finite_differences(self, rng):
+        x = ParamArray("x", rng.standard_normal((4, 3, 2)))
+        carry = ParamArray("carry", rng.standard_normal((3, 2)))
+        check_op([x], lambda tape: ad.slice_time(tape, x, 1, 3), rng)
+        check_op([x, carry], lambda tape: ad.slice_time(tape, x, 1, 4, carry=carry), rng)
+
+    def test_bad_slice_rejected(self, rng):
+        x = Tensor(rng.random((4, 3, 2)))
+        for t0, t1 in ((2, 2), (-1, 2), (0, 5)):
+            with pytest.raises(ShapeError):
+                ad.slice_time(Tape(), x, t0, t1)
+
+
 class TestMlpDecode:
     def make_params(self, rng, d, hidden, horizon, d_out):
         return (ParamArray("w1", rng.standard_normal((d, hidden)) * 0.5),

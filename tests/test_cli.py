@@ -72,6 +72,15 @@ class TestBuildAdj:
               "--out", str(tmp_path / "adj"), "--quantile", "0"])
         assert load_adjacency(tmp_path / "adj").adjacency.nnz == 6
 
+    @pytest.mark.parametrize("distance", ["-1.0", "nan"])
+    def test_bad_distance_exits_2_naming_csv(self, tmp_path, capsys, distance):
+        self.make_inputs(tmp_path)
+        path = tmp_path / "d.csv"
+        path.write_text(path.read_text() + f"c,a,{distance}\n")
+        assert main(["build-adj", "--distances", str(path), "--ids", str(tmp_path / "ids.txt"),
+                     "--out", str(tmp_path / "adj")]) == 2
+        assert f"{path} line 8" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         (tmp_path / "ids.txt").write_text("a\n")
         code = main(["build-adj", "--distances", str(tmp_path / "nope.csv"),
@@ -169,6 +178,39 @@ class TestTrain:
         args[args.index("--adj") + 1] = str(tmp_path / "adj")
         assert main(args) == 2
         assert str(tmp_path / "adj") + ".json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"K": "2"}',
+        '{"K": 2.5}',
+        '{"ln_eps": "x"}',
+        '{"self_loops": "no"}',
+        '[1]',
+        '{"m": 1}',
+        '{"temporal_direction": "sideways"}',
+    ])
+    def test_bad_config_exits_2_naming_file(self, dataset, tmp_path, capsys, text):
+        root, _graph, _series = dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--config") + 1] = str(config)
+        assert main(args) == 2
+        assert str(config) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("rows", [
+        [(0, "1.0"), (300, "inf")],                  # non-finite reading
+        [(0, "1.0"), (300, "2.0"), (900, "3.0")],    # off the fixed interval
+    ])
+    def test_bad_speed_csv_exits_2_naming_file(self, dataset, tmp_path, capsys, rows):
+        root, graph, _series = dataset
+        lines = [",".join(("timestamp",) + graph.vertex_ids)]
+        lines += [",".join([str(t)] + [v] * graph.n) for t, v in rows]
+        (tmp_path / "speed.csv").write_text("\n".join(lines) + "\n")
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--data") + 1] = str(tmp_path / "speed.csv")
+        assert main(args) == 2
+        assert str(tmp_path / "speed.csv") in capsys.readouterr().err
 
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset

@@ -59,6 +59,16 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError):
             load_speed_csv(tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("text", [
+        "timestamp,a\n0,1.0\n300,inf\n",         # non-finite reading
+        "timestamp,a\n0,1.0\n300,2.0\n900,3.0\n",  # off the fixed interval
+    ])
+    def test_bad_series_names_csv(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=str(path)):
+            load_speed_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         (tmp_path / "s.csv").write_text("timestamp,a\n0,1.0\n300\n")
         with pytest.raises(FormatError):

@@ -98,6 +98,13 @@ class TestAdjacencyIO:
         recs = load_distance_csv(path)
         assert recs == [DistanceRecord("a", "b", 1.5), DistanceRecord("b", "a", 1.5)]
 
+    @pytest.mark.parametrize("distance", ["-1.0", "nan", "inf", "far"])
+    def test_bad_distance_names_csv_and_line(self, tmp_path, distance):
+        path = tmp_path / "d.csv"
+        path.write_text(f"from,to,distance\na,b,1.5\nb,a,{distance}\n")
+        with pytest.raises(FormatError, match=f"{path} line 3"):
+            load_distance_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("src,dst,w\na,b,1\n")

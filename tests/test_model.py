@@ -123,12 +123,8 @@ class TestMultiChannel:
         tape = Tape()
         x = Tensor(rng.standard_normal((2, 3, cfg.d)))
         block = model.block_graph(2)
-        flat = ad.merge_time(tape, x)
-        parts = []
-        for ch in model.channels:
-            h = stsc_forward(tape, ch, block, flat)
-            h = ad.split_time(tape, h, 2, 3)
-            parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
+        parts = [ad.temporal_compress(tape, stsc_forward(tape, ch, block, x), ch.compress_kernel)
+                 for ch in model.channels]
         cat = ad.concat_features(tape, parts)
         assert np.array_equal(cat.value[..., :cfg.d], cat.value[..., cfg.d:])
 
@@ -141,9 +137,8 @@ class TestMultiChannel:
         x = Tensor(rng.standard_normal((2, 3, cfg.d)))
         got = multi_channel_forward(tape, model, x)
         tape2 = Tape()
-        flat = ad.merge_time(tape2, x)
-        h = stsc_forward(tape2, model.channels[0], model.block_graph(2), flat)
-        h = ad.split_time(tape2, h, 2, 3)
+        h = stsc_forward(tape2, model.channels[0], model.block_graph(2), x)
+        assert h.value.shape == (2, 3, cfg.d)
         want = ad.temporal_compress(tape2, h, model.channels[0].compress_kernel)
         assert np.array_equal(got.value, want.value)
 
@@ -252,6 +247,32 @@ class TestForward:
         passes = expected_iterations(cfg.T, cfg.m)
         assert counts[1] == counts[3] == 2 * cfg.K * passes
 
+    def test_tape_records_one_block_assembly_per_pass(self, rng, monkeypatch):
+        g = random_sensor_graph(rng, 3)
+        cfg = tiny_config(T=4)
+        model = IstdGcnModel(cfg, g, seed=0)
+        slices = []
+        slice_time = ad.slice_time
+
+        def counting(tape, x, t0, t1, carry=None):
+            slices.append(carry is not None)
+            return slice_time(tape, x, t0, t1, carry=carry)
+
+        monkeypatch.setattr(ad, "slice_time", counting)
+        tape = Tape()
+        forward(tape, model, rng.standard_normal((cfg.T, 3, 1)))
+        passes = expected_iterations(cfg.T, cfg.m)
+        # only the first pass has no carry
+        assert slices == [False] + [True] * (passes - 1)
+        # per pass: slice_time, 2K spmm_diff + 1 concat_features, then per
+        # channel concat_features (thetas), linear, add, layer_norm and
+        # temporal_compress, then concat_features and the mix linear;
+        # around them the input linear and the 6 decoder records
+        per_pass = 1 + (2 * cfg.K + 1) + 5 * cfg.s + 2
+        assert len(tape) == 1 + passes * per_pass + 6 == 61
+        for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
+            assert not hasattr(ad, name)
+
     def test_training_step_leaves_spec_matrices_unbuilt(self, rng):
         g = random_sensor_graph(rng, 4)
         cfg = tiny_config(T=6, m=3)  # a full block and a shorter tail block
@@ -294,3 +315,18 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ArgumentError):
             ModelConfig.from_json('{"K": 2, "bogus": 1}')
+
+    def test_unknown_temporal_direction_rejected(self):
+        with pytest.raises(ArgumentError):
+            ModelConfig(temporal_direction="sideways")
+
+    @pytest.mark.parametrize("text", ['{"decoder_hidden": 2.0}', '{"ablation": 1}',
+                                      '{"d": true}', '{"ln_eps": null}', '"K"'])
+    def test_wrong_field_type_rejected(self, text):
+        with pytest.raises(ArgumentError):
+            ModelConfig.from_json(text)
+
+    def test_optional_and_float_fields_accept_null_and_int(self):
+        cfg = ModelConfig.from_json('{"decoder_hidden": null, "ln_eps": 1}')
+        assert cfg.hidden == cfg.d and cfg.ln_eps == 1
+        assert ModelConfig.from_json('{"decoder_hidden": 3}').hidden == 3

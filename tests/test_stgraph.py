@@ -15,11 +15,11 @@ def two_vertex_swap_graph():
     return SensorGraph(2, ("a", "b"), sparsify([[0, 1], [1, 0]]))
 
 
-def dense_block_oracle(w, m, coupling=None, self_loops=True, direction="as_written"):
+def dense_block_oracle(w, m, self_loops=True, direction="as_written"):
     """Assemble the coupled block matrix densely, term by term."""
     n = w.shape[0]
     spatial = w + np.eye(n) if self_loops else w
-    c = np.eye(n) if coupling is None else coupling
+    c = np.eye(n)
     out = np.zeros((m * n, m * n))
     for t in range(m):
         out[t * n:(t + 1) * n, t * n:(t + 1) * n] = spatial
@@ -154,29 +154,40 @@ class TestHopPowers:
             matrix_power(SparseMatrix.identity(2), 0)
 
 
-class TestStackFeatures:
-    """The (m, n, d) stack and its flat (m*n, d) view, as the encoder builds them."""
+class TestBlockAssembly:
+    """The (m, n, d) block the encoder assembles, and its flat (m*n, d) view."""
 
-    def stack(self, mats):
-        return ad.stack_snapshots(Tape(), [Tensor(x) for x in mats]).value
+    def test_slice_time_puts_carry_first_then_snapshots_in_order(self, rng):
+        x = rng.standard_normal((2, 5, 3, 4))
+        carry = rng.standard_normal((2, 3, 4))
+        block = ad.slice_time(Tape(), Tensor(x), 1, 4, carry=Tensor(carry)).value
+        assert block.shape == (2, 4, 3, 4)
+        assert np.array_equal(block[:, 0], carry)
+        for t in range(3):
+            assert np.array_equal(block[:, 1 + t], x[:, 1 + t])
+        plain = ad.slice_time(Tape(), Tensor(x), 1, 4).value
+        assert np.array_equal(plain, x[:, 1:4])
+        for bad in ((3, 4), (2, 3, 5), (1, 3, 4)):
+            with pytest.raises(ShapeError):
+                ad.slice_time(Tape(), Tensor(x), 1, 4, carry=Tensor(np.zeros(bad)))
 
-    def test_single_snapshot_identity(self, rng):
-        x = rng.random((3, 2))
-        assert np.array_equal(self.stack([x])[0], x)
-
-    def test_stacking_order(self):
-        stacked = self.stack([np.array([[5.0]]), np.array([[7.0]])])
-        assert np.array_equal(stacked.reshape(2, 1), [[5.0], [7.0]])
-
-    def test_flat_index_convention(self, rng):
-        m, n, d = 3, 4, 2
-        mats = [rng.random((n, d)) for _ in range(m)]
-        tape = Tape()
-        flat = ad.merge_time(tape, ad.stack_snapshots(tape, [Tensor(x) for x in mats])).value
-        assert flat.shape == (m * n, d)
-        for t in range(m):
-            for i in range(n):
-                assert np.array_equal(flat[t * n + i], mats[t][i])
+    def test_block_diffusion_flat_and_block_layouts_agree(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 5))
+            d = int(rng.integers(1, 4))
+            direction = ("as_written", "transposed")[int(rng.integers(2))]
+            block = build_hstg(random_sensor_graph(rng, n), m, temporal_direction=direction)
+            x = rng.standard_normal((2, m, n, d))
+            flat = x.reshape(2, m * n, d)
+            for t in range(m):  # flat row t*n + i is snapshot t, vertex i
+                for i in range(n):
+                    assert np.array_equal(flat[:, t * n + i], x[:, t, i])
+            for op in (block.coupled, block.decoupled):
+                for fn in (op.apply, op.apply_transpose):
+                    got = fn(x)
+                    assert got.shape == x.shape
+                    assert np.array_equal(got.reshape(flat.shape), fn(flat))
 
 
 class TestBlockDiffusion:
