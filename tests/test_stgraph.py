@@ -154,6 +154,20 @@ class TestHopPowers:
             matrix_power(SparseMatrix.identity(2), 0)
 
 
+class TestStackFeatures:
+    """Snapshots stacked into an (m, n, d) block, as the encoder builds them."""
+
+    def test_single_snapshot_identity(self, rng):
+        x = rng.random((1, 3, 2))
+        assert np.array_equal(ad.slice_time(Tape(), Tensor(x), 0, 1).value[0], x[0])
+
+    def test_stacking_order(self):
+        carry = Tensor(np.array([[5.0]]))
+        history = Tensor(np.array([[[7.0]]]))
+        stacked = ad.slice_time(Tape(), history, 0, 1, carry=carry).value
+        assert np.array_equal(stacked.reshape(2, 1), [[5.0], [7.0]])
+
+
 class TestBlockAssembly:
     """The (m, n, d) block the encoder assembles, and its flat (m*n, d) view."""
 
