@@ -80,12 +80,6 @@ class Tape:
             fn()
 
 
-def _check(t: Tensor) -> Tensor:
-    if _DEBUG and not np.all(np.isfinite(t.value)):
-        raise NumericError("non-finite op output")
-    return t
-
-
 # -- primitive ops -----------------------------------------------------
 
 
@@ -104,7 +98,7 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
             -1, theta.value.shape[1])
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
@@ -119,7 +113,7 @@ def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
         x.grad += op.apply_transpose(out.grad)
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def layer_norm(tape: Tape, x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -149,7 +143,7 @@ def layer_norm(tape: Tape, x: Tensor, scale: Tensor, shift: Tensor, eps: float =
         shift.grad += g.sum(axis=axes)
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def temporal_compress(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
@@ -179,7 +173,7 @@ def temporal_compress(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
             "btnf,bnf->tf", x.value.reshape((-1,) + tail), g.reshape((-1,) + tail[1:]))
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def concat_features(tape: Tape, parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -206,7 +200,7 @@ def concat_features(tape: Tape, parts: list[Tensor], axis: int = -1) -> Tensor:
             p.grad += g[lead + (slice(lo, hi),)]
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -221,7 +215,7 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         b.grad += out.grad
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
@@ -237,7 +231,7 @@ def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
         b.grad += out.grad.sum(axis=tuple(range(out.grad.ndim - 1)))
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
@@ -249,7 +243,7 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
         x.grad += np.where(mask, out.grad, 0.0)
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = None) -> Tensor:
@@ -280,7 +274,7 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
         x.grad[..., t0:t1, :, :] += g[..., c:, :, :]
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 def mlp_decode(
@@ -313,7 +307,7 @@ def mlp_decode(
         o.grad += np.swapaxes(out.grad, -3, -2).reshape(o.value.shape)
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 # -- loss --------------------------------------------------------------
@@ -332,26 +326,23 @@ def mae_loss(tape: Tape, pred: Tensor, target: np.ndarray) -> Tensor:
         pred.grad += out.grad * np.sign(diff) / diff.size
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
-def l2_penalty(tape: Tape, params: list[Tensor], lam: float, *, squared: bool = False) -> Tensor:
-    """lam * ||theta||_2 over all entries of all params (or the squared norm)."""
-    sq = sum(float((p.value ** 2).sum()) for p in params)
-    norm = np.sqrt(sq)
-    out = Tensor(lam * (sq if squared else norm))
+def l2_penalty(tape: Tape, params: list[Tensor], lam: float) -> Tensor:
+    """lam * ||theta||_2 over all entries of all params (the norm, not its square)."""
+    norm = np.sqrt(sum(float((p.value ** 2).sum()) for p in params))
+    out = Tensor(lam * norm)
 
     def backward():
         g = float(out.grad)
         for p in params:
             p.ensure_grad()
-            if squared:
-                p.grad += g * lam * 2.0 * p.value
-            elif norm > 0.0:
+            if norm > 0.0:
                 p.grad += g * lam * p.value / norm
 
     tape.record(backward)
-    return _check(out)
+    return out
 
 
 # -- gradient checking -------------------------------------------------

@@ -26,7 +26,7 @@ from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
                    make_windows, save_speed_csv)
 from .errors import ArgumentError, FormatError, StdiffError
 from .graph import build_gaussian_adjacency, load_adjacency, load_distance_csv, save_adjacency
-from .metrics import (evaluate, historical_average_baseline,
+from .metrics import (evaluate, historical_average_baseline, horizon_minutes,
                       metrics_by_horizon)
 from .model import IstdGcnModel, ModelConfig, forward
 from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_batch,
@@ -63,13 +63,17 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list,
     return path
 
 
-def _read_model_config(path) -> ModelConfig:
+def _read_json_config(cls, path, what: str):
+    """``cls.from_json`` of the file at ``path``, or ``cls()`` when there is none.
+
+    Any error reading or checking the file is a ``FormatError`` naming it.
+    """
     if path is None:
-        return ModelConfig()
+        return cls()
     try:
-        return ModelConfig.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, ArgumentError) as exc:
-        raise FormatError(f"bad model config {path}: {exc}") from None
+        raise FormatError(f"bad {what} {path}: {exc}") from None
 
 
 # -- commands ----------------------------------------------------------
@@ -83,8 +87,7 @@ def cmd_build_adj(args) -> int:
     else:
         graph = build_gaussian_adjacency(records, ids, weight_quantile=args.quantile)
     out = Path(args.out)
-    write_manifest(out.parent if out.parent != Path("") else Path("."),
-                   "build-adj",
+    write_manifest(out.parent, "build-adj",
                    {"epsilon": args.epsilon, "quantile": args.quantile, "ids": len(ids)},
                    [args.distances, args.ids],
                    [str(out) + ".csv", str(out) + ".json"])
@@ -93,21 +96,11 @@ def cmd_build_adj(args) -> int:
     return 0
 
 
-def _read_synth_spec(path) -> SyntheticSpec:
-    if path is None:
-        return SyntheticSpec()
-    try:
-        return SyntheticSpec.from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, ArgumentError) as exc:
-        raise FormatError(f"bad synthetic spec {path}: {exc}") from None
-
-
 def cmd_synth(args) -> int:
-    spec = _read_synth_spec(args.spec)
+    spec = _read_json_config(SyntheticSpec, args.spec, "synthetic spec")
     graph, series = generate_synthetic(spec)
     out = Path(args.out)
-    write_manifest(out.parent if out.parent != Path("") else Path("."),
-                   "synth", asdict(spec), [args.spec] if args.spec else [],
+    write_manifest(out.parent, "synth", asdict(spec), [args.spec] if args.spec else [],
                    [f"{out}_adj.csv", f"{out}_adj.json", f"{out}_speed.csv"])
     save_adjacency(graph, Path(f"{out}_adj"))
     save_speed_csv(series, f"{out}_speed.csv")
@@ -125,7 +118,7 @@ def _load_dataset(args, cfg: ModelConfig):
 
 
 def cmd_train(args) -> int:
-    cfg = _read_model_config(args.config)
+    cfg = _read_json_config(ModelConfig, args.config, "model config")
     if args.ablation is not None:
         cfg = ModelConfig(**{**asdict(cfg), "ablation": args.ablation})
     graph, _series, (train_w, val_w, _test_w), stats = _load_dataset(args, cfg)
@@ -153,7 +146,7 @@ def cmd_train(args) -> int:
 
 def _restore_model(args):
     cfg_path = args.config or str(Path(args.checkpoint).parent / "config.json")
-    cfg = _read_model_config(cfg_path)
+    cfg = _read_json_config(ModelConfig, cfg_path, "model config")
     graph = load_adjacency(Path(args.adj))
     model = IstdGcnModel(cfg, graph, seed=0)
     restore_params(model.params(), args.checkpoint)
@@ -166,16 +159,15 @@ def cmd_eval(args) -> int:
     if not test_w:
         raise ArgumentError("empty evaluation range")
     out = Path(args.out)
-    write_manifest(out.parent if out.parent != Path("") else Path("."),
-                   "eval", {"model": asdict(cfg)},
+    write_manifest(out.parent, "eval", {"model": asdict(cfg)},
                    [args.data, args.checkpoint, f"{args.adj}.csv"], [str(out)])
-    report = evaluate(model, test_w, stats)
+    report = evaluate(model, test_w, stats, interval=series.interval)
     n_train_steps = train_w[-1].start_index + cfg.T if train_w else len(series)
     train_series = type(series)(series.timestamps[:n_train_steps],
                                 series.values[:n_train_steps], series.ids)
     ha_pred = historical_average_baseline(train_series, test_w)
     ha_targ = np.stack([w.target for w in test_w])
-    ha_report = metrics_by_horizon(ha_pred, ha_targ)
+    ha_report = metrics_by_horizon(ha_pred, ha_targ, interval=series.interval)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("model,horizon_min,mae,rmse,mape_pct,n_samples\n")
         for label, rep in (("istd-gcn", report), ("ha", ha_report)):
@@ -183,7 +175,7 @@ def cmd_eval(args) -> int:
                 fh.write(f"{label},{row.horizon_min},{row.mae!r},{row.rmse!r},"
                          f"{row.mape!r},{row.n_samples}\n")
     for row in report.per_horizon:
-        print(f"{row.horizon_min:3d} min: MAE {row.mae:.4f}  RMSE {row.rmse:.4f}  "
+        print(f"{row.horizon_min:>3} min: MAE {row.mae:.4f}  RMSE {row.rmse:.4f}  "
               f"MAPE {row.mape:.2f}%")
     return 0
 
@@ -194,9 +186,9 @@ def cmd_predict(args) -> int:
     if not test_w:
         raise ArgumentError("empty evaluation range")
     out = Path(args.out)
-    write_manifest(out.parent if out.parent != Path("") else Path("."),
-                   "predict", {"model": asdict(cfg)},
+    write_manifest(out.parent, "predict", {"model": asdict(cfg)},
                    [args.data, args.checkpoint], [str(out)])
+    minutes = [horizon_minutes(h + 1, series.interval) for h in range(cfg.H)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
         for lo in range(0, len(test_w), 64):
@@ -207,7 +199,7 @@ def cmd_predict(args) -> int:
                 for h in range(cfg.H):
                     ts = int(w.target_timestamps[h])
                     for v, vid in enumerate(series.ids):
-                        fh.write(f"{ts},{vid},{(h + 1) * 5},"
+                        fh.write(f"{ts},{vid},{minutes[h]},"
                                  f"{float(pred[h, v, 0])!r},"
                                  f"{float(w.target[h, v, 0])!r}\n")
     print(f"wrote {out} ({len(test_w)} windows)")
@@ -215,8 +207,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _read_model_config(args.config) if args.config else ModelConfig(
-        K=2, m=2, s=2, d=4, T=6, H=2)
+    cfg = (_read_json_config(ModelConfig, args.config, "model config") if args.config
+           else ModelConfig(K=2, m=2, s=2, d=4, T=6, H=2))
     spec = SyntheticSpec(n=5, steps=cfg.T + cfg.H + 2, seed=args.seed, noise_std=1.0)
     graph, series = generate_synthetic(spec)
     model = IstdGcnModel(cfg, graph, seed=args.seed)

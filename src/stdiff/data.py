@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, FormatError, IdentifierError
 from .graph import DistanceRecord, SensorGraph, build_gaussian_adjacency
-from .sparse import add_self_loops, transition_matrix
+from .sparse import transition_matrix
 
 DEFAULT_INTERVAL = 300  # 5-minute snapshots
 
@@ -178,7 +178,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SensorGraph, SpeedSeries]:
                 d = float(np.hypot(*(pts[i] - pts[j])))
                 records.append(DistanceRecord(ids[i], ids[j], d))
     graph = build_gaussian_adjacency(records, ids, weight_quantile=0.3)
-    p = transition_matrix(add_self_loops(graph.adjacency))
+    p = transition_matrix(graph.self_looped)
 
     base = 50.0
     amp = 15.0

@@ -12,12 +12,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, FormatError, IdentifierError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, add_self_loops
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,11 @@ class SensorGraph:
             raise IdentifierError("duplicate sensor id")
         if self.adjacency.rows != self.n or self.adjacency.cols != self.n:
             raise IdentifierError("adjacency shape must be n x n")
+
+    @cached_property
+    def self_looped(self) -> SparseMatrix:
+        """A + I, built once and shared by every block size and both operators."""
+        return add_self_loops(self.adjacency)
 
 
 def build_gaussian_adjacency(
@@ -115,11 +121,10 @@ def save_adjacency(graph: SensorGraph, prefix) -> None:
     """Write edge-list CSV `<prefix>.csv` and JSON sidecar `<prefix>.json`."""
     prefix = Path(prefix)
     adj = graph.adjacency
-    rows = np.repeat(np.arange(adj.rows), np.diff(adj.row_offsets))
     with open(prefix.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "weight"])
-        for r, c, v in zip(rows, adj.col_indices, adj.values):
+        for r, c, v in zip(adj.row_ids(), adj.col_indices, adj.values):
             writer.writerow([int(r), int(c), repr(float(v))])
     sidecar = {"n": graph.n, "ids": list(graph.vertex_ids)}
     prefix.with_suffix(".json").write_text(json.dumps(sidecar) + "\n", encoding="utf-8")

@@ -8,17 +8,25 @@ datasets' missing-data convention) are excluded by the default mask.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DEFAULT_INTERVAL
 from .errors import ArgumentError, DomainError, ShapeError
 from .training import NormStats, predict_batch
 
 DEFAULT_HORIZONS = (3, 6, 12)  # snapshots: 15 / 30 / 60 minutes at 5-min interval
-SNAPSHOT_MINUTES = 5
+
+
+def horizon_minutes(steps: int, interval: int) -> int | float:
+    """Lead time of the ``steps``-th forecast snapshot, in minutes.
+
+    Whole minutes stay an int, so the default 300 s labels read 15, 30, 60.
+    """
+    minutes = steps * interval / 60
+    return int(minutes) if minutes.is_integer() else minutes
 
 
 def _prep(pred, target, mask):
@@ -57,7 +65,7 @@ def mape(pred, target, mask=None, delta: float = 1e-5) -> float:
 
 @dataclass(frozen=True)
 class HorizonMetrics:
-    horizon_min: int
+    horizon_min: int | float
     mae: float
     rmse: float
     mape: float
@@ -73,11 +81,13 @@ class EvalReport:
         return list(self.per_horizon) + [self.aggregate]
 
 
-def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None) -> EvalReport:
+def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None,
+                       interval: int = DEFAULT_INTERVAL) -> EvalReport:
     """Slice (B, H, n, ...) predictions at each horizon plus the aggregate.
 
     The metric at horizon h covers the single h-th predicted snapshot,
-    matching per-column reporting in the usual comparison tables.
+    matching per-column reporting in the usual comparison tables.  Rows are
+    labelled in minutes from the series' snapshot ``interval`` (seconds).
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -92,14 +102,14 @@ def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None) ->
             continue
         idx = h - 1
         rows.append(HorizonMetrics(
-            horizon_min=h * SNAPSHOT_MINUTES,
+            horizon_min=horizon_minutes(h, interval),
             mae=mae(pred[:, idx], target[:, idx], mask[:, idx]),
             rmse=rmse(pred[:, idx], target[:, idx], mask[:, idx]),
             mape=mape(pred[:, idx], target[:, idx], mask[:, idx]),
             n_samples=pred.shape[0],
         ))
     aggregate = HorizonMetrics(
-        horizon_min=h_avail * SNAPSHOT_MINUTES,
+        horizon_min=horizon_minutes(h_avail, interval),
         mae=mae(pred, target, mask),
         rmse=rmse(pred, target, mask),
         mape=mape(pred, target, mask),
@@ -171,8 +181,12 @@ def evaluate(
     *,
     horizons=DEFAULT_HORIZONS,
     batch_size: int = 64,
+    interval: int = DEFAULT_INTERVAL,
 ) -> EvalReport:
-    """Run the model over the test windows and report denormalized metrics."""
+    """Run the model over the test windows and report denormalized metrics.
+
+    ``interval`` is the series' snapshot interval in seconds; it labels the rows.
+    """
     if not test_windows:
         raise ArgumentError("empty test set")
     preds, targs = [], []
@@ -182,21 +196,5 @@ def evaluate(
         preds.append(predict_batch(model, hist, stats))
         targs.append(np.stack([w.target for w in chunk]))
     return metrics_by_horizon(np.concatenate(preds), np.concatenate(targs),
-                              horizons=horizons)
+                              horizons=horizons, interval=interval)
 
-
-def write_report_csv(report: EvalReport, path, *, label: str | None = None) -> None:
-    """Write `horizon_min,mae,rmse,mape_pct,n_samples` rows (plus a label column
-    when several reports share one file)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["horizon_min", "mae", "rmse", "mape_pct", "n_samples"]
-        if label is not None:
-            header = ["model"] + header
-        writer.writerow(header)
-        for row in report.rows():
-            rec = [row.horizon_min, repr(row.mae), repr(row.rmse), repr(row.mape),
-                   row.n_samples]
-            if label is not None:
-                rec = [label] + rec
-            writer.writerow(rec)

@@ -1,16 +1,17 @@
-"""CSR sparse matrices and the kernels built on them.
+"""CSR sparse matrices: the container graphs are stored, loaded and compared in.
 
 Canonical form: within each row the column indices are strictly increasing
 and no explicit zeros are stored.  All arrays are immutable after
 construction, so instances can be shared freely across threads.
 
-The sparse-dense product runs as one dense BLAS matmul against a lazily
-built, read-only dense copy of the matrix, broadcast over any leading axes
-of the operand.  A GEMM's summation order depends only on the shapes and
-the BLAS thread count, so results stay bit-reproducible run to run.  The
-copy costs rows * cols * 8 bytes per matrix.  ``matmul_sparse`` and
-``matrix_power`` build the assembled block-graph hop powers that the
-structured diffusion operators are tested against.
+The model computes densely.  ``matmul_dense`` is one BLAS matmul against a
+lazily built, read-only dense copy (rows * cols * 8 bytes), broadcast over
+any leading axes; a GEMM's summation order depends only on the shapes and
+the BLAS thread count, so results are bit-reproducible.  At road-network
+sizes (hundreds of sensors) dense beats any sparse kernel.  ``matmul_sparse``
+is a dense product too, returned as CSR.  With ``matrix_power`` it builds
+only the specification hop powers that tests read; it keeps its name
+because the benchmark's tracer binds it.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ class SparseMatrix:
             raise ShapeError("col_indices/values length must match row_offsets[-1]")
         if nnz and (col_indices.min() < 0 or col_indices.max() >= cols):
             raise ShapeError("column index out of range")
-        for r in range(rows):
-            lo, hi = row_offsets[r], row_offsets[r + 1]
-            if hi - lo > 1 and np.any(np.diff(col_indices[lo:hi]) <= 0):
-                raise ShapeError(f"row {r} columns not strictly increasing")
+        row_ids = np.repeat(np.arange(rows), np.diff(row_offsets))
+        bad = (row_ids[1:] == row_ids[:-1]) & (np.diff(col_indices) <= 0)
+        if bad.any():
+            raise ShapeError(f"row {row_ids[1:][bad][0]} columns not strictly increasing")
         if nnz and not np.all(np.isfinite(values)):
             raise DomainError("non-finite value in sparse matrix")
         self.rows = int(rows)
@@ -94,32 +95,25 @@ class SparseMatrix:
         r, c = np.nonzero(dense)
         return SparseMatrix.from_coo(dense.shape[0], dense.shape[1], r, c, dense[r, c])
 
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return SparseMatrix(n, n, np.arange(n + 1), idx, np.ones(n))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "SparseMatrix":
-        return SparseMatrix(rows, cols, np.zeros(rows + 1, dtype=np.int64), [], [])
-
     # -- queries ------------------------------------------------------
 
     @property
     def nnz(self) -> int:
         return int(self.row_offsets[-1])
 
+    def row_ids(self) -> np.ndarray:
+        """The row index of each stored entry."""
+        return np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        rows = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        out[rows, self.col_indices] = self.values
+        out[self.row_ids(), self.col_indices] = self.values
         return out
 
     def row_degrees(self) -> np.ndarray:
         """Row sums (out-degrees for an adjacency matrix)."""
         deg = np.zeros(self.rows)
-        rows = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        np.add.at(deg, rows, self.values)
+        np.add.at(deg, self.row_ids(), self.values)
         return deg
 
     def __eq__(self, other) -> bool:
@@ -132,9 +126,6 @@ class SparseMatrix:
             and np.array_equal(self.col_indices, other.col_indices)
             and np.array_equal(self.values, other.values)
         )
-
-    def __hash__(self):  # identity-based; instances are immutable
-        return id(self)
 
     # -- kernels ------------------------------------------------------
 
@@ -155,37 +146,10 @@ class SparseMatrix:
         return self.dense @ x
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Sparse-sparse product via row-wise scatter into a dense scratch row."""
+        """A @ B as a dense product, returned in canonical CSR."""
         if self.cols != other.rows:
             raise ShapeError("sparse matmul shape mismatch")
-        scratch = np.zeros(other.cols)
-        out_r: list[np.ndarray] = []
-        out_c: list[np.ndarray] = []
-        out_v: list[np.ndarray] = []
-        for r in range(self.rows):
-            lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-            touched: list[np.ndarray] = []
-            for k in range(lo, hi):
-                c = self.col_indices[k]
-                blo, bhi = other.row_offsets[c], other.row_offsets[c + 1]
-                cols = other.col_indices[blo:bhi]
-                scratch[cols] += self.values[k] * other.values[blo:bhi]
-                touched.append(cols)
-            if touched:
-                cols = np.unique(np.concatenate(touched))
-                vals = scratch[cols]
-                scratch[cols] = 0.0
-                keep = vals != 0.0
-                cols, vals = cols[keep], vals[keep]
-                out_r.append(np.full(cols.size, r, dtype=np.int64))
-                out_c.append(cols)
-                out_v.append(vals)
-        if out_r:
-            return SparseMatrix.from_coo(
-                self.rows, other.cols,
-                np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v),
-            )
-        return SparseMatrix.zeros(self.rows, other.cols)
+        return SparseMatrix.from_dense(self.to_dense() @ other.to_dense())
 
 
 def sparsify(dense) -> SparseMatrix:
@@ -196,11 +160,10 @@ def add_self_loops(a: SparseMatrix) -> SparseMatrix:
     """Return A + I; existing diagonal entries are incremented by one."""
     if a.rows != a.cols:
         raise ShapeError("self-loops require a square matrix")
-    rows = np.repeat(np.arange(a.rows), np.diff(a.row_offsets))
     diag = np.arange(a.rows, dtype=np.int64)
     return SparseMatrix.from_coo(
         a.rows, a.cols,
-        np.concatenate([rows, diag]),
+        np.concatenate([a.row_ids(), diag]),
         np.concatenate([a.col_indices, diag]),
         np.concatenate([a.values, np.ones(a.rows)]),
     )
@@ -217,12 +180,12 @@ def transition_matrix(a: SparseMatrix) -> SparseMatrix:
         raise DomainError("adjacency entries must be nonnegative")
     deg = a.row_degrees()
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    rows = np.repeat(np.arange(a.rows), np.diff(a.row_offsets))
-    return SparseMatrix(a.rows, a.cols, a.row_offsets, a.col_indices, a.values * inv[rows])
+    return SparseMatrix(a.rows, a.cols, a.row_offsets, a.col_indices,
+                        a.values * inv[a.row_ids()])
 
 
 def matrix_power(p: SparseMatrix, k: int) -> SparseMatrix:
-    """Exact k-th power of a square sparse matrix, canonical CSR."""
+    """k-th power of a square matrix by repeated products, canonical CSR."""
     if k < 1:
         raise ArgumentError("matrix power requires k >= 1")
     if p.rows != p.cols:

@@ -21,8 +21,10 @@ another, never raised to powers.
 
 ``StBlockGraph`` also exposes the assembled adjacencies, transitions and
 hop powers as the specification the operators are tested against.  They
-are built on first access and nothing on the forward or backward path
-reads them.
+are built on first access, densely and the way the paper writes them, as
+Kronecker products (``kron(I_m, S)`` plus ``kron(E, I_n)`` with E the
+shifted identity), then stored as CSR; nothing on the forward or backward
+path reads them.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .sparse import SparseMatrix, add_self_loops, matrix_power, transition_matrix
+from .sparse import SparseMatrix, matrix_power, transition_matrix
 
 TEMPORAL_DIRECTIONS = ("as_written", "transposed")
 
@@ -108,7 +110,7 @@ def _block_diffusion(spatial: SparseMatrix, m: int, shift: int) -> BlockDiffusio
 def _spatial(g: SensorGraph, self_loops: bool) -> SparseMatrix:
     if g.n == 0:
         raise ArgumentError("empty graph")
-    return add_self_loops(g.adjacency) if self_loops else g.adjacency
+    return g.self_looped if self_loops else g.adjacency
 
 
 def _check_direction(temporal_direction: str) -> None:
@@ -121,7 +123,7 @@ class StBlockGraph:
     """The coupled and decoupled diffusion operators of one block size m.
 
     The six assembled matrices below are the specification, built on first
-    access (the hop powers by repeated sparse products) for tests and
+    access (the hop powers by repeated dense products) for tests and
     oracles only.
     """
 
@@ -167,29 +169,11 @@ class StBlockGraph:
                      for k in range(1, self.num_hops + 1))
 
 
-def _block_coo(block: SparseMatrix, br: int, bc: int, n: int):
-    """COO triples of one n x n block placed at block coordinates (br, bc)."""
-    rows = np.repeat(np.arange(block.rows), np.diff(block.row_offsets)) + br * n
-    return rows, block.col_indices + bc * n, block.values
-
-
-def _assemble(blocks, m: int, n: int) -> SparseMatrix:
-    rs, cs, vs = [], [], []
-    for br, bc, blk in blocks:
-        r, c, v = _block_coo(blk, br, bc, n)
-        rs.append(r)
-        cs.append(c)
-        vs.append(v)
-    return SparseMatrix.from_coo(
-        m * n, m * n, np.concatenate(rs), np.concatenate(cs), np.concatenate(vs)
-    )
-
-
 def build_nhstg_adjacency(g: SensorGraph, m: int, *, self_loops: bool = True) -> SparseMatrix:
+    """The decoupled block adjacency kron(I_m, S): S on every diagonal block."""
     if m < 1:
         raise ArgumentError("need at least one snapshot")
-    spatial = _spatial(g, self_loops)
-    return _assemble([(t, t, spatial) for t in range(m)], m, g.n)
+    return SparseMatrix.from_dense(np.kron(np.eye(m), _spatial(g, self_loops).dense))
 
 
 def build_hstg_adjacency(
@@ -199,18 +183,18 @@ def build_hstg_adjacency(
     self_loops: bool = True,
     temporal_direction: str = "as_written",
 ) -> SparseMatrix:
+    """The coupled block adjacency kron(I_m, S) + kron(E, I_n).
+
+    E is the shifted identity: ones on the superdiagonal (``as_written``,
+    snapshot t reads t+1) or on the subdiagonal (``transposed``).
+    """
     if m < 2:
         raise ArgumentError("coupled graph needs at least two snapshots")
     spatial = _spatial(g, self_loops)
     _check_direction(temporal_direction)
-    c = SparseMatrix.identity(g.n)
-    blocks = [(t, t, spatial) for t in range(m)]
-    for t in range(m - 1):
-        if temporal_direction == "as_written":
-            blocks.append((t, t + 1, c))
-        else:
-            blocks.append((t + 1, t, c))
-    return _assemble(blocks, m, g.n)
+    shift = np.eye(m, k=1 if temporal_direction == "as_written" else -1)
+    return SparseMatrix.from_dense(
+        np.kron(np.eye(m), spatial.dense) + np.kron(shift, np.eye(g.n)))
 
 
 def build_hstg(

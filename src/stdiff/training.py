@@ -3,7 +3,7 @@ training loop.
 
 The objective is mean absolute error over all predicted entries plus an L2
 term.  As printed, the penalty is lam * ||theta||_2 (the norm, not its
-square); ``l2_squared`` switches to the conventional squared variant.
+square).
 
 Splits are chronological (60/20/20 by default) and normalization statistics
 come from the training portion only.
@@ -27,14 +27,10 @@ from .model import IstdGcnModel, forward
 class TrainConfig:
     learning_rate: float = 5e-4
     l2_lambda: float = 1e-4
-    l2_squared: bool = False
     epochs: int = 100
     batch_size: int = 32
     early_stop_patience: int = 20
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -63,10 +59,10 @@ def inverse_zscore(z, stats: NormStats) -> np.ndarray:
     return np.asarray(z, dtype=np.float64) * stats.std + stats.mean
 
 
-def compute_norm_stats(values: np.ndarray, *, missing_zero: bool = True) -> NormStats:
-    """Mean/std over observed entries; zeros are treated as missing by default."""
+def compute_norm_stats(values: np.ndarray) -> NormStats:
+    """Mean/std over observed entries; zeros are treated as missing."""
     values = np.asarray(values, dtype=np.float64)
-    obs = values[values != 0.0] if missing_zero else values.reshape(-1)
+    obs = values[values != 0.0]
     if obs.size == 0:
         raise DomainError("no observed values to normalize")
     std = float(obs.std())
@@ -81,13 +77,11 @@ def mae_l2_loss(
     target: np.ndarray,
     params: list[ParamArray],
     lam: float,
-    *,
-    squared: bool = False,
 ) -> Tensor:
     """Mean absolute error plus lam * ||theta||_2 over all trainable entries."""
     loss = ad.mae_loss(tape, pred, target)
     if lam > 0.0 and params:
-        loss = ad.add(tape, loss, ad.l2_penalty(tape, params, lam, squared=squared))
+        loss = ad.add(tape, loss, ad.l2_penalty(tape, params, lam))
     return loss
 
 
@@ -100,9 +94,9 @@ class AdamState:
 
 def optimizer_step(params: list[ParamArray], state: AdamState, config: TrainConfig) -> None:
     """Bias-corrected adaptive-moment update, in place and deterministic."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient for parameter {p.name!r}")
@@ -114,7 +108,7 @@ def optimizer_step(params: list[ParamArray], state: AdamState, config: TrainConf
         v += (1 - b2) * p.grad ** 2
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def split_dataset(samples: list, ratios=(0.6, 0.2, 0.2)) -> tuple[list, list, list]:
@@ -215,8 +209,7 @@ def train(
             hist, targ = _batch_arrays(batch)
             tape = Tape()
             pred = forward(tape, model, zscore(hist, stats))
-            loss = mae_l2_loss(tape, pred, zscore(targ, stats), params,
-                               config.l2_lambda, squared=config.l2_squared)
+            loss = mae_l2_loss(tape, pred, zscore(targ, stats), params, config.l2_lambda)
             if not np.isfinite(loss.value):
                 raise NumericError(
                     f"NaN loss at epoch {epoch}, batch {n_batches} "

@@ -3,9 +3,9 @@ import pytest
 
 import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
-from stdiff.errors import ShapeError
+from stdiff.errors import NumericError, ShapeError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import SparseMatrix
+from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
 
 from conftest import random_sensor_graph
@@ -68,7 +68,7 @@ class TestLinear:
 
 
 def edgeless_block(n, m, self_loops):
-    g = SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.zeros(n, n))
+    g = SensorGraph(n, tuple(f"v{i}" for i in range(n)), sparsify(np.zeros((n, n))))
     return build_hstg(g, m, self_loops=self_loops)
 
 
@@ -280,6 +280,19 @@ class TestMlpDecode:
             check_op([x, *params],
                      lambda tape: ad.mlp_decode(tape, x, *params, horizon=2, d_out=2),
                      rng, tol=1e-3)  # relu kinks make FD noisier
+
+
+class TestDebugMode:
+    def test_non_finite_op_output_raises(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", True)
+        x = Tensor(np.array([[1e200, 1.0]]))
+        with pytest.raises(NumericError, match="non-finite"), np.errstate(over="ignore"):
+            ad.linear(Tape(), x, Tensor(np.array([[1e200], [0.0]])))
+
+    def test_finite_values_pass(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", True)
+        out = ad.linear(Tape(), Tensor(np.ones((1, 2))), Tensor(np.ones((2, 1))))
+        assert out.value[0, 0] == 2.0
 
 
 class TestTapeDeterminism:

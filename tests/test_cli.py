@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stdiff.cli import main
-from stdiff.data import (SyntheticSpec, generate_synthetic, load_speed_csv,
+from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_speed_csv,
                          make_windows, save_speed_csv)
 from stdiff.graph import load_adjacency, save_adjacency
 from stdiff.model import ModelConfig
@@ -285,6 +285,44 @@ class TestPredict:
         v_index = series.ids.index(vid)
         assert horizon == 5
         assert float(first[4]) == series.values[t_index, v_index]
+
+
+@pytest.fixture(scope="module")
+def ten_minute_run(tmp_path_factory):
+    """A model trained on a 600 s series with all three default horizons (H=12)."""
+    root = tmp_path_factory.mktemp("ten_minute")
+    graph, series = generate_synthetic(SyntheticSpec(n=3, steps=60, seed=5))
+    series = SpeedSeries(series.timestamps * 2, series.values, series.ids)
+    save_adjacency(graph, root / "adj")
+    save_speed_csv(series, root / "speed.csv")
+    cfg = ModelConfig(K=1, m=2, s=1, d=2, T=2, H=12)
+    (root / "config.json").write_text(cfg.to_json() + "\n")
+    assert main(train_args(root, root / "run")) == 0
+    return root, ["--checkpoint", str(root / "run" / "best.stdf"),
+                  "--data", str(root / "speed.csv"), "--adj", str(root / "adj")]
+
+
+class TestTenMinuteInterval:
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    def test_eval_labels_horizons_from_interval(self, ten_minute_run, tmp_path, capsys):
+        _root, args = ten_minute_run
+        out = tmp_path / "report.csv"
+        assert main(["eval", *args, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        # per model: three horizons and the aggregate, after one header
+        assert len(lines) == 1 + 2 * (3 + 1)
+        assert [line.split(",")[1] for line in lines[1:5]] == ["30", "60", "120", "120"]
+        printed = capsys.readouterr().out
+        assert " 30 min" in printed and " 60 min" in printed and "120 min" in printed
+        assert "15 min" not in printed
+
+    def test_predict_labels_first_step_ten_minutes(self, ten_minute_run, tmp_path):
+        _root, args = ten_minute_run
+        out = tmp_path / "pred.csv"
+        assert main(["predict", *args, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert {int(r[2]) for r in rows} == {10 * h for h in range(1, 13)}
+        assert int(rows[0][2]) == 10
 
 
 class TestGradcheck:

@@ -5,7 +5,7 @@ from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic,
                          load_speed_csv, make_windows, save_speed_csv)
 from stdiff.errors import ArgumentError, FormatError, IdentifierError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import SparseMatrix
+from stdiff.sparse import sparsify
 
 
 def small_series(steps=30, n=3):
@@ -48,9 +48,9 @@ class TestCsvRoundTrip:
     def test_graph_id_check(self, tmp_path):
         series = small_series(n=2)
         save_speed_csv(series, tmp_path / "s.csv")
-        good = SensorGraph(2, ("s0", "s1"), SparseMatrix.zeros(2, 2))
+        good = SensorGraph(2, ("s0", "s1"), sparsify(np.zeros((2, 2))))
         load_speed_csv(tmp_path / "s.csv", graph=good)
-        bad = SensorGraph(2, ("x", "y"), SparseMatrix.zeros(2, 2))
+        bad = SensorGraph(2, ("x", "y"), sparsify(np.zeros((2, 2))))
         with pytest.raises(IdentifierError):
             load_speed_csv(tmp_path / "s.csv", graph=bad)
 

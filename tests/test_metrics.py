@@ -4,7 +4,7 @@ import pytest
 from stdiff.data import SpeedSeries, make_windows
 from stdiff.errors import ArgumentError, DomainError, ShapeError
 from stdiff.metrics import (historical_average_baseline, mae, mape,
-                            metrics_by_horizon, rmse, write_report_csv)
+                            metrics_by_horizon, rmse)
 
 
 def scalar_mae(pred, target, mask):
@@ -114,14 +114,14 @@ class TestHorizonReport:
         report = metrics_by_horizon(pred, target)
         assert [r.horizon_min for r in report.per_horizon] == [15]
 
-    def test_report_csv_layout(self, tmp_path, rng):
+    @pytest.mark.parametrize("interval, labels", [(300, "15 30 60 60"),
+                                                  (600, "30 60 120 120"),
+                                                  (90, "4.5 9 18 18")])
+    def test_minutes_follow_the_interval(self, rng, interval, labels):
+        # three horizons, then the aggregate, labelled as the reports print them
         pred = rng.uniform(1, 80, size=(3, 12, 2, 1))
-        target = rng.uniform(1, 80, size=(3, 12, 2, 1))
-        report = metrics_by_horizon(pred, target)
-        write_report_csv(report, tmp_path / "r.csv")
-        lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-        assert lines[0] == "horizon_min,mae,rmse,mape_pct,n_samples"
-        assert len(lines) == 1 + 3 + 1  # header, three horizons, aggregate
+        report = metrics_by_horizon(pred, pred + 1.0, interval=interval)
+        assert " ".join(str(r.horizon_min) for r in report.rows()) == labels
 
 
 def weekly_series(weeks=2, interval=300):

@@ -287,6 +287,14 @@ class TestForward:
         for block in model._blocks.values():
             assert not spec & set(vars(block))
 
+    def test_block_sizes_share_one_spatial_matrix(self, rng):
+        model = IstdGcnModel(tiny_config(T=6, m=3), random_sensor_graph(rng, 4), seed=0)
+        full, tail = model.block_graph(3), model.block_graph(2)
+        spatial = full.coupled.spatial
+        assert spatial is full.decoupled.spatial is tail.coupled.spatial
+        assert spatial is tail.decoupled.spatial is model.graph.self_looped
+        assert spatial.dense is tail.decoupled.spatial.dense
+
     def test_end_to_end_gradcheck(self, rng):
         g = random_sensor_graph(rng, 4)
         cfg = tiny_config()

@@ -26,6 +26,28 @@ class TestRoundTrip:
         with pytest.raises(ShapeError):
             SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 1.0])  # cols not increasing
 
+    @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 1, 1]], ids=["decreasing", "repeated"])
+    def test_bad_row_named(self, cols):
+        # row 0 holds column 0; row 1 holds the two offending entries
+        with pytest.raises(ShapeError, match="row 1 columns"):
+            SparseMatrix(3, 3, [0, 1, 3, 3], cols, [1.0, 1.0, 1.0])
+
+    def test_column_drop_across_rows_accepted(self):
+        a = SparseMatrix(3, 3, [0, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(a.to_dense(), [[0, 1, 2], [3, 0, 0], [4, 0, 0]])
+
+    @pytest.mark.parametrize("offsets, cols", [([0, 0, 0], []), ([0, 0, 1], [1])])
+    def test_zero_and_one_entry_matrices_accepted(self, offsets, cols):
+        a = SparseMatrix(2, 2, offsets, cols, np.ones(len(cols)))
+        assert a.nnz == len(cols)
+
+    def test_equal_matrices_compare_equal_and_are_unhashable(self):
+        a, b = sparsify([[1.0, 0.0], [0.0, 2.0]]), sparsify([[1.0, 0.0], [0.0, 2.0]])
+        assert a == b and a is not b
+        assert a != sparsify([[1.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             SparseMatrix(1, 1, [0, 1], [0], [np.nan])
@@ -33,7 +55,7 @@ class TestRoundTrip:
 
 class TestSelfLoops:
     def test_zero_matrix_becomes_identity(self):
-        a = SparseMatrix.zeros(2, 2)
+        a = sparsify(np.zeros((2, 2)))
         assert np.array_equal(add_self_loops(a).to_dense(), np.eye(2))
 
     def test_swap_matrix(self):
@@ -47,12 +69,12 @@ class TestSelfLoops:
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
-            add_self_loops(SparseMatrix.zeros(2, 3))
+            add_self_loops(sparsify(np.zeros((2, 3))))
 
 
 class TestTransitionMatrix:
     def test_identity_fixed_point(self):
-        p = transition_matrix(SparseMatrix.identity(4))
+        p = transition_matrix(sparsify(np.eye(4)))
         assert np.array_equal(p.to_dense(), np.eye(4))
 
     def test_zero_degree_row_stays_zero(self):
@@ -82,10 +104,10 @@ class TestTransitionMatrix:
 class TestSpmm:
     def test_identity(self, rng):
         x = rng.random((5, 3))
-        assert np.array_equal(SparseMatrix.identity(5).matmul_dense(x), x)
+        assert np.array_equal(sparsify(np.eye(5)).matmul_dense(x), x)
 
     def test_zero(self, rng):
-        assert np.array_equal(SparseMatrix.zeros(4, 4).matmul_dense(rng.random((4, 2))),
+        assert np.array_equal(sparsify(np.zeros((4, 4))).matmul_dense(rng.random((4, 2))),
                               np.zeros((4, 2)))
 
     def test_dense_oracle(self, rng):
@@ -103,9 +125,9 @@ class TestSpmm:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            SparseMatrix.identity(3).matmul_dense(rng.random((4, 2)))
+            sparsify(np.eye(3)).matmul_dense(rng.random((4, 2)))
         with pytest.raises(ShapeError):
-            SparseMatrix.identity(3).matmul_dense(rng.random(3))
+            sparsify(np.eye(3)).matmul_dense(rng.random(3))
 
     def test_leading_axes_broadcast(self, rng):
         a = random_sparse(rng, 4, 5)

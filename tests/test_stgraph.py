@@ -5,7 +5,7 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import Tape, Tensor
 from stdiff.errors import ArgumentError, ShapeError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import SparseMatrix, matrix_power, sparsify
+from stdiff.sparse import matrix_power, sparsify
 from stdiff.stgraph import build_hstg, build_hstg_adjacency, build_nhstg_adjacency
 
 from conftest import random_sensor_graph
@@ -44,7 +44,7 @@ class TestBlockLayout:
         assert np.array_equal(adj.to_dense(), expected)
 
     def test_single_vertex_chain_is_shift(self):
-        g = SensorGraph(1, ("a",), SparseMatrix.zeros(1, 1))
+        g = SensorGraph(1, ("a",), sparsify(np.zeros((1, 1))))
         adj = build_hstg_adjacency(g, 3, self_loops=False)
         assert np.array_equal(adj.to_dense(),
                               [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -82,6 +82,20 @@ class TestDenseOracleEquivalence:
             assert np.max(np.abs(block.hstg_transition.to_dense() - expected_h)) < 1e-12
             assert np.max(np.abs(block.nhstg_transition.to_dense() - expected_nh)) < 1e-12
 
+    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_kron_adjacencies_match_block_oracle(self, rng, direction, self_loops):
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(2, 5))
+            g = random_sensor_graph(rng, n)
+            expected = dense_block_oracle(g.adjacency.to_dense(), m, self_loops, direction)
+            diagonal_blocks = np.kron(np.eye(m), np.ones((n, n)))
+            h = build_hstg_adjacency(g, m, self_loops=self_loops, temporal_direction=direction)
+            nh = build_nhstg_adjacency(g, m, self_loops=self_loops)
+            assert np.array_equal(h.to_dense(), expected)
+            assert np.array_equal(nh.to_dense(), expected * diagonal_blocks)
+
     def test_nhstg_m1_equals_single_snapshot_transition(self, rng):
         g = random_sensor_graph(rng, 4)
         from stdiff.sparse import add_self_loops, transition_matrix
@@ -96,7 +110,7 @@ class TestStructureInvariants:
             m = int(rng.integers(2, 5))
             block = build_hstg(random_sensor_graph(rng, n), m)
             p = block.hstg_transition
-            rows = np.repeat(np.arange(p.rows), np.diff(p.row_offsets))
+            rows = p.row_ids()
             br, bc = rows // n, p.col_indices // n
             assert np.all((bc == br) | (bc == br + 1))
 
@@ -105,7 +119,7 @@ class TestStructureInvariants:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))
             p = build_hstg(random_sensor_graph(rng, n), m).nhstg_transition
-            rows = np.repeat(np.arange(p.rows), np.diff(p.row_offsets))
+            rows = p.row_ids()
             assert np.all(rows // n == p.col_indices // n)
 
     def test_last_block_row_has_no_coupling(self, rng):
@@ -131,7 +145,7 @@ class TestHopPowers:
         assert block.hop_powers_h[0] == block.hstg_transition
 
     def test_nilpotent_shift(self):
-        g = SensorGraph(1, ("a",), SparseMatrix.zeros(1, 1))
+        g = SensorGraph(1, ("a",), sparsify(np.zeros((1, 1))))
         p = build_hstg_adjacency(g, 3, self_loops=False)
         assert np.array_equal(matrix_power(p, 2).to_dense(),
                               [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
@@ -151,7 +165,7 @@ class TestHopPowers:
 
     def test_invalid_hop_rejected(self, rng):
         with pytest.raises(ArgumentError):
-            matrix_power(SparseMatrix.identity(2), 0)
+            matrix_power(sparsify(np.eye(2)), 0)
 
 
 class TestStackFeatures:

@@ -82,12 +82,6 @@ class TestLoss:
         reports = grad_check(loss_fn, [pred_p, reg], tol=1e-4, rng=rng)
         assert all(r.passed for r in reports)
 
-    def test_squared_variant(self, rng):
-        params = [ParamArray("a", np.array([[3.0, 4.0]]))]
-        pred = Tensor(np.zeros((1, 1, 1)))
-        loss = mae_l2_loss(Tape(), pred, np.zeros((1, 1, 1)), params, 0.1, squared=True)
-        assert float(loss.value) == pytest.approx(0.1 * 25.0, abs=1e-12)
-
 
 class TestOptimizer:
     def test_zero_grads_leave_params_unchanged(self, rng):
