@@ -116,29 +116,40 @@ def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(tape: Tape, x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last (feature) axis, population variance."""
-    d = x.value.shape[-1]
-    if scale.value.shape != (d,) or shift.value.shape != (d,):
-        raise ShapeError("layer_norm scale/shift must match the feature width")
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=-1, keepdims=True)
+def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Layer norm of the residual sum X + Y per channel, population variance.
+
+    X is (..., d), Y (..., s*d): channel c normalizes X + Y[..., c*d:(c+1)*d]
+    over its d features, then applies scale and shift [c*d:(c+1)*d].
+    """
+    d, width = x.value.shape[-1], y.value.shape[-1]
+    if (y.value.shape[:-1] != x.value.shape[:-1] or width % d
+            or scale.value.shape != (width,) or shift.value.shape != (width,)):
+        raise ShapeError(f"layer_norm cannot group {x.shape} {y.shape} {scale.shape} {shift.shape}")
+    grouped = y.value.shape[:-1] + (width // d, d)
+    acc = y.value.reshape(grouped) + x.value[..., None, :]
+    mu = acc.mean(axis=-1, keepdims=True)
+    var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
-    out = Tensor(xhat * scale.value + shift.value)
+    xhat = (acc - mu) * inv
+    out = Tensor(xhat.reshape(y.value.shape) * scale.value + shift.value)
 
     def backward():
         g = out.grad
-        dxhat = g * scale.value
-        x.ensure_grad()
-        x.grad += (
+        dxhat = (g * scale.value).reshape(grouped)
+        dacc = (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) * inv
+        x.ensure_grad()
+        x.grad += dacc.sum(axis=-2)
+        y.ensure_grad()
+        y.grad += dacc.reshape(y.value.shape)
         axes = tuple(range(g.ndim - 1))
         scale.ensure_grad()
-        scale.grad += (g * xhat).sum(axis=axes)
+        scale.grad += (g * xhat.reshape(g.shape)).sum(axis=axes)
         shift.ensure_grad()
         shift.grad += g.sum(axis=axes)
 

@@ -82,10 +82,8 @@ def _read_json_config(cls, path, what: str):
 def cmd_build_adj(args) -> int:
     records = load_distance_csv(args.distances)
     ids = [s for s in Path(args.ids).read_text(encoding="utf-8").split() if s]
-    if args.epsilon is not None:
-        graph = build_gaussian_adjacency(records, ids, epsilon=args.epsilon)
-    else:
-        graph = build_gaussian_adjacency(records, ids, weight_quantile=args.quantile)
+    graph = build_gaussian_adjacency(records, ids, epsilon=args.epsilon,
+                                     weight_quantile=args.quantile)
     out = Path(args.out)
     write_manifest(out.parent, "build-adj",
                    {"epsilon": args.epsilon, "quantile": args.quantile, "ids": len(ids)},
@@ -156,13 +154,11 @@ def _restore_model(args):
 def cmd_eval(args) -> int:
     cfg, graph, model = _restore_model(args)
     _graph, series, (train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
-    if not test_w:
-        raise ArgumentError("empty evaluation range")
     out = Path(args.out)
     write_manifest(out.parent, "eval", {"model": asdict(cfg)},
                    [args.data, args.checkpoint, f"{args.adj}.csv"], [str(out)])
     report = evaluate(model, test_w, stats, interval=series.interval)
-    n_train_steps = train_w[-1].start_index + cfg.T if train_w else len(series)
+    n_train_steps = train_w[-1].start_index + cfg.T
     train_series = type(series)(series.timestamps[:n_train_steps],
                                 series.values[:n_train_steps], series.ids)
     ha_pred = historical_average_baseline(train_series, test_w)
@@ -183,8 +179,6 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg, graph, model = _restore_model(args)
     _graph, series, (_train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
-    if not test_w:
-        raise ArgumentError("empty evaluation range")
     out = Path(args.out)
     write_manifest(out.parent, "predict", {"model": asdict(cfg)},
                    [args.data, args.checkpoint], [str(out)])
@@ -249,11 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", required=True)
     p.add_argument("--out", required=True)
     group = p.add_mutually_exclusive_group()
-    eps_env = _env("epsilon", None)
-    group.add_argument("--epsilon", type=float,
-                       default=None if eps_env is None else float(eps_env))
-    group.add_argument("--quantile", type=float,
-                       default=float(_env("quantile", 0.1)))
+    group.add_argument("--epsilon", type=float, default=_env("epsilon", None))
+    group.add_argument("--quantile", type=float, default=_env("quantile", 0.1))
     p.set_defaults(fn=cmd_build_adj)
 
     p = sub.add_parser("synth", help="generate synthetic graph + speed series")
@@ -269,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation",
                    choices=["full", "no_hstg", "no_two_step", "no_iteration"],
                    default=_env("ablation", None))
-    p.add_argument("--epochs", type=int, default=int(_env("epochs", 100)))
-    p.add_argument("--batch-size", type=int, default=int(_env("batch_size", 32)))
-    p.add_argument("--lr", type=float, default=float(_env("lr", 5e-4)))
-    p.add_argument("--l2-lambda", type=float, default=float(_env("l2_lambda", 1e-4)))
-    p.add_argument("--patience", type=int, default=int(_env("patience", 20)))
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--epochs", type=int, default=_env("epochs", 100))
+    p.add_argument("--batch-size", type=int, default=_env("batch_size", 32))
+    p.add_argument("--lr", type=float, default=_env("lr", 5e-4))
+    p.add_argument("--l2-lambda", type=float, default=_env("l2_lambda", 1e-4))
+    p.add_argument("--patience", type=int, default=_env("patience", 20))
+    p.add_argument("--seed", type=int, default=_env("seed", 0))
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
@@ -295,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--config", default=_env("config", None))
-    p.add_argument("--tol", type=float, default=float(_env("tol", 1e-4)))
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--tol", type=float, default=_env("tol", 1e-4))
+    p.add_argument("--seed", type=int, default=_env("seed", 0))
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, FormatError, IdentifierError
+from .errors import ArgumentError, DomainError, FormatError, IdentifierError
 from .sparse import SparseMatrix, add_self_loops
 
 
@@ -64,6 +64,8 @@ def build_gaussian_adjacency(
     Records are directed: each (from, to, d) produces one entry.  Passing a
     symmetric record set yields a symmetric adjacency.
     """
+    if not 0.0 <= weight_quantile <= 1.0:  # also rejects NaN
+        raise ArgumentError(f"weight quantile {weight_quantile!r} is outside [0, 1]")
     if not records:
         raise IdentifierError("at least one distance record required")
     index = {s: i for i, s in enumerate(ids)}

@@ -13,17 +13,16 @@ independent of the vertex count and the whole network commutes with vertex
 relabeling.  There is no nonlinearity inside the convolution; the only one
 lives in the decoder MLP.
 
-The sum is evaluated in fused form.  The diffusion features
-
-    Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]      (m, n, 2K*d)
-
-depend on the block and its input but not on the channel, so they are
-computed once per block and shared by all s channels.  Each hop applies its
-graph's structured operator (``stgraph.BlockDiffusion``) to the previous
-hop, P^k X = P (P^{k-1} X), in the block layout; no power of P is ever
-formed.  Each channel stacks its 2K thetas along rows into one (2K*d, d)
-matrix and computes LN(X + Z Theta) with a single GEMM.  An ablation drops
-the same terms from Z and from the stacked thetas.
+The sum is evaluated in fused form, for all s channels at once.  The
+diffusion features Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]
+(m, n, 2K*d) do not depend on the channel, so each block computes them
+once; hop k applies its graph's structured operator
+(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.
+Once per forward, ``stack_channels`` lays every channel's weights side by
+side on the feature axis, channel c in columns [c*d, (c+1)*d): the thetas
+as one (2K*d, s*d) matrix, the layer-norm scales and shifts, and the
+compression kernels.  A pass is then one GEMM Z Theta, one channel-grouped
+layer norm of X + Z Theta, one temporal compression and the mix GEMM.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one assembles the running compressed
@@ -184,83 +183,83 @@ class IstdGcnModel:
         return self._blocks[m]
 
 
-def _hop_terms(block: StBlockGraph, k_hops: int, ablation: str) -> list[tuple]:
-    """(graph operator, theta list name, k) of each diffusion term, in summation order.
+def _hop_terms(k_hops: int, ablation: str) -> list[tuple[str, int]]:
+    """(theta list name, k) of each diffusion term, in summation order.
 
-    ``no_two_step`` drops the decoupled terms; ``no_hstg`` and single-snapshot
-    blocks (which have no couplings) drop the coupled ones.
+    ``no_two_step`` drops the decoupled terms, ``no_hstg`` the coupled ones;
+    Z and the stacked thetas drop the same terms.
     """
-    terms = []
-    for k in range(k_hops):
-        if ablation != "no_two_step":
-            terms.append((block.decoupled, "theta_nh", k))
-        if ablation != "no_hstg" and block.m > 1:
-            terms.append((block.coupled, "theta_h", k))
-    return terms
+    kept = [name for name, dropped_by in (("theta_nh", "no_two_step"), ("theta_h", "no_hstg"))
+            if ablation != dropped_by]
+    return [(name, k) for k in range(k_hops) for name in kept]
 
 
-def diffusion_features(
-    tape: Tape, block: StBlockGraph, x: Tensor, k_hops: int, ablation: str,
-) -> Tensor | None:
+def diffusion_features(tape: Tape, block: StBlockGraph, x: Tensor, k_hops: int,
+                       ablation: str) -> Tensor:
     """The hop products of block input x, concatenated on the feature axis.
 
     x is in either layout, (..., m, n, d) or (..., m*n, d); the output has
     the input's shape with terms*d features.  Hop k of a graph is its
-    operator applied to hop k-1.  Returns None when the ablation leaves no
-    diffusion term.
+    operator applied to hop k-1.
     """
     shape = x.value.shape
     if shape[-3:-1] != (block.m, block.n) and shape[-2] != block.m * block.n:
         raise ShapeError(f"input {shape} does not match block graph {block.m}x{block.n}")
+    graphs = {"theta_nh": block.decoupled, "theta_h": block.coupled}
     hops, last = [], {}
-    for op, name, _ in _hop_terms(block, k_hops, ablation):
-        last[name] = ad.spmm_diff(tape, op, last.get(name, x))
+    for name, _ in _hop_terms(k_hops, ablation):
+        last[name] = ad.spmm_diff(tape, graphs[name], last.get(name, x))
         hops.append(last[name])
-    return ad.concat_features(tape, hops) if hops else None
+    return ad.concat_features(tape, hops)
 
 
-def stsc_forward(
-    tape: Tape,
-    params: StscChannelParams,
-    block: StBlockGraph,
-    x: Tensor,
-    *,
-    ablation: str = "full",
-    ln_eps: float = 1e-5,
-    features: Tensor | None = None,
-) -> Tensor:
-    """One convolution block on (..., m, n, d) or (..., m*n, d) input.
+@dataclass(frozen=True)
+class ChannelBank:
+    """Every channel's weights side by side; channel c owns columns [c*d, (c+1)*d)."""
+    theta: Tensor            # (terms*d, s*d), rows in ``_hop_terms`` order
+    ln_scale: Tensor         # (s*d,)
+    ln_shift: Tensor         # (s*d,)
+    compress_kernel: Tensor  # (m_eff, s*d)
 
-    The output has the input's shape.  The same tensor feeds both diffusion
-    terms (decoupled and coupled graphs share their vertex set).  The
-    residual path always contributes.  ``features`` are this input's
-    ``diffusion_features``; they are computed here when not given.
+
+def _stack_thetas(tape: Tape, params: StscChannelParams, terms: list) -> Tensor:
+    return ad.concat_features(tape, [getattr(params, name)[k] for name, k in terms], axis=0)
+
+
+def stack_channels(tape: Tape, model: IstdGcnModel) -> ChannelBank:
+    """The model's channel weights as one bank, in s + 4 records, once per forward."""
+    chs, terms = model.channels, _hop_terms(model.config.K, model.config.ablation)
+    theta = ad.concat_features(tape, [_stack_thetas(tape, ch, terms) for ch in chs])
+    return ChannelBank(theta, *(ad.concat_features(tape, [getattr(ch, f) for ch in chs])
+                                for f in ("ln_scale", "ln_shift", "compress_kernel")))
+
+
+def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: Tensor, *,
+                 ablation: str = "full", ln_eps: float = 1e-5) -> Tensor:
+    """One channel's convolution block on (..., m, n, d) or (..., m*n, d) input.
+
+    A ``multi_channel_forward`` pass with s = 1, up to the layer norm; the
+    output has the input's shape.  X feeds the hops of both graphs.
     """
     k_hops = len(params.theta_nh)
-    if features is None:
-        features = diffusion_features(tape, block, x, k_hops, ablation)
-    acc = x
-    if features is not None:
-        thetas = [getattr(params, name)[k] for _, name, k in _hop_terms(block, k_hops, ablation)]
-        theta = ad.concat_features(tape, thetas, axis=0)
-        acc = ad.add(tape, x, ad.linear(tape, features, theta))
-    return ad.layer_norm(tape, acc, params.ln_scale, params.ln_shift, eps=ln_eps)
+    z = diffusion_features(tape, block, x, k_hops, ablation)
+    theta = _stack_thetas(tape, params, _hop_terms(k_hops, ablation))
+    return ad.layer_norm(tape, x, ad.linear(tape, z, theta), params.ln_scale,
+                         params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor) -> Tensor:
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
+                          bank: ChannelBank) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
-    The diffusion features are computed once here and shared by every channel.
+    Whatever s is, it records the hops and their concat, one GEMM, one
+    grouped layer norm, one temporal compression and the mix.
     """
     cfg = model.config
-    block = model.block_graph(x.value.shape[-3])
-    features = diffusion_features(tape, block, x, cfg.K, cfg.ablation)
-    parts = []
-    for ch in model.channels:
-        h = stsc_forward(tape, ch, block, x, ablation=cfg.ablation, ln_eps=cfg.ln_eps,
-                         features=features)
-        parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
-    return ad.linear(tape, ad.concat_features(tape, parts), model.mix)
+    z = diffusion_features(tape, model.block_graph(x.value.shape[-3]), x, cfg.K, cfg.ablation)
+    h = ad.layer_norm(tape, x, ad.linear(tape, z, bank.theta), bank.ln_scale,
+                      bank.ln_shift, eps=cfg.ln_eps)
+    return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
 
 
 def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor) -> CompressedSnapshot:
@@ -269,12 +268,13 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor) -> CompressedSnaps
     m = model.config.effective_m
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
-    com = multi_channel_forward(tape, model, ad.slice_time(tape, embedded, 0, m))
+    bank = stack_channels(tape, model)
+    com = multi_channel_forward(tape, model, ad.slice_time(tape, embedded, 0, m), bank)
     idx, iterations = m, 1
     while idx < t_total:
         take = min(m - 1, t_total - idx)
         block = ad.slice_time(tape, embedded, idx, idx + take, carry=com)
-        com = multi_channel_forward(tape, model, block)
+        com = multi_channel_forward(tape, model, block, bank)
         idx += take
         iterations += 1
     return CompressedSnapshot(features=com, iterations=iterations)

@@ -112,6 +112,10 @@ class TestSpmmDiff:
             ad.spmm_diff(Tape(), op, Tensor(rng.random((3, 2))))
 
 
+def zeros_like(x):
+    return Tensor(np.zeros_like(x.value))
+
+
 class TestLayerNorm:
     def make(self, rng, d):
         return (ParamArray("scale", rng.standard_normal(d) + 1.0),
@@ -120,21 +124,22 @@ class TestLayerNorm:
     def test_constant_row_maps_to_shift(self):
         scale = ParamArray("s", np.ones(4))
         shift = ParamArray("b", np.zeros(4))
-        y = ad.layer_norm(Tape(), Tensor(np.full((2, 4), 3.0)), scale, shift)
+        x = Tensor(np.full((2, 4), 3.0))
+        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift)
         assert np.allclose(y.value, 0.0)
 
     def test_unit_variance_row(self):
         scale = ParamArray("s", np.ones(2))
         shift = ParamArray("b", np.zeros(2))
-        y = ad.layer_norm(Tape(), Tensor(np.array([[1.0, -1.0]])), scale, shift,
-                          eps=1e-300)
+        x = Tensor(np.array([[1.0, -1.0]]))
+        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift, eps=1e-300)
         assert np.allclose(y.value, [[1.0, -1.0]], atol=1e-12)
 
     def test_normalized_moments(self, rng):
-        x = rng.standard_normal((20, 8)) * 3 + 5
+        x = Tensor(rng.standard_normal((20, 8)) * 3 + 5)
         scale = ParamArray("s", np.ones(8))
         shift = ParamArray("b", np.zeros(8))
-        y = ad.layer_norm(Tape(), Tensor(x), scale, shift, eps=1e-12).value
+        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift, eps=1e-12).value
         assert np.max(np.abs(y.mean(axis=1))) < 1e-10
         assert np.max(np.abs((y ** 2).mean(axis=1) - 1.0)) < 1e-6
 
@@ -144,7 +149,46 @@ class TestLayerNorm:
             x = ParamArray("x", rng.standard_normal((3, d)))
             scale, shift = self.make(rng, d)
             check_op([x, scale, shift],
-                     lambda tape: ad.layer_norm(tape, x, scale, shift), rng, tol=1e-4)
+                     lambda tape: ad.layer_norm(tape, x, zeros_like(x), scale, shift),
+                     rng, tol=1e-4)
+
+    def test_grouped_finite_differences(self, rng):
+        # three channels share the residual x; each normalizes x + its slice of y
+        for trial in range(30):
+            d = int(rng.integers(2, 5))
+            lead = (2, 3) if trial % 3 == 0 else (3,)
+            x = ParamArray("x", rng.standard_normal(lead + (d,)))
+            y = ParamArray("y", rng.standard_normal(lead + (3 * d,)))
+            scale, shift = self.make(rng, 3 * d)
+            check_op([x, y, scale, shift],
+                     lambda tape: ad.layer_norm(tape, x, y, scale, shift), rng, tol=1e-4)
+
+    def test_grouped_matches_per_channel_numpy(self, rng):
+        d, s, eps = 4, 3, 1e-5
+        x = rng.standard_normal((2, 5, d))
+        y = rng.standard_normal((2, 5, s * d)) * 2 + 1
+        scale = rng.standard_normal(s * d) + 1.0
+        shift = rng.standard_normal(s * d)
+        got = ad.layer_norm(Tape(), Tensor(x), Tensor(y), Tensor(scale), Tensor(shift),
+                            eps=eps).value
+        for c in range(s):
+            cols = slice(c * d, (c + 1) * d)
+            acc = x + y[..., cols]
+            mu = acc.mean(axis=-1, keepdims=True)
+            var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
+            want = (acc - mu) / np.sqrt(var + eps) * scale[cols] + shift[cols]
+            assert np.max(np.abs(got[..., cols] - want)) < 1e-12
+
+    @pytest.mark.parametrize("x_shape,y_shape,width", [
+        ((3, 4), (3, 10), 10),   # y width not a multiple of d
+        ((3, 4), (2, 12), 12),   # rows disagree
+        ((3, 4), (3, 12), 4),    # scale/shift sized for one channel
+    ])
+    def test_grouped_shape_errors(self, rng, x_shape, y_shape, width):
+        scale, shift = self.make(rng, width)
+        with pytest.raises(ShapeError):
+            ad.layer_norm(Tape(), Tensor(rng.random(x_shape)), Tensor(rng.random(y_shape)),
+                          scale, shift)
 
 
 class TestTemporalCompress:

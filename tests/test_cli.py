@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stdiff.cli import main
+from stdiff.cli import build_parser, main
 from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_speed_csv,
                          make_windows, save_speed_csv)
 from stdiff.graph import load_adjacency, save_adjacency
@@ -80,6 +80,15 @@ class TestBuildAdj:
         assert main(["build-adj", "--distances", str(path), "--ids", str(tmp_path / "ids.txt"),
                      "--out", str(tmp_path / "adj")]) == 2
         assert f"{path} line 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantile", ["1.5", "nan"])
+    def test_quantile_outside_unit_interval_exits_2(self, tmp_path, capsys, quantile):
+        self.make_inputs(tmp_path)
+        assert main(["build-adj", "--distances", str(tmp_path / "d.csv"),
+                     "--ids", str(tmp_path / "ids.txt"),
+                     "--out", str(tmp_path / "adj"), "--quantile", quantile]) == 2
+        assert f"quantile {float(quantile)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "adj.csv").exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         (tmp_path / "ids.txt").write_text("a\n")
@@ -249,6 +258,15 @@ class TestEval:
             assert len(parts) == 6
             assert float(parts[2]) >= 0 and float(parts[3]) >= float(parts[2]) - 1e-9
 
+    def test_too_short_series_exits_2(self, trained, tmp_path):
+        root, run, series = trained
+        short = type(series)(series.timestamps[:9], series.values[:9], series.ids)
+        save_speed_csv(short, tmp_path / "short.csv")
+        code = main(["eval", "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(tmp_path / "short.csv"),
+                     "--adj", str(root / "adj"), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+
     def test_missing_checkpoint_exits_2(self, trained, tmp_path):
         root, _run, _series = trained
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.stdf"),
@@ -323,6 +341,32 @@ class TestTenMinuteInterval:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert {int(r[2]) for r in rows} == {10 * h for h in range(1, 13)}
         assert int(rows[0][2]) == 10
+
+
+class TestEnvironmentPresets:
+    def test_malformed_preset_is_a_usage_error_of_its_command(self, dataset, tmp_path,
+                                                              monkeypatch, capsys):
+        root, _graph, _series = dataset
+        monkeypatch.setenv("STDIFF_EPOCHS", "abc")
+        args = train_args(root, tmp_path / "run")
+        del args[args.index("--epochs"):args.index("--epochs") + 2]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "argument --epochs: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_malformed_preset_leaves_other_commands_working(self, monkeypatch):
+        monkeypatch.setenv("STDIFF_EPOCHS", "abc")
+        assert main(["gradcheck"]) == 0
+
+    def test_preset_is_converted_by_the_flag_type(self, monkeypatch):
+        monkeypatch.setenv("STDIFF_SEED", "3")
+        monkeypatch.setenv("STDIFF_QUANTILE", "0.25")
+        args = build_parser().parse_args(["gradcheck"])
+        assert args.seed == 3 and type(args.seed) is int
+        adj = build_parser().parse_args(["build-adj", "--distances", "d", "--ids", "i",
+                                         "--out", "o"])
+        assert adj.quantile == 0.25 and adj.epsilon is None
 
 
 class TestGradcheck:

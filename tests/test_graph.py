@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stdiff.errors import DomainError, FormatError, IdentifierError
+from stdiff.errors import ArgumentError, DomainError, FormatError, IdentifierError
 from stdiff.graph import (DistanceRecord, build_gaussian_adjacency, load_adjacency,
                           load_distance_csv, save_adjacency)
 
@@ -76,6 +76,14 @@ class TestGaussianAdjacency:
             build_gaussian_adjacency(
                 [DistanceRecord("a", "b", 2.0), DistanceRecord("b", "a", 2.0)],
                 ["a", "b"])
+
+    @pytest.mark.parametrize("quantile", [1.5, -0.1, math.nan])
+    def test_quantile_outside_unit_interval_rejected(self, quantile):
+        recs = [DistanceRecord("a", "b", 1.0), DistanceRecord("a", "c", 2.0)]
+        with pytest.raises(ArgumentError, match=f"quantile {quantile!r}"):
+            build_gaussian_adjacency(recs, ["a", "b", "c"], weight_quantile=quantile)
+        for edge in (0.0, 1.0):
+            build_gaussian_adjacency(recs, ["a", "b", "c"], weight_quantile=edge)
 
     def test_empty_records_rejected(self):
         with pytest.raises(IdentifierError):

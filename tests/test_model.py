@@ -5,9 +5,9 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.errors import ArgumentError
 from stdiff.graph import SensorGraph
-from stdiff.model import (IstdGcnModel, ModelConfig, StscChannelParams, encode,
+from stdiff.model import (ABLATIONS, IstdGcnModel, ModelConfig, StscChannelParams, encode,
                           expected_iterations, forward, multi_channel_forward,
-                          stsc_forward)
+                          stack_channels, stsc_forward)
 from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
 from stdiff.training import mae_l2_loss
@@ -51,7 +51,8 @@ class TestStscForward:
         ch = zero_channel(block, 4, 2, 2)
         x = Tensor(rng.standard_normal((6, 4)))
         out = stsc_forward(Tape(), ch, block, x)
-        expected = ad.layer_norm(Tape(), x, ch.ln_scale, ch.ln_shift).value
+        zeros = Tensor(np.zeros_like(x.value))
+        expected = ad.layer_norm(Tape(), x, zeros, ch.ln_scale, ch.ln_shift).value
         assert np.array_equal(out.value, expected)
 
     def test_dense_term_by_term_oracle(self, rng):
@@ -135,12 +136,67 @@ class TestMultiChannel:
         model.mix.value[...] = np.eye(cfg.d)
         tape = Tape()
         x = Tensor(rng.standard_normal((2, 3, cfg.d)))
-        got = multi_channel_forward(tape, model, x)
+        got = multi_channel_forward(tape, model, x, stack_channels(tape, model))
         tape2 = Tape()
         h = stsc_forward(tape2, model.channels[0], model.block_graph(2), x)
         assert h.value.shape == (2, 3, cfg.d)
         want = ad.temporal_compress(tape2, h, model.channels[0].compress_kernel)
         assert np.array_equal(got.value, want.value)
+
+    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_one_pass_equals_per_channel_composition(self, rng, ablation, direction):
+        # the stacked pass against the paper's form: each channel's block,
+        # compressed over time, then the channels concatenated and mixed
+        n = 3
+        cfg = tiny_config(s=3, K=2, m=2, T=3, ablation=ablation,
+                          temporal_direction=direction)
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=2)
+        for p in model.params():  # break the symmetric initial kernels and norms
+            p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
+        m = cfg.effective_m
+        block = model.block_graph(m)
+        x = ParamArray("x", rng.standard_normal((2, m, n, cfg.d)))
+        w = rng.standard_normal((2, n, cfg.d))
+        params = [*model.params(), x]
+
+        def grads_of(build):
+            for p in params:
+                p.zero_grad()
+            tape = Tape()
+            out = build(tape)
+            tape.backward(ad.mae_loss(tape, out, w))
+            return out.value, [p.grad.copy() for p in params]
+
+        got, got_grads = grads_of(
+            lambda tape: multi_channel_forward(tape, model, x, stack_channels(tape, model)))
+        for flat in (False, True):
+            def per_channel(tape):
+                x_in = reshaped(tape, x, (2, m * n, cfg.d)) if flat else x
+                parts = []
+                for ch in model.channels:
+                    h = stsc_forward(tape, ch, block, x_in, ablation=ablation,
+                                     ln_eps=cfg.ln_eps)
+                    h = reshaped(tape, h, x.value.shape) if flat else h
+                    parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
+                return ad.linear(tape, ad.concat_features(tape, parts), model.mix)
+
+            want, want_grads = grads_of(per_channel)
+            assert np.max(np.abs(got - want)) < 1e-12
+            for p, a, b in zip(params, got_grads, want_grads):
+                assert np.max(np.abs(a - b)) < 1e-10, (p.name, flat)
+
+
+def reshaped(tape, t, shape):
+    """t.value reshaped to ``shape`` as a taped op."""
+    out = Tensor(t.value.reshape(shape))
+
+    def backward():
+        t.ensure_grad()
+        t.grad += out.grad.reshape(t.value.shape)
+
+    tape.record(backward)
+    return out
 
 
 class TestEncode:
@@ -264,14 +320,47 @@ class TestForward:
         passes = expected_iterations(cfg.T, cfg.m)
         # only the first pass has no carry
         assert slices == [False] + [True] * (passes - 1)
-        # per pass: slice_time, 2K spmm_diff + 1 concat_features, then per
-        # channel concat_features (thetas), linear, add, layer_norm and
-        # temporal_compress, then concat_features and the mix linear;
-        # around them the input linear and the 6 decoder records
-        per_pass = 1 + (2 * cfg.K + 1) + 5 * cfg.s + 2
-        assert len(tape) == 1 + passes * per_pass + 6 == 61
+        # per pass: slice_time, 2K spmm_diff + 1 concat_features, then one
+        # linear, layer_norm, temporal_compress and mix linear for all s
+        # channels; once per forward, s + 1 concat_features stack the thetas
+        # and 3 more the scales, shifts and kernels; around them the input
+        # linear and the 6 decoder records
+        per_pass = 1 + (2 * cfg.K + 1) + 4
+        assert len(tape) == 1 + passes * per_pass + (cfg.s + 4) + 6 == 43
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
+
+    def test_pass_records_do_not_grow_with_channels(self, rng):
+        g = random_sensor_graph(rng, 3)
+        window = rng.standard_normal((6, 3, 1))
+        lengths = {}
+        for s in (1, 3):
+            tape = Tape()
+            forward(tape, IstdGcnModel(tiny_config(s=s), g, seed=0), window)
+            lengths[s] = len(tape)
+        # only the once-per-forward theta stacking has a record per channel
+        assert lengths[3] - lengths[1] == 2
+
+    def test_weights_stacked_once_per_forward(self, rng, monkeypatch):
+        g = random_sensor_graph(rng, 3)
+        calls = []
+        concat = ad.concat_features
+
+        def counting(tape, parts, axis=-1):
+            calls.append(axis)
+            return concat(tape, parts, axis=axis)
+
+        monkeypatch.setattr(ad, "concat_features", counting)
+        counts = {}
+        for t in (4, 8):
+            cfg = tiny_config(T=t, s=3)
+            calls.clear()
+            forward(Tape(), IstdGcnModel(cfg, g, seed=0), rng.standard_normal((t, 3, 1)))
+            counts[t] = len(calls)
+        # one hop concat per pass; s + 1 theta and 3 further stacks per forward
+        extra_passes = expected_iterations(8, 2) - expected_iterations(4, 2)
+        assert counts[8] - counts[4] == extra_passes
+        assert counts[4] == expected_iterations(4, 2) + (3 + 1) + 3
 
     def test_training_step_leaves_spec_matrices_unbuilt(self, rng):
         g = random_sensor_graph(rng, 4)
