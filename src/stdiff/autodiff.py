@@ -101,16 +101,39 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
     return out
 
 
-def spmm_diff(tape: Tape, op: BlockDiffusion, x: Tensor) -> Tensor:
-    """Y = P @ X for a block diffusion operator P.  P carries no gradient.
+def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> Tensor:
+    """Every diffusion hop of one block, Z = [P_1 X | ... | P_r X | ... | P_r^K X].
 
-    X is (..., m, n, d) or (..., m*n, d); Y has the shape of X.
+    X is (..., m, n, d) or (..., m*n, d); Z has X's shape with k_hops*r*d
+    features, hop k of operator i in columns [(k*r + i)*d, (k*r + i + 1)*d).
+    Each hop is its operator applied to the previous hop, written straight
+    into Z, which is allocated once.  Backward runs the transposed recursion
+    gX += P^T(G_1 + P^T(G_2 + ... P^T G_K)) per operator.  P carries no
+    gradient.
     """
-    out = Tensor(op.apply(x.value))
+    if not ops or k_hops < 1:
+        raise ArgumentError("diffusion needs at least one operator and one hop")
+    d, r = x.value.shape[-1], len(ops)
+
+    def cols(k, i):
+        return (..., slice((k * r + i) * d, (k * r + i + 1) * d))
+
+    z = np.empty(x.value.shape[:-1] + (k_hops * r * d,))
+    prev = [x.value] * r
+    for k in range(k_hops):
+        for i, op in enumerate(ops):
+            prev[i] = op.apply(prev[i], out=z[cols(k, i)])
+    out = Tensor(z)
 
     def backward():
+        g = out.grad
         x.ensure_grad()
-        x.grad += op.apply_transpose(out.grad)
+        for i in reversed(range(r)):
+            acc = ops[i].apply_transpose(g[cols(k_hops - 1, i)])
+            for k in reversed(range(k_hops - 1)):
+                acc += g[cols(k, i)]
+                acc = ops[i].apply_transpose(acc)
+            x.grad += acc
 
     tape.record(backward)
     return out
@@ -121,37 +144,45 @@ def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
     """Layer norm of the residual sum X + Y per channel, population variance.
 
     X is (..., d), Y (..., s*d): channel c normalizes X + Y[..., c*d:(c+1)*d]
-    over its d features, then applies scale and shift [c*d:(c+1)*d].
+    over its d features, then applies scale and shift [c*d:(c+1)*d].  The
+    sum is formed once, as (rows, d) channel rows, and centred and scaled in
+    place; the row moments and the scale and shift gradients are BLAS
+    matrix-vector products.  Backward keeps only that normalized sum and
+    the per-row inverse std.
     """
     d, width = x.value.shape[-1], y.value.shape[-1]
     if (y.value.shape[:-1] != x.value.shape[:-1] or width % d
             or scale.value.shape != (width,) or shift.value.shape != (width,)):
         raise ShapeError(f"layer_norm cannot group {x.shape} {y.shape} {scale.shape} {shift.shape}")
-    grouped = y.value.shape[:-1] + (width // d, d)
-    acc = y.value.reshape(grouped) + x.value[..., None, :]
-    mu = acc.mean(axis=-1, keepdims=True)
-    var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (acc - mu) * inv
-    out = Tensor(xhat.reshape(y.value.shape) * scale.value + shift.value)
+    s = width // d
+    avg = np.full(d, 1.0 / d)
+    xhat = (y.value.reshape(-1, s, d) + x.value.reshape(-1, 1, d)).reshape(-1, d)
+    xhat -= (xhat @ avg)[:, None]
+    buf = np.square(xhat)
+    inv = 1.0 / np.sqrt(buf @ avg + eps)
+    xhat *= inv[:, None]
+    out_value = np.multiply(xhat.reshape(-1, width), scale.value, out=buf.reshape(-1, width))
+    out_value += shift.value
+    out = Tensor(out_value.reshape(y.value.shape))
 
     def backward():
-        g = out.grad
-        dxhat = (g * scale.value).reshape(grouped)
-        dacc = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ) * inv
+        g = out.grad.reshape(-1, width)
+        ones = np.ones(g.shape[0])
+        shift.ensure_grad()
+        shift.grad += ones @ g
+        tmp = g * xhat.reshape(-1, width)
+        scale.ensure_grad()
+        scale.grad += ones @ tmp
+        dacc = (g * scale.value).reshape(-1, d)    # dxhat, then dacc in place
+        tmp = np.multiply(dacc, xhat, out=tmp.reshape(-1, d))
+        proj = (tmp @ avg)[:, None]
+        dacc -= (dacc @ avg)[:, None]
+        dacc -= np.multiply(xhat, proj, out=tmp)
+        dacc *= inv[:, None]
         x.ensure_grad()
-        x.grad += dacc.sum(axis=-2)
+        x.grad += dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape)
         y.ensure_grad()
         y.grad += dacc.reshape(y.value.shape)
-        axes = tuple(range(g.ndim - 1))
-        scale.ensure_grad()
-        scale.grad += (g * xhat.reshape(g.shape)).sum(axis=axes)
-        shift.ensure_grad()
-        shift.grad += g.sum(axis=axes)
 
     tape.record(backward)
     return out

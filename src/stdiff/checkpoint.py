@@ -54,6 +54,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             size = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(data, dtype="<f8", count=size, offset=pos).reshape(dims)
             pos += 8 * size
+            if name in out:
+                raise FormatError(f"{path}: duplicate parameter {name!r} in checkpoint")
             out[name] = arr.astype(np.float64)
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise FormatError(f"{path}: truncated or corrupt checkpoint: {exc}") from None

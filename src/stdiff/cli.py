@@ -106,6 +106,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _inputs(args, config_path) -> list:
+    """The files every training-data command reads: speed CSV, both adjacency files, config."""
+    return ([args.data, f"{args.adj}.csv", f"{args.adj}.json"]
+            + ([config_path] if config_path else []))
+
+
 def _load_dataset(args, cfg: ModelConfig):
     graph = load_adjacency(Path(args.adj))
     series = load_speed_csv(args.data, graph=graph)
@@ -131,8 +137,7 @@ def cmd_train(args) -> int:
     write_manifest(out, "train",
                    {"model": asdict(cfg), "training": asdict(tcfg),
                     "norm_mean": stats.mean, "norm_std": stats.std},
-                   [args.data, f"{args.adj}.csv", f"{args.adj}.json"]
-                   + ([args.config] if args.config else []),
+                   _inputs(args, args.config),
                    [str(out / "best.stdf"), str(out / "log.csv")])
     model = IstdGcnModel(cfg, graph, seed=args.seed)
     report = train(model, train_w, val_w, stats, tcfg,
@@ -142,21 +147,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_config(args) -> str:
+    """The model config a checkpoint is read with: --config, or config.json beside it."""
+    return args.config or str(Path(args.checkpoint).parent / "config.json")
+
+
 def _restore_model(args):
-    cfg_path = args.config or str(Path(args.checkpoint).parent / "config.json")
-    cfg = _read_json_config(ModelConfig, cfg_path, "model config")
+    cfg = _read_json_config(ModelConfig, _checkpoint_config(args), "model config")
     graph = load_adjacency(Path(args.adj))
     model = IstdGcnModel(cfg, graph, seed=0)
     restore_params(model.params(), args.checkpoint)
     return cfg, graph, model
 
 
+def _restored_inputs(args) -> list:
+    """Every file ``eval`` and ``predict`` read: train's inputs plus the checkpoint."""
+    return _inputs(args, _checkpoint_config(args)) + [args.checkpoint]
+
+
 def cmd_eval(args) -> int:
     cfg, graph, model = _restore_model(args)
     _graph, series, (train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
     out = Path(args.out)
-    write_manifest(out.parent, "eval", {"model": asdict(cfg)},
-                   [args.data, args.checkpoint, f"{args.adj}.csv"], [str(out)])
+    write_manifest(out.parent, "eval", {"model": asdict(cfg)}, _restored_inputs(args),
+                   [str(out)])
     report = evaluate(model, test_w, stats, interval=series.interval)
     n_train_steps = train_w[-1].start_index + cfg.T
     train_series = type(series)(series.timestamps[:n_train_steps],
@@ -180,8 +194,8 @@ def cmd_predict(args) -> int:
     cfg, graph, model = _restore_model(args)
     _graph, series, (_train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
     out = Path(args.out)
-    write_manifest(out.parent, "predict", {"model": asdict(cfg)},
-                   [args.data, args.checkpoint], [str(out)])
+    write_manifest(out.parent, "predict", {"model": asdict(cfg)}, _restored_inputs(args),
+                   [str(out)])
     minutes = [horizon_minutes(h + 1, series.interval) for h in range(cfg.H)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")

@@ -16,13 +16,16 @@ lives in the decoder MLP.
 The sum is evaluated in fused form, for all s channels at once.  The
 diffusion features Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]
 (m, n, 2K*d) do not depend on the channel, so each block computes them
-once; hop k applies its graph's structured operator
-(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.
-Once per forward, ``stack_channels`` lays every channel's weights side by
-side on the feature axis, channel c in columns [c*d, (c+1)*d): the thetas
-as one (2K*d, s*d) matrix, the layer-norm scales and shifts, and the
-compression kernels.  A pass is then one GEMM Z Theta, one channel-grouped
-layer norm of X + Z Theta, one temporal compression and the mix GEMM.
+once, in one ``autodiff.spmm_diff`` op: hop k applies its graph's
+structured operator (``stgraph.BlockDiffusion``) to hop k-1 and writes
+straight into Z, and no power of P is formed.  Once per forward,
+``stack_channels`` lays every channel's weights side by side on the
+feature axis, channel c in columns [c*d, (c+1)*d): the thetas as one
+(2K*d, s*d) matrix, the layer-norm scales and shifts, and the compression
+kernels.  A pass is then six tape records whatever K and s are: the block
+assembly, the diffusion into Z, one GEMM Z Theta, one channel-grouped
+layer norm of X + Z Theta (which keeps only the normalized sum and the
+per-row inverse std), one temporal compression and the mix GEMM.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one assembles the running compressed
@@ -196,21 +199,17 @@ def _hop_terms(k_hops: int, ablation: str) -> list[tuple[str, int]]:
 
 def diffusion_features(tape: Tape, block: StBlockGraph, x: Tensor, k_hops: int,
                        ablation: str) -> Tensor:
-    """The hop products of block input x, concatenated on the feature axis.
+    """The hop products Z of block input x, one ``spmm_diff`` over the kept graphs.
 
-    x is in either layout, (..., m, n, d) or (..., m*n, d); the output has
-    the input's shape with terms*d features.  Hop k of a graph is its
-    operator applied to hop k-1.
+    x is in either layout, (..., m, n, d) or (..., m*n, d); Z has the
+    input's shape with terms*d features, in ``_hop_terms`` order.  Hop k of
+    a graph is its operator applied to hop k-1.
     """
     shape = x.value.shape
     if shape[-3:-1] != (block.m, block.n) and shape[-2] != block.m * block.n:
         raise ShapeError(f"input {shape} does not match block graph {block.m}x{block.n}")
     graphs = {"theta_nh": block.decoupled, "theta_h": block.coupled}
-    hops, last = [], {}
-    for name, _ in _hop_terms(k_hops, ablation):
-        last[name] = ad.spmm_diff(tape, graphs[name], last.get(name, x))
-        hops.append(last[name])
-    return ad.concat_features(tape, hops)
+    return ad.spmm_diff(tape, [graphs[name] for name, _ in _hop_terms(1, ablation)], x, k_hops)
 
 
 @dataclass(frozen=True)
@@ -252,8 +251,8 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
                           bank: ChannelBank) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
-    Whatever s is, it records the hops and their concat, one GEMM, one
-    grouped layer norm, one temporal compression and the mix.
+    Whatever K and s are, it records the diffusion, one GEMM, one grouped
+    layer norm, one temporal compression and the mix.
     """
     cfg = model.config
     z = diffusion_features(tape, model.block_graph(x.value.shape[-3]), x, cfg.K, cfg.ablation)

@@ -138,12 +138,15 @@ class SparseMatrix:
             self._dense = dense
         return self._dense
 
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """A @ X for X (..., cols, k), one matmul against the dense copy."""
+    def matmul_dense(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A @ X for X (..., cols, k), one matmul against the dense copy.
+
+        ``out``, when given, receives the product; it may be a strided view.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-2] != self.cols:
             raise ShapeError(f"spmm shape mismatch: {self.rows}x{self.cols} @ {x.shape}")
-        return self.dense @ x
+        return np.matmul(self.dense, x, out=out)
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
         """A @ B as a dense product, returned in canonical CSR."""

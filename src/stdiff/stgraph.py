@@ -74,10 +74,14 @@ class BlockDiffusion:
             raise ShapeError(f"block operator {self.m}x{self.n} cannot act on {x.shape}")
         return x.reshape(x.shape[:-2] + (self.m, self.n, x.shape[-1]))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """P @ X: the spatial product, then the shifted snapshot, then the row scaling."""
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P @ X: the spatial product, then the shifted snapshot, then the row scaling.
+
+        ``out``, when given, is an array (or strided view) of X's shape that
+        receives the result.
+        """
         xb = self._blocks(x)
-        y = self.spatial.matmul_dense(xb)
+        y = self.spatial.matmul_dense(xb, out=None if out is None else self._blocks(out))
         if self.shift > 0:
             y[..., :-1, :, :] += xb[..., 1:, :, :]
         elif self.shift < 0:

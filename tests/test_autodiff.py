@@ -3,7 +3,7 @@ import pytest
 
 import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
-from stdiff.errors import NumericError, ShapeError
+from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
@@ -85,7 +85,7 @@ class TestSpmmDiff:
         op = edgeless_block(5, 1, self_loops=True).decoupled
         x = ParamArray("x", rng.standard_normal((5, 2)))
         tape = Tape()
-        y = ad.spmm_diff(tape, op, x)
+        y = ad.spmm_diff(tape, [op], x, 1)
         loss = project(tape, y, np.ones(y.value.shape))
         tape.backward(loss)
         assert np.array_equal(y.value, x.value)
@@ -95,7 +95,7 @@ class TestSpmmDiff:
         # one edgeless vertex without self-loops: the coupled graph is a pure shift
         op = edgeless_block(1, 3, self_loops=False).coupled
         x = Tensor(rng.random((3, 2)))
-        y = ad.spmm_diff(Tape(), op, x)
+        y = ad.spmm_diff(Tape(), [op], x, 1)
         assert np.array_equal(y.value[:2], x.value[1:])
         assert np.array_equal(y.value[2], np.zeros(2))
 
@@ -104,12 +104,98 @@ class TestSpmmDiff:
             op = random_operator(rng)
             lead = (2,) if trial % 4 == 0 else ()
             x = ParamArray("x", rng.standard_normal(lead + (op.m * op.n, 3)))
-            check_op([x], lambda tape: ad.spmm_diff(tape, op, x), rng)
+            check_op([x], lambda tape: ad.spmm_diff(tape, [op], x, 1), rng)
 
     def test_shape_mismatch(self, rng):
         op = edgeless_block(2, 2, self_loops=True).coupled
         with pytest.raises(ShapeError):
-            ad.spmm_diff(Tape(), op, Tensor(rng.random((3, 2))))
+            ad.spmm_diff(Tape(), [op], Tensor(rng.random((3, 2))), 1)
+
+
+
+def random_block(rng):
+    return build_hstg(random_sensor_graph(rng, int(rng.integers(1, 5))),
+                      int(rng.integers(2, 4)),
+                      temporal_direction=("as_written", "transposed")[int(rng.integers(2))])
+
+
+def block_input(rng, op, lead, flat, d=2):
+    tail = (op.m * op.n, d) if flat else (op.m, op.n, d)
+    return rng.standard_normal(lead + tail)
+
+
+def chained_hops(tape, ops, x, k_hops):
+    """The per-hop composition: a one-hop spmm_diff per hop and operator, then a concat."""
+    hops, prev = [], [x] * len(ops)
+    for _ in range(k_hops):
+        for i, op in enumerate(ops):
+            prev[i] = ad.spmm_diff(tape, [op], prev[i], 1)
+            hops.append(prev[i])
+    return ad.concat_features(tape, hops)
+
+
+class TestFusedDiffusion:
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    @pytest.mark.parametrize("n_ops", [1, 2])
+    def test_finite_differences(self, rng, n_ops, k_hops):
+        # trials 0..5 cover every (leading axes, layout) pair
+        for trial in range(6):
+            block = random_block(rng)
+            pair = [block.decoupled, block.coupled]
+            ops = (pair if trial % 4 < 2 else pair[::-1])[:n_ops]
+            lead = ((), (2,), (2, 3))[trial % 3]
+            x = ParamArray("x", block_input(rng, ops[0], lead, flat=trial % 2 == 1))
+            check_op([x], lambda tape: ad.spmm_diff(tape, ops, x, k_hops), rng)
+
+    def test_forward_equals_chained_apply(self, rng):
+        for trial in range(24):
+            block = random_block(rng)
+            ops = [[block.decoupled], [block.coupled, block.decoupled]][trial % 2]
+            k_hops = 1 + trial % 3
+            x = block_input(rng, ops[0], ((), (3,), (2, 2))[trial % 3], flat=trial % 4 < 2,
+                            d=3)
+            hops, prev = [], [x] * len(ops)
+            for _ in range(k_hops):
+                for i, op in enumerate(ops):
+                    prev[i] = op.apply(prev[i])
+                    hops.append(prev[i])
+            got = ad.spmm_diff(Tape(), ops, Tensor(x), k_hops).value
+            want = np.concatenate(hops, axis=-1)
+            assert got.shape == want.shape == x.shape[:-1] + (k_hops * len(ops) * 3,)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_gradient_equals_per_hop_composition(self, rng):
+        for trial in range(24):
+            block = random_block(rng)
+            ops = [[block.coupled], [block.decoupled, block.coupled]][trial % 2]
+            k_hops = 1 + trial % 3
+            x = ParamArray("x", block_input(rng, ops[0], ((), (2,), (2, 3))[trial % 3],
+                                            flat=trial % 4 < 2, d=3))
+            w = rng.standard_normal(x.value.shape[:-1] + (k_hops * len(ops) * 3,))
+            grads = []
+            for build in (lambda tape: ad.spmm_diff(tape, ops, x, k_hops),
+                          lambda tape: chained_hops(tape, ops, x, k_hops)):
+                x.zero_grad()
+                tape = Tape()
+                tape.backward(project(tape, build(tape), w))
+                grads.append(x.grad.copy())
+            assert np.max(np.abs(grads[0] - grads[1])) < 1e-10
+
+    def test_backward_leaves_output_gradient_untouched(self, rng):
+        block = random_block(rng)
+        x = ParamArray("x", block_input(rng, block.coupled, (2,), flat=False))
+        tape = Tape()
+        z = ad.spmm_diff(tape, [block.decoupled, block.coupled], x, 3)
+        w = rng.standard_normal(z.value.shape)
+        tape.backward(project(tape, z, w))
+        assert np.array_equal(z.grad, w)
+
+    @pytest.mark.parametrize("ops_count,k_hops", [(0, 1), (1, 0)])
+    def test_needs_an_operator_and_a_hop(self, rng, ops_count, k_hops):
+        block = random_block(rng)
+        x = Tensor(block_input(rng, block.coupled, (), flat=False))
+        with pytest.raises(ArgumentError):
+            ad.spmm_diff(Tape(), [block.coupled] * ops_count, x, k_hops)
 
 
 def zeros_like(x):
@@ -178,6 +264,37 @@ class TestLayerNorm:
             var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
             want = (acc - mu) / np.sqrt(var + eps) * scale[cols] + shift[cols]
             assert np.max(np.abs(got[..., cols] - want)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 8, 128])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_matches_per_channel_formula(self, rng, s, d):
+        # forward and backward against the textbook per-channel numpy formulas
+        eps = 1e-5
+        x = ParamArray("x", rng.standard_normal((2, 5, d)) * 3 + 1)
+        y = ParamArray("y", rng.standard_normal((2, 5, s * d)))
+        scale, shift = self.make(rng, s * d)
+        g = rng.standard_normal((2, 5, s * d))
+        tape = Tape()
+        out = ad.layer_norm(tape, x, y, scale, shift, eps=eps)
+        tape.backward(project(tape, out, g))
+        want_dx = np.zeros_like(x.value)
+        for c in range(s):
+            cols = slice(c * d, (c + 1) * d)
+            acc = x.value + y.value[..., cols]
+            mu = acc.mean(axis=-1, keepdims=True)
+            var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + eps)
+            xhat = (acc - mu) * inv
+            assert np.max(np.abs(out.value[..., cols] - (xhat * scale.value[cols]
+                                                         + shift.value[cols]))) < 1e-12
+            dxhat = g[..., cols] * scale.value[cols]
+            dacc = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+            want_dx += dacc
+            assert np.max(np.abs(y.grad[..., cols] - dacc)) < 1e-12
+            assert np.max(np.abs(scale.grad[cols] - (g[..., cols] * xhat).sum(axis=(0, 1)))) < 1e-12
+            assert np.max(np.abs(shift.grad[cols] - g[..., cols].sum(axis=(0, 1)))) < 1e-12
+        assert np.max(np.abs(x.grad - want_dx)) < 1e-12
 
     @pytest.mark.parametrize("x_shape,y_shape,width", [
         ((3, 4), (3, 10), 10),   # y width not a multiple of d
@@ -349,7 +466,7 @@ class TestTapeDeterminism:
             x.zero_grad()
             theta.zero_grad()
             tape = Tape()
-            y = ad.linear(tape, ad.spmm_diff(tape, p, x), theta)
+            y = ad.linear(tape, ad.spmm_diff(tape, [p], x, 1), theta)
             loss = project(tape, y, np.ones(y.value.shape))
             tape.backward(loss)
             grads.append((x.grad.copy(), theta.grad.copy()))

@@ -74,6 +74,18 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             save_params(params, tmp_path / "p.stdf")
 
+    def test_duplicate_names_rejected_on_load(self, tmp_path):
+        # a file written with distinct names, then one renamed onto the other
+        path = tmp_path / "p.stdf"
+        save_params([ParamArray("w", np.zeros(2)), ParamArray("v", np.ones(2))], path)
+        data = path.read_bytes()
+        assert data.count(b"v") == 1  # the name; no data byte reads as "v"
+        path.write_bytes(data.replace(b"v", b"w"))
+        with pytest.raises(FormatError, match=r"p\.stdf.*duplicate parameter 'w'"):
+            load_params(path)
+        with pytest.raises(FormatError, match="duplicate"):
+            restore_params([ParamArray("w", np.zeros(2))], path)
+
     def test_restore_missing_parameter(self, tmp_path, rng):
         path = tmp_path / "p.stdf"
         save_params(make_params(rng)[:2], path)

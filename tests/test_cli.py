@@ -277,6 +277,43 @@ class TestEval:
         assert code == 2
 
 
+class TestRestoredRunManifests:
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    @pytest.mark.parametrize("command,explicit_config", [("eval", False), ("predict", True)])
+    def test_inputs_match_train_plus_checkpoint(self, trained, tmp_path, command,
+                                                explicit_config):
+        # the config actually read: --config, or the config.json beside the checkpoint
+        root, run, _series = trained
+        config = root / "config.json" if explicit_config else run / "config.json"
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--checkpoint", str(run / "best.stdf"),
+                "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
+                "--out", str(out)]
+        assert main(argv + (["--config", str(config)] if explicit_config else [])) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        train_inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+        assert set(train_inputs) == {str(root / name) for name in
+                                     ("speed.csv", "adj.csv", "adj.json", "config.json")}
+        assert set(manifest["inputs"]) == {str(root / "speed.csv"), str(root / "adj.csv"),
+                                           str(root / "adj.json"), str(config),
+                                           str(run / "best.stdf")}
+
+    def test_duplicate_parameter_name_exits_2_naming_checkpoint(self, trained, tmp_path,
+                                                                capsys):
+        root, run, _series = trained
+        data = (run / "best.stdf").read_bytes()
+        # rename dec_b2 onto dec_b1: the same length, so the file stays well formed
+        assert data.count(b"dec_b2") == 1
+        bad = tmp_path / "dup.stdf"
+        bad.write_bytes(data.replace(b"dec_b2", b"dec_b1"))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(root / "speed.csv"),
+                     "--adj", str(root / "adj"), "--config", str(run / "config.json"),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dup.stdf" in err and "'dec_b1'" in err
+
+
 class TestPredict:
     def test_row_count_matches_windows(self, trained, tmp_path):
         root, run, series = trained

@@ -283,25 +283,24 @@ class TestForward:
             assert np.max(np.abs(got - base[:, perm])) < 1e-10
 
     def test_diffusion_shared_across_channels(self, rng, monkeypatch):
-        # one spmm per hop and graph per encoder pass, however many channels
+        # one spmm_diff per encoder pass, whatever s and K are: it writes all
+        # K hops of both graphs, so calls = passes = expected_iterations(T, m)
         g = random_sensor_graph(rng, 3)
         calls = []
         spmm_diff = ad.spmm_diff
 
-        def counting(tape, p, x):
-            calls.append(p)
-            return spmm_diff(tape, p, x)
+        def counting(tape, ops, x, k_hops):
+            calls.append((len(ops), k_hops))
+            return spmm_diff(tape, ops, x, k_hops)
 
         monkeypatch.setattr(ad, "spmm_diff", counting)
-        counts = {}
         for s in (1, 3):
-            cfg = tiny_config(s=s)
-            model = IstdGcnModel(cfg, g, seed=0)
-            calls.clear()
-            forward(Tape(), model, rng.standard_normal((cfg.T, 3, 1)))
-            counts[s] = len(calls)
-        passes = expected_iterations(cfg.T, cfg.m)
-        assert counts[1] == counts[3] == 2 * cfg.K * passes
+            for k_hops in (1, 3):
+                cfg = tiny_config(s=s, K=k_hops)
+                model = IstdGcnModel(cfg, g, seed=0)
+                calls.clear()
+                forward(Tape(), model, rng.standard_normal((cfg.T, 3, 1)))
+                assert calls == [(2, k_hops)] * expected_iterations(cfg.T, cfg.m)
 
     def test_tape_records_one_block_assembly_per_pass(self, rng, monkeypatch):
         g = random_sensor_graph(rng, 3)
@@ -320,13 +319,13 @@ class TestForward:
         passes = expected_iterations(cfg.T, cfg.m)
         # only the first pass has no carry
         assert slices == [False] + [True] * (passes - 1)
-        # per pass: slice_time, 2K spmm_diff + 1 concat_features, then one
+        # per pass, whatever K and s are: slice_time, one spmm_diff, then one
         # linear, layer_norm, temporal_compress and mix linear for all s
         # channels; once per forward, s + 1 concat_features stack the thetas
         # and 3 more the scales, shifts and kernels; around them the input
-        # linear and the 6 decoder records
-        per_pass = 1 + (2 * cfg.K + 1) + 4
-        assert len(tape) == 1 + passes * per_pass + (cfg.s + 4) + 6 == 43
+        # linear and the 6 decoder records: 1 + 6 * passes + (s + 4) + 6
+        per_pass = 6
+        assert len(tape) == 1 + passes * per_pass + (cfg.s + 4) + 6 == 31
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 
@@ -357,10 +356,9 @@ class TestForward:
             calls.clear()
             forward(Tape(), IstdGcnModel(cfg, g, seed=0), rng.standard_normal((t, 3, 1)))
             counts[t] = len(calls)
-        # one hop concat per pass; s + 1 theta and 3 further stacks per forward
-        extra_passes = expected_iterations(8, 2) - expected_iterations(4, 2)
-        assert counts[8] - counts[4] == extra_passes
-        assert counts[4] == expected_iterations(4, 2) + (3 + 1) + 3
+        # no concat per pass; per forward, s + 1 theta stacks and 3 further
+        # stacks (scales, shifts, kernels): s + 4, however many passes
+        assert counts[8] == counts[4] == 3 + 4
 
     def test_training_step_leaves_spec_matrices_unbuilt(self, rng):
         g = random_sensor_graph(rng, 4)

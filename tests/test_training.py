@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.data import SyntheticSpec, generate_synthetic, make_windows
 from stdiff.errors import ArgumentError, DomainError, NumericError
@@ -212,7 +213,9 @@ class TestTrainLoop:
         loss_next_b = _one_epoch_loss(model_b, tr, stats, tcfg, epoch_index=1)
         assert loss_next == loss_next_b
 
-    def test_nan_loss_aborts_with_batch_index(self):
+    def test_nan_loss_aborts_with_batch_index(self, monkeypatch):
+        # the loop's own message, so op-level debug checks stay off
+        monkeypatch.setattr(ad, "_DEBUG", False)
         _cfg, _g, _series, windows, model = tiny_setup()
         tr, va, _te = split_dataset(windows)
         stats = compute_norm_stats(np.stack([w.history for w in tr]))
