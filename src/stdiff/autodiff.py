@@ -1,9 +1,13 @@
 """Tape-based reverse-mode differentiation for exactly the ops the model uses.
 
 Not a general autodiff: each operation here has a hand-derived backward
-pass.  A forward call appends one record to the tape; ``Tape.backward``
-replays the records in exact reverse execution order with fixed (row-major)
-accumulation, so repeated replays are bit-identical.
+pass.  A forward call hands one record to the tape.  A recording ``Tape()``,
+as training and the analytic pass of ``grad_check`` use, keeps it;
+``Tape.backward`` replays the records in exact reverse execution order with
+fixed (row-major) accumulation, so repeated replays are bit-identical.
+Forward-only passes (prediction, evaluation, validation, the finite
+differences of ``grad_check``) run on ``Tape(record=False)``, which drops each
+record, so they are never replayed and hold no op's saved arrays past its use.
 
 Ops accept arbitrary leading batch axes; the documented shapes apply to the
 trailing axes.  All arithmetic is double precision.  Set ``STDIFF_DEBUG=1``
@@ -61,18 +65,30 @@ class ParamArray(Tensor):
 
 
 class Tape:
-    """Ordered record of executed differentiable operations."""
+    """Ordered record of executed differentiable operations.
 
-    def __init__(self):
+    Every op calls ``record`` with its backward closure, which holds the
+    arrays that op saved.  A recording tape (the default) keeps the closures
+    until the tape is dropped, for ``backward`` to replay.  ``record=False``
+    makes a forward-only tape: it drops each closure at once, so an op's
+    saved arrays are freed as soon as the next op has consumed its output,
+    and it can never be replayed.
+    """
+
+    def __init__(self, record: bool = True):
+        self._recording = record
         self._records = []
 
     def record(self, backward_fn):
-        self._records.append(backward_fn)
+        if self._recording:
+            self._records.append(backward_fn)
 
     def __len__(self):
         return len(self._records)
 
     def backward(self, loss: Tensor):
+        if not self._recording:
+            raise ArgumentError("cannot replay: tape was created with record=False")
         if loss.value.shape != ():
             raise ShapeError("backward starts from a scalar loss")
         loss.ensure_grad()[...] = 1.0
@@ -419,7 +435,7 @@ def grad_check(
     rng = rng or np.random.default_rng(0)
 
     def run() -> float:
-        val = float(loss_fn(Tape()).value)
+        val = float(loss_fn(Tape(record=False)).value)
         if not np.isfinite(val):
             raise NumericError("non-finite loss during gradient check")
         return val

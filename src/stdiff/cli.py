@@ -112,8 +112,13 @@ def _inputs(args, config_path) -> list:
             + ([config_path] if config_path else []))
 
 
-def _load_dataset(args, cfg: ModelConfig):
-    graph = load_adjacency(Path(args.adj))
+def _load_dataset(args, cfg: ModelConfig, graph=None):
+    """Graph, series, split windows and normalization of ``args``' files.
+
+    ``graph`` is the graph already loaded from ``args.adj``, when there is one.
+    """
+    if graph is None:
+        graph = load_adjacency(Path(args.adj))
     series = load_speed_csv(args.data, graph=graph)
     windows = make_windows(series, cfg.T, cfg.H)
     train_w, val_w, test_w = split_dataset(windows)
@@ -167,7 +172,7 @@ def _restored_inputs(args) -> list:
 
 def cmd_eval(args) -> int:
     cfg, graph, model = _restore_model(args)
-    _graph, series, (train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
+    _graph, series, (train_w, _val_w, test_w), stats = _load_dataset(args, cfg, graph)
     out = Path(args.out)
     write_manifest(out.parent, "eval", {"model": asdict(cfg)}, _restored_inputs(args),
                    [str(out)])
@@ -192,7 +197,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg, graph, model = _restore_model(args)
-    _graph, series, (_train_w, _val_w, test_w), stats = _load_dataset(args, cfg)
+    _graph, series, (_train_w, _val_w, test_w), stats = _load_dataset(args, cfg, graph)
     out = Path(args.out)
     write_manifest(out.parent, "predict", {"model": asdict(cfg)}, _restored_inputs(args),
                    [str(out)])

@@ -152,8 +152,11 @@ def _batch_arrays(windows: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predict_batch(model: IstdGcnModel, history: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Denormalized model predictions for a (B, T, n, d_in) history block."""
-    pred = forward(Tape(), model, zscore(history, stats))
+    """Denormalized model predictions for a (B, T, n, d_in) history block.
+
+    The pass runs on a non-recording tape: nothing is kept for a backward.
+    """
+    pred = forward(Tape(record=False), model, zscore(history, stats))
     return inverse_zscore(pred.value, stats)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stdiff.autodiff import Tape
 from stdiff.graph import SensorGraph
 from stdiff.sparse import SparseMatrix
 
@@ -24,3 +25,20 @@ def random_sensor_graph(rng, n, density=0.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def tapes_seen(monkeypatch):
+    """Every tape handed a record during the test, in order of its first record.
+
+    The tapes stay alive, so ``len(tape)`` afterwards is what each one kept.
+    """
+    seen = {}
+    record = Tape.record
+
+    def logging_record(tape, backward_fn):
+        seen.setdefault(id(tape), tape)
+        record(tape, backward_fn)
+
+    monkeypatch.setattr(Tape, "record", logging_record)
+    return seen

@@ -474,6 +474,28 @@ class TestTapeDeterminism:
         assert np.array_equal(grads[0][1], grads[1][1])
 
 
+class TestNonRecordingTape:
+    def test_backward_refuses_to_replay(self):
+        tape = Tape(record=False)
+        theta = ParamArray("t", np.ones((2, 2)))
+        loss = project(tape, ad.linear(tape, Tensor(np.ones((1, 2))), theta), np.ones((1, 2)))
+        assert len(tape) == 0
+        with pytest.raises(ArgumentError, match="record=False"):
+            tape.backward(loss)
+
+    def test_grad_check_differences_keep_no_records(self, rng, tapes_seen):
+        theta = ParamArray("theta", rng.standard_normal((3, 2)))
+        c = rng.standard_normal((1, 3))
+
+        def loss_fn(tape):
+            return project(tape, ad.linear(tape, Tensor(c), theta), np.ones((1, 2)))
+
+        (report,) = grad_check(loss_fn, [theta])
+        assert report.passed and report.max_rel_err < 1e-9
+        # the analytic pass keeps its 2 records; 2 differences per entry keep none
+        assert [len(t) for t in tapes_seen.values()] == [2] + [0] * 2 * theta.value.size
+
+
 class TestGradCheckHarness:
     def test_quadratic(self):
         theta = ParamArray("theta", np.array([3.0]).reshape(1, 1))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import stdiff.cli as cli
 from stdiff.cli import build_parser, main
 from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_speed_csv,
                          make_windows, save_speed_csv)
@@ -340,6 +341,32 @@ class TestPredict:
         v_index = series.ids.index(vid)
         assert horizon == 5
         assert float(first[4]) == series.values[t_index, v_index]
+
+
+@pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+@pytest.mark.parametrize("command", ["eval", "predict"])
+class TestForwardOnlyCommands:
+    def invoke(self, trained, tmp_path, command):
+        root, run, _series = trained
+        assert main([command, "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+
+    def test_loads_adjacency_once(self, trained, tmp_path, monkeypatch, command):
+        calls = []
+        load = cli.load_adjacency
+
+        def counting(prefix):
+            calls.append(prefix)
+            return load(prefix)
+
+        monkeypatch.setattr(cli, "load_adjacency", counting)
+        self.invoke(trained, tmp_path, command)
+        assert len(calls) == 1
+
+    def test_keeps_no_records(self, trained, tmp_path, tapes_seen, command):
+        self.invoke(trained, tmp_path, command)
+        assert tapes_seen and all(len(t) == 0 for t in tapes_seen.values())
 
 
 @pytest.fixture(scope="module")

@@ -282,6 +282,15 @@ class TestForward:
             got = forward(Tape(), model_p, window[:, perm]).value
             assert np.max(np.abs(got - base[:, perm])) < 1e-10
 
+    def test_non_recording_tape_keeps_nothing(self, rng):
+        g = random_sensor_graph(rng, 3)
+        model = IstdGcnModel(tiny_config(), g, seed=0)
+        window = rng.standard_normal((2, 6, 3, 1))
+        tape = Tape(record=False)
+        got = forward(tape, model, window).value
+        assert len(tape) == 0
+        assert np.array_equal(got, forward(Tape(), model, window).value)
+
     def test_diffusion_shared_across_channels(self, rng, monkeypatch):
         # one spmm_diff per encoder pass, whatever s and K are: it writes all
         # K hops of both graphs, so calls = passes = expected_iterations(T, m)

@@ -5,9 +5,10 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.data import SyntheticSpec, generate_synthetic, make_windows
 from stdiff.errors import ArgumentError, DomainError, NumericError
+from stdiff.metrics import evaluate
 from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.training import (AdamState, NormStats, TrainConfig, compute_norm_stats,
-                             inverse_zscore, mae_l2_loss, optimizer_step,
+                             inverse_zscore, mae_l2_loss, optimizer_step, predict_batch,
                              split_dataset, train, zscore)
 
 
@@ -223,6 +224,32 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="batch"):
                 train(model, tr, va, stats, TrainConfig(epochs=1, batch_size=8))
+
+
+class TestForwardOnlyPasses:
+    def test_predict_batch_equals_recording_forward(self):
+        _cfg, _g, _series, windows, model = tiny_setup()
+        hist = np.stack([w.history for w in windows[:8]])
+        stats = compute_norm_stats(hist)
+        want = inverse_zscore(forward(Tape(), model, zscore(hist, stats)).value, stats)
+        assert np.array_equal(predict_batch(model, hist, stats), want)
+
+    def test_evaluate_keeps_no_records(self, tapes_seen):
+        _cfg, _g, _series, windows, model = tiny_setup()
+        tr, _va, te = split_dataset(windows)
+        stats = compute_norm_stats(np.stack([w.history for w in tr]))
+        evaluate(model, te, stats, batch_size=3)
+        assert [len(t) for t in tapes_seen.values()] == [0] * -(-len(te) // 3)
+
+    def test_validation_keeps_no_records(self, tapes_seen):
+        _cfg, _g, _series, windows, model = tiny_setup()
+        tr, va, _te = split_dataset(windows)
+        stats = compute_norm_stats(np.stack([w.history for w in tr]))
+        train(model, tr, va, stats, TrainConfig(epochs=1, batch_size=4))
+        kept = [len(t) for t in tapes_seen.values()]
+        n_train, n_val = -(-len(tr) // 4), -(-len(va) // 4)
+        assert len(kept) == n_train + n_val
+        assert all(kept[:n_train]) and kept[n_train:] == [0] * n_val
 
 
 def _one_epoch_loss(model, tr, stats, tcfg, epoch_index):
