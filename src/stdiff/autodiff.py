@@ -117,6 +117,41 @@ def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
     return out
 
 
+def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
+    """(I_r ⊗ E) Theta, (r*a, c), for E (a, f) and Theta (r*f, c).
+
+    (Z ⊗ E) Theta = Z (I_r ⊗ E) Theta: a GEMM over r*a columns, not r*f.
+    """
+    if e.value.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % e.value.shape[1]:
+        raise ShapeError(f"kron_linear shape mismatch {e.shape} ⊗ {theta.shape}")
+    (a, f), c = e.value.shape, theta.value.shape[1]
+    blocks = theta.value.reshape(-1, f, c)
+    out = Tensor((e.value @ blocks).reshape(-1, c))
+
+    def backward():
+        g = out.grad.reshape(-1, a, c)
+        e.ensure_grad()
+        e.grad += np.einsum("rac,rfc->af", g, blocks)
+        theta.ensure_grad()
+        theta.grad += (e.value.T @ g).reshape(theta.value.shape)
+
+    tape.record(backward)
+    return out
+
+
+def diffuse(ops: list[BlockDiffusion], x: np.ndarray, k_hops: int) -> np.ndarray:
+    """``spmm_diff``'s Z of plain data, with nothing recorded."""
+    if not ops or k_hops < 1:
+        raise ArgumentError("diffusion needs at least one operator and one hop")
+    d, r = x.shape[-1], len(ops)
+    z = np.empty(x.shape[:-1] + (k_hops * r * d,))
+    hops, prev = z.reshape(x.shape[:-1] + (k_hops, r, d)), [x] * r
+    for k in range(k_hops):
+        for i, op in enumerate(ops):
+            prev[i] = op.apply(prev[i], out=hops[..., k, i, :])
+    return z
+
+
 def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> Tensor:
     """Every diffusion hop of one block, Z = [P_1 X | ... | P_r X | ... | P_r^K X].
 
@@ -127,27 +162,16 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
     gX += P^T(G_1 + P^T(G_2 + ... P^T G_K)) per operator.  P carries no
     gradient.
     """
-    if not ops or k_hops < 1:
-        raise ArgumentError("diffusion needs at least one operator and one hop")
+    out = Tensor(diffuse(ops, x.value, k_hops))
     d, r = x.value.shape[-1], len(ops)
 
-    def cols(k, i):
-        return (..., slice((k * r + i) * d, (k * r + i + 1) * d))
-
-    z = np.empty(x.value.shape[:-1] + (k_hops * r * d,))
-    prev = [x.value] * r
-    for k in range(k_hops):
-        for i, op in enumerate(ops):
-            prev[i] = op.apply(prev[i], out=z[cols(k, i)])
-    out = Tensor(z)
-
     def backward():
-        g = out.grad
+        g = out.grad.reshape(out.grad.shape[:-1] + (k_hops, r, d))
         x.ensure_grad()
         for i in reversed(range(r)):
-            acc = ops[i].apply_transpose(g[cols(k_hops - 1, i)])
+            acc = ops[i].apply_transpose(g[..., k_hops - 1, i, :])
             for k in reversed(range(k_hops - 1)):
-                acc += g[cols(k, i)]
+                acc += g[..., k, i, :]
                 acc = ops[i].apply_transpose(acc)
             x.grad += acc
 
@@ -156,11 +180,12 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 
 
 def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = 1e-5, y0: Tensor | None = None) -> Tensor:
     """Layer norm of the residual sum X + Y per channel, population variance.
 
     X is (..., d), Y (..., s*d): channel c normalizes X + Y[..., c*d:(c+1)*d]
-    over its d features, then applies scale and shift [c*d:(c+1)*d].  The
+    over its d features, then applies scale and shift [c*d:(c+1)*d].  A
+    (..., n, s*d) ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d) Y.  The
     sum is formed once, as (rows, d) channel rows, and centred and scaled in
     place; the row moments and the scale and shift gradients are BLAS
     matrix-vector products.  Backward keeps only that normalized sum and
@@ -168,11 +193,14 @@ def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
     """
     d, width = x.value.shape[-1], y.value.shape[-1]
     if (y.value.shape[:-1] != x.value.shape[:-1] or width % d
-            or scale.value.shape != (width,) or shift.value.shape != (width,)):
+            or scale.value.shape != (width,) or shift.value.shape != (width,)
+            or y0 is not None and y0.value.shape != y.value.shape[:-3] + y.value.shape[-2:]):
         raise ShapeError(f"layer_norm cannot group {x.shape} {y.shape} {scale.shape} {shift.shape}")
     s = width // d
     avg = np.full(d, 1.0 / d)
     xhat = (y.value.reshape(-1, s, d) + x.value.reshape(-1, 1, d)).reshape(-1, d)
+    if y0 is not None:
+        xhat.reshape(y.value.shape)[..., 0, :, :] += y0.value
     xhat -= (xhat @ avg)[:, None]
     buf = np.square(xhat)
     inv = 1.0 / np.sqrt(buf @ avg + eps)
@@ -199,6 +227,9 @@ def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
         x.grad += dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape)
         y.ensure_grad()
         y.grad += dacc.reshape(y.value.shape)
+        if y0 is not None:
+            y0.ensure_grad()
+            y0.grad += dacc.reshape(y.value.shape)[..., 0, :, :]
 
     tape.record(backward)
     return out

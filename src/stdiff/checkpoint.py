@@ -56,6 +56,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             pos += 8 * size
             if name in out:
                 raise FormatError(f"{path}: duplicate parameter {name!r} in checkpoint")
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"{path}: non-finite value in parameter {name!r}")
             out[name] = arr.astype(np.float64)
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise FormatError(f"{path}: truncated or corrupt checkpoint: {exc}") from None
@@ -69,13 +71,13 @@ def restore_params(params: list[ParamArray], path) -> None:
     loaded = load_params(path)
     for p in params:
         if p.name not in loaded:
-            raise FormatError(f"checkpoint missing parameter {p.name!r}")
+            raise FormatError(f"{path}: checkpoint missing parameter {p.name!r}")
         if loaded[p.name].shape != p.value.shape:
             raise FormatError(
-                f"checkpoint shape mismatch for {p.name!r}: "
+                f"{path}: checkpoint shape mismatch for {p.name!r}: "
                 f"{loaded[p.name].shape} vs {p.value.shape}"
             )
         p.value[...] = loaded[p.name]
     extra = set(loaded) - {p.name for p in params}
     if extra:
-        raise FormatError(f"checkpoint has unknown parameters: {sorted(extra)}")
+        raise FormatError(f"{path}: checkpoint has unknown parameters: {sorted(extra)}")

@@ -76,6 +76,15 @@ def _read_json_config(cls, path, what: str):
         raise FormatError(f"bad {what} {path}: {exc}") from None
 
 
+def _model_config(path) -> ModelConfig:
+    """The model config at ``path``; d_in and d_out must match the speed CSV's one feature."""
+    cfg = _read_json_config(ModelConfig, path, "model config")
+    if (cfg.d_in, cfg.d_out) != (1, 1):
+        raise FormatError(f"bad model config {path}: speed CSVs hold one feature per sensor, "
+                          f"so d_in and d_out must be 1, not {cfg.d_in} and {cfg.d_out}")
+    return cfg
+
+
 # -- commands ----------------------------------------------------------
 
 
@@ -127,7 +136,7 @@ def _load_dataset(args, cfg: ModelConfig, graph=None):
 
 
 def cmd_train(args) -> int:
-    cfg = _read_json_config(ModelConfig, args.config, "model config")
+    cfg = _model_config(args.config)
     if args.ablation is not None:
         cfg = ModelConfig(**{**asdict(cfg), "ablation": args.ablation})
     graph, _series, (train_w, val_w, _test_w), stats = _load_dataset(args, cfg)
@@ -158,7 +167,7 @@ def _checkpoint_config(args) -> str:
 
 
 def _restore_model(args):
-    cfg = _read_json_config(ModelConfig, _checkpoint_config(args), "model config")
+    cfg = _model_config(_checkpoint_config(args))
     graph = load_adjacency(Path(args.adj))
     model = IstdGcnModel(cfg, graph, seed=0)
     restore_params(model.params(), args.checkpoint)
@@ -220,7 +229,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = (_read_json_config(ModelConfig, args.config, "model config") if args.config
+    cfg = (_model_config(args.config) if args.config
            else ModelConfig(K=2, m=2, s=2, d=4, T=6, H=2))
     spec = SyntheticSpec(n=5, steps=cfg.T + cfg.H + 2, seed=args.seed, noise_std=1.0)
     graph, series = generate_synthetic(spec)

@@ -16,16 +16,20 @@ lives in the decoder MLP.
 The sum is evaluated in fused form, for all s channels at once.  The
 diffusion features Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]
 (m, n, 2K*d) do not depend on the channel, so each block computes them
-once, in one ``autodiff.spmm_diff`` op: hop k applies its graph's
-structured operator (``stgraph.BlockDiffusion``) to hop k-1 and writes
-straight into Z, and no power of P is formed.  Once per forward,
-``stack_channels`` lays every channel's weights side by side on the
-feature axis, channel c in columns [c*d, (c+1)*d): the thetas as one
-(2K*d, s*d) matrix, the layer-norm scales and shifts, and the compression
-kernels.  A pass is then six tape records whatever K and s are: the block
-assembly, the diffusion into Z, one GEMM Z Theta, one channel-grouped
-layer norm of X + Z Theta (which keeps only the normalized sum and the
-per-row inverse std), one temporal compression and the mix GEMM.
+once: hop k applies its graph's structured operator
+(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.  Once
+per forward, ``stack_channels`` lays every channel's weights side by side
+on the feature axis, channel c in columns [c*d, (c+1)*d).  Whatever K and s
+are, a pass is then one channel term Y = Z Theta, one channel-grouped layer
+norm of X + Y, one temporal compression and the mix GEMM.
+
+Y is folded.  A raw snapshot is the embedding w ⊗ E of its (n, d_in)
+readings, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per snapshot,
+2K*n^2*d_in for the diffusion, run on plain data, and 2K*n*d_in*s*d for the
+GEMM.  Under ``as_written`` no hop moves the carried snapshot out of
+snapshot 0, so only it pays full width, through the row-0 operators, and
+its term joins the layer norm's sum there; a ``transposed`` carried pass
+computes Z(X) Theta in full.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one assembles the running compressed
@@ -48,7 +52,7 @@ from .autodiff import ParamArray, Tape, Tensor
 from .data import dataclass_from_json
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .stgraph import TEMPORAL_DIRECTIONS, StBlockGraph, build_hstg
+from .stgraph import TEMPORAL_DIRECTIONS, BlockDiffusion, StBlockGraph, build_hstg
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
 
@@ -197,19 +201,10 @@ def _hop_terms(k_hops: int, ablation: str) -> list[tuple[str, int]]:
     return [(name, k) for k in range(k_hops) for name in kept]
 
 
-def diffusion_features(tape: Tape, block: StBlockGraph, x: Tensor, k_hops: int,
-                       ablation: str) -> Tensor:
-    """The hop products Z of block input x, one ``spmm_diff`` over the kept graphs.
-
-    x is in either layout, (..., m, n, d) or (..., m*n, d); Z has the
-    input's shape with terms*d features, in ``_hop_terms`` order.  Hop k of
-    a graph is its operator applied to hop k-1.
-    """
-    shape = x.value.shape
-    if shape[-3:-1] != (block.m, block.n) and shape[-2] != block.m * block.n:
-        raise ShapeError(f"input {shape} does not match block graph {block.m}x{block.n}")
+def _kept_graphs(block: StBlockGraph, ablation: str) -> list[BlockDiffusion]:
+    """The operators whose hops make up Z, in ``_hop_terms`` order."""
     graphs = {"theta_nh": block.decoupled, "theta_h": block.coupled}
-    return ad.spmm_diff(tape, [graphs[name] for name, _ in _hop_terms(1, ablation)], x, k_hops)
+    return [graphs[name] for name, _ in _hop_terms(1, ablation)]
 
 
 @dataclass(frozen=True)
@@ -219,18 +214,20 @@ class ChannelBank:
     ln_scale: Tensor         # (s*d,)
     ln_shift: Tensor         # (s*d,)
     compress_kernel: Tensor  # (m_eff, s*d)
+    theta_fold: Tensor | None = None  # (terms*d_in, s*d): (I_terms ⊗ E) theta, E = input_embed
 
 
 def _stack_thetas(tape: Tape, params: StscChannelParams, terms: list) -> Tensor:
     return ad.concat_features(tape, [getattr(params, name)[k] for name, k in terms], axis=0)
 
 
-def stack_channels(tape: Tape, model: IstdGcnModel) -> ChannelBank:
-    """The model's channel weights as one bank, in s + 4 records, once per forward."""
+def stack_channels(tape: Tape, model: IstdGcnModel, fold: bool = False) -> ChannelBank:
+    """The model's channel weights as one bank, once per forward: s + 4 records, + 1 to fold."""
     chs, terms = model.channels, _hop_terms(model.config.K, model.config.ablation)
     theta = ad.concat_features(tape, [_stack_thetas(tape, ch, terms) for ch in chs])
     return ChannelBank(theta, *(ad.concat_features(tape, [getattr(ch, f) for ch in chs])
-                                for f in ("ln_scale", "ln_shift", "compress_kernel")))
+                                for f in ("ln_scale", "ln_shift", "compress_kernel")),
+                       ad.kron_linear(tape, model.input_embed, theta) if fold else None)
 
 
 def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: Tensor, *,
@@ -241,41 +238,52 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
     output has the input's shape.  X feeds the hops of both graphs.
     """
     k_hops = len(params.theta_nh)
-    z = diffusion_features(tape, block, x, k_hops, ablation)
+    z = ad.spmm_diff(tape, _kept_graphs(block, ablation), x, k_hops)
     theta = _stack_thetas(tape, params, _hop_terms(k_hops, ablation))
     return ad.layer_norm(tape, x, ad.linear(tape, z, theta), params.ln_scale,
                          params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
-                          bank: ChannelBank) -> Tensor:
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor, bank: ChannelBank,
+                          raw: np.ndarray | None = None, carry: Tensor | None = None) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
-    Whatever K and s are, it records the diffusion, one GEMM, one grouped
-    layer norm, one temporal compression and the mix.
+    Without ``raw`` the channel term is Z(X) Theta; with it, x must be
+    ``carry`` (if any) then raw @ E, and the term is folded (module docstring).
     """
     cfg = model.config
-    z = diffusion_features(tape, model.block_graph(x.value.shape[-3]), x, cfg.K, cfg.ablation)
-    h = ad.layer_norm(tape, x, ad.linear(tape, z, bank.theta), bank.ln_scale,
-                      bank.ln_shift, eps=cfg.ln_eps)
+    ops = _kept_graphs(model.block_graph(x.value.shape[-3]), cfg.ablation)
+    y0 = None
+    if raw is None or (carry is not None and cfg.temporal_direction != "as_written"):
+        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
+    else:
+        if carry is not None:
+            raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
+            row0 = [BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops]
+            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
+        y = ad.linear(tape, Tensor(ad.diffuse(ops, raw, cfg.K)), bank.theta_fold)
+    h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)
     return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
 
 
-def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor) -> CompressedSnapshot:
-    """Iteratively fold the (..., T, n, d) history into one (..., n, d) snapshot."""
+def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
+           window: np.ndarray | None = None) -> CompressedSnapshot:
+    """Iteratively fold the (..., T, n, d) history into one (..., n, d) snapshot.
+
+    Given the raw (..., T, n, d_in) ``window`` that ``embedded`` embeds, passes fold E.
+    """
     t_total = embedded.value.shape[-3]
     m = model.config.effective_m
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
-    bank = stack_channels(tape, model)
-    com = multi_channel_forward(tape, model, ad.slice_time(tape, embedded, 0, m), bank)
-    idx, iterations = m, 1
+    bank = stack_channels(tape, model, fold=window is not None)
+    com, idx, iterations = None, 0, 0
     while idx < t_total:
-        take = min(m - 1, t_total - idx)
-        block = ad.slice_time(tape, embedded, idx, idx + take, carry=com)
-        com = multi_channel_forward(tape, model, block, bank)
-        idx += take
-        iterations += 1
+        end = idx + (m if com is None else min(m - 1, t_total - idx))
+        block = ad.slice_time(tape, embedded, idx, end, carry=com)
+        raw = None if window is None else window[..., idx:end, :, :]
+        com = multi_channel_forward(tape, model, block, bank, raw, com)
+        idx, iterations = end, iterations + 1
     return CompressedSnapshot(features=com, iterations=iterations)
 
 
@@ -291,7 +299,7 @@ def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:
     if window.shape[-2] != model.graph.n:
         raise ShapeError("window vertex count does not match the graph")
     embedded = ad.linear(tape, Tensor(window), model.input_embed)
-    com = encode(tape, model, embedded)
+    com = encode(tape, model, embedded, window)
     return ad.mlp_decode(
         tape, com.features,
         model.dec_w1, model.dec_b1, model.dec_w2, model.dec_b2,

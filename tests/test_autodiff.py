@@ -296,6 +296,53 @@ class TestLayerNorm:
             assert np.max(np.abs(shift.grad[cols] - g[..., cols].sum(axis=(0, 1)))) < 1e-12
         assert np.max(np.abs(x.grad - want_dx)) < 1e-12
 
+    def test_snapshot_term_joins_sum_in_snapshot_zero(self, rng):
+        # LN(X + Y, y0) equals LN(X + Y') with y0 added into Y's snapshot 0
+        d, s = 3, 2
+        x = ParamArray("x", rng.standard_normal((2, 3, 4, d)))
+        y = ParamArray("y", rng.standard_normal((2, 3, 4, s * d)))
+        y0 = ParamArray("y0", rng.standard_normal((2, 4, s * d)))
+        scale, shift = self.make(rng, s * d)
+        g = rng.standard_normal(y.value.shape)
+        params = [x, y, scale, shift]
+        runs = []
+        for joined in (True, False):
+            for p in params + [y0]:
+                p.zero_grad()
+            tape = Tape()
+            if joined:
+                out = ad.layer_norm(tape, x, y, scale, shift, y0=y0)
+            else:
+                padded = ParamArray("padded", y.value.copy())
+                padded.value[:, 0] += y0.value
+                out = ad.layer_norm(tape, x, padded, scale, shift)
+            tape.backward(project(tape, out, g))
+            grads = [p.grad.copy() for p in params]
+            runs.append((out.value, grads, y0.grad.copy() if joined else padded.grad[:, 0]))
+        (got, got_grads, got_dy0), (want, want_grads, want_dy0) = runs
+        assert np.max(np.abs(got - want)) < 1e-12
+        for p, a, b in zip(params[:1] + params[2:], got_grads[:1] + got_grads[2:],
+                           want_grads[:1] + want_grads[2:]):
+            assert np.max(np.abs(a - b)) < 1e-12, p.name
+        assert np.max(np.abs(got_dy0 - want_dy0)) < 1e-12
+
+    def test_snapshot_term_finite_differences(self, rng):
+        x = ParamArray("x", rng.standard_normal((3, 2, 2)))
+        y = ParamArray("y", rng.standard_normal((3, 2, 4)))
+        y0 = ParamArray("y0", rng.standard_normal((2, 4)))
+        scale, shift = self.make(rng, 4)
+        check_op([x, y, y0, scale, shift],
+                 lambda tape: ad.layer_norm(tape, x, y, scale, shift, y0=y0), rng)
+
+    @pytest.mark.parametrize("y_shape,y0_shape", [((3, 2, 4), (3, 4)), ((2, 4), (4,)),
+                                                  ((3, 2, 4), (1, 2, 4))])
+    def test_snapshot_term_shape_errors(self, rng, y_shape, y0_shape):
+        scale, shift = self.make(rng, 4)
+        x = Tensor(rng.random(y_shape[:-1] + (2,)))
+        with pytest.raises(ShapeError):
+            ad.layer_norm(Tape(), x, Tensor(rng.random(y_shape)), scale, shift,
+                          y0=Tensor(rng.random(y0_shape)))
+
     @pytest.mark.parametrize("x_shape,y_shape,width", [
         ((3, 4), (3, 10), 10),   # y width not a multiple of d
         ((3, 4), (2, 12), 12),   # rows disagree
@@ -382,6 +429,46 @@ class TestConcatFeatures:
         with pytest.raises(ShapeError):
             ad.concat_features(Tape(), [a, b], axis=0)
         assert ad.concat_features(Tape(), [a, b]).value.shape == (2, 7)
+
+
+class TestKronLinear:
+    @pytest.mark.parametrize("r,a,f,c", [(1, 1, 3, 2), (2, 1, 4, 6), (3, 2, 3, 5)])
+    def test_forward_equals_kron_product(self, rng, r, a, f, c):
+        e, theta = rng.standard_normal((a, f)), rng.standard_normal((r * f, c))
+        got = ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
+        want = np.kron(np.eye(r), e) @ theta
+        assert got.shape == (r * a, c)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_folds_the_gemm_of_kron_features(self, rng):
+        # (Z ⊗ E) Theta = Z (I ⊗ E) Theta, Z with r blocks of a features
+        r, a, f, c = 3, 2, 4, 5
+        z, e = rng.standard_normal((7, r * a)), rng.standard_normal((a, f))
+        theta = rng.standard_normal((r * f, c))
+        wide = (z.reshape(7, r, a) @ e).reshape(7, r * f)
+        got = z @ ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
+        assert np.max(np.abs(got - wide @ theta)) < 1e-12
+
+    def test_finite_differences(self, rng):
+        for r, a in ((1, 1), (2, 1), (3, 2)):
+            e = ParamArray("e", rng.standard_normal((a, 3)))
+            theta = ParamArray("theta", rng.standard_normal((r * 3, 4)))
+            check_op([e, theta], lambda tape: ad.kron_linear(tape, e, theta), rng)
+
+    @pytest.mark.parametrize("e_shape,theta_shape", [((1, 3), (4, 2)), ((3,), (3, 2)),
+                                                     ((1, 3), (6,))])
+    def test_shape_mismatch(self, rng, e_shape, theta_shape):
+        with pytest.raises(ShapeError):
+            ad.kron_linear(Tape(), Tensor(rng.random(e_shape)), Tensor(rng.random(theta_shape)))
+
+
+def test_diffuse_is_spmm_diff_forward_without_a_record(rng):
+    block = random_block(rng)
+    ops = [block.decoupled, block.coupled]
+    x = block_input(rng, block.coupled, (2,), flat=False)
+    tape = Tape()
+    assert np.array_equal(ad.diffuse(ops, x, 2), ad.spmm_diff(tape, ops, Tensor(x), 2).value)
+    assert len(tape) == 1
 
 
 class TestSliceTime:

@@ -89,21 +89,32 @@ class TestFormatErrors:
     def test_restore_missing_parameter(self, tmp_path, rng):
         path = tmp_path / "p.stdf"
         save_params(make_params(rng)[:2], path)
-        with pytest.raises(FormatError, match="missing"):
+        with pytest.raises(FormatError, match=r"p\.stdf: checkpoint missing parameter 'tensor'"):
             restore_params(make_params(rng), path)
 
     def test_restore_shape_mismatch(self, tmp_path, rng):
         path = tmp_path / "p.stdf"
         save_params([ParamArray("w", rng.random((2, 2)))], path)
-        with pytest.raises(FormatError, match="shape"):
+        with pytest.raises(FormatError, match=r"p\.stdf: checkpoint shape mismatch for 'w'"):
             restore_params([ParamArray("w", np.zeros((3, 3)))], path)
 
     def test_restore_unknown_extra_parameter(self, tmp_path, rng):
         path = tmp_path / "p.stdf"
         params = make_params(rng)
         save_params(params, path)
-        with pytest.raises(FormatError, match="unknown"):
+        with pytest.raises(FormatError, match=r"p\.stdf: checkpoint has unknown parameters"):
             restore_params(params[:2], path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_parameter(self, tmp_path, rng, bad):
+        path = tmp_path / "p.stdf"
+        params = make_params(rng)
+        params[1].value[2, 3] = bad
+        save_params(params, path)
+        with pytest.raises(FormatError, match=r"p\.stdf: non-finite value in parameter 'matrix'"):
+            load_params(path)
+        with pytest.raises(FormatError, match="non-finite"):
+            restore_params(make_params(rng), path)
 
     def test_magic_prefix_on_disk(self, tmp_path, rng):
         path = tmp_path / "p.stdf"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import stdiff.cli as cli
+from stdiff.autodiff import ParamArray
+from stdiff.checkpoint import load_params, save_params
 from stdiff.cli import build_parser, main
 from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_speed_csv,
                          make_windows, save_speed_csv)
@@ -222,6 +224,20 @@ class TestTrain:
         assert main(args) == 2
         assert str(tmp_path / "speed.csv") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["d_in", "d_out"])
+    def test_feature_width_other_than_one_exits_2_naming_config(
+            self, dataset, tmp_path, capsys, field):
+        # the speed CSV holds one feature per sensor
+        root, _graph, _series = dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({field: 2}))
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--config") + 1] = str(config)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and field in err
+        assert not (tmp_path / "run").exists()
+
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset
         short = type(series)(series.timestamps[:9], series.values[:9], series.ids)
@@ -313,6 +329,43 @@ class TestRestoredRunManifests:
         assert code == 2
         err = capsys.readouterr().err
         assert "dup.stdf" in err and "'dec_b1'" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+class TestRestoredRunBadInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_exits_2_naming_file_and_parameter(
+            self, trained, tmp_path, capsys, command, bad):
+        # relu maps NaN to 0, so such a checkpoint used to predict the decoder bias
+        root, run, _series = trained
+        params = {name: ParamArray(name, value)
+                  for name, value in load_params(run / "best.stdf").items()}
+        params["ch0.theta_nh1"].value[0, 1] = bad
+        ckpt = tmp_path / "bad.stdf"
+        save_params(list(params.values()), ckpt)
+        out = tmp_path / "out" / f"{command}.csv"
+        code = main([command, "--checkpoint", str(ckpt), "--data", str(root / "speed.csv"),
+                     "--adj", str(root / "adj"), "--config", str(run / "config.json"),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'ch0.theta_nh1'" in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("field", ["d_in", "d_out"])
+    def test_feature_width_other_than_one_exits_2_naming_config(
+            self, trained, tmp_path, capsys, command, field):
+        root, run, _series = trained
+        config = tmp_path / "cfg.json"
+        config.write_text(ModelConfig(**{**TINY.__dict__, field: 2}).to_json())
+        out = tmp_path / "out" / f"{command}.csv"
+        code = main([command, "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and field in err
+        assert not out.parent.exists()
 
 
 class TestPredict:
@@ -441,3 +494,11 @@ class TestGradcheck:
     def test_fails_at_absurd_tolerance(self, capsys):
         assert main(["gradcheck", "--tol", "1e-15"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["d_in", "d_out"])
+    def test_feature_width_other_than_one_exits_2_naming_config(self, tmp_path, capsys, field):
+        # its synthetic series has one feature per sensor, like a speed CSV
+        config = tmp_path / "cfg.json"
+        config.write_text(ModelConfig(**{**TINY.__dict__, field: 2}).to_json())
+        assert main(["gradcheck", "--config", str(config)]) == 2
+        assert str(config) in capsys.readouterr().err

@@ -199,6 +199,66 @@ def reshaped(tape, t, shape):
     return out
 
 
+def generic_forward(tape, model, window):
+    """``forward`` without the raw window: every pass diffuses at full width."""
+    cfg = model.config
+    com = encode(tape, model, ad.linear(tape, Tensor(window), model.input_embed))
+    return ad.mlp_decode(tape, com.features, model.dec_w1, model.dec_b1, model.dec_w2,
+                         model.dec_b2, cfg.H, cfg.d_out)
+
+
+class TestEmbeddingFold:
+    @pytest.mark.parametrize("t,m", [(6, 4), (5, 2)])  # a tail block; several carried passes
+    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_folded_forward_equals_generic_path(self, rng, ablation, direction, t, m):
+        n = 3
+        g = random_sensor_graph(rng, n)
+        for s in (1, 3):
+            for k_hops in (1, 3):
+                for d_in in (1, 2):
+                    cfg = ModelConfig(K=k_hops, m=m, s=s, d=4, T=t, H=2, d_in=d_in,
+                                      ablation=ablation, temporal_direction=direction)
+                    model = IstdGcnModel(cfg, g, seed=1)
+                    for p in model.params():  # break the symmetric kernels and norms
+                        p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
+                    window = rng.standard_normal((2, t, n, d_in))
+                    target = rng.standard_normal((2, cfg.H, n, 1))
+                    results = []
+                    for run in (forward, generic_forward):
+                        model.zero_grads()
+                        tape = Tape()
+                        out = run(tape, model, window)
+                        tape.backward(ad.mae_loss(tape, out, target))
+                        results.append((out.value, [p.grad.copy() for p in model.params()]))
+                    (got, got_grads), (want, want_grads) = results
+                    case = (s, k_hops, d_in)
+                    assert np.max(np.abs(got - want)) < 1e-12, case
+                    for p, a, b in zip(model.params(), got_grads, want_grads):
+                        assert np.max(np.abs(a - b)) < 1e-10, (p.name, case)
+
+    def test_full_width_work_only_on_the_carry(self, rng, monkeypatch):
+        # under as_written, the GEMMs against the full theta see one snapshot
+        # per carried pass; transposed carried passes stay generic
+        n = 3
+        g = random_sensor_graph(rng, n)
+        for direction, rows in (("as_written", 3), ("transposed", 4 + 4 + 3)):
+            cfg = ModelConfig(K=1, m=4, s=1, d=8, T=12, H=1, temporal_direction=direction)
+            model = IstdGcnModel(cfg, g, seed=0)
+            widths = []
+            linear = ad.linear
+
+            def counting(tape, x, theta):
+                widths.append((x.value.shape[:-1], theta.value.shape[0]))
+                return linear(tape, x, theta)
+
+            monkeypatch.setattr(ad, "linear", counting)
+            forward(Tape(), model, rng.standard_normal((2, cfg.T, n, 1)))
+            monkeypatch.setattr(ad, "linear", linear)
+            full = [lead for lead, width in widths if width == 2 * cfg.d]
+            assert sum(np.prod(lead) for lead in full) == rows * 2 * n, direction
+
+
 class TestEncode:
     @pytest.mark.parametrize("t,m,expected", [(12, 2, 11), (7, 3, 3), (12, 12, 1)])
     def test_iteration_examples(self, t, m, expected):
@@ -292,24 +352,28 @@ class TestForward:
         assert np.array_equal(got, forward(Tape(), model, window).value)
 
     def test_diffusion_shared_across_channels(self, rng, monkeypatch):
-        # one spmm_diff per encoder pass, whatever s and K are: it writes all
-        # K hops of both graphs, so calls = passes = expected_iterations(T, m)
+        # whatever s and K are, each diffusion writes all K hops of both
+        # graphs: per carried pass one of the carry, at d width through the
+        # row-0 operators, and per encoder pass one of the raw window, at
+        # d_in width over the m-snapshot block; calls = 2 * passes - 1
         g = random_sensor_graph(rng, 3)
         calls = []
-        spmm_diff = ad.spmm_diff
+        diffuse = ad.diffuse
 
-        def counting(tape, ops, x, k_hops):
-            calls.append((len(ops), k_hops))
-            return spmm_diff(tape, ops, x, k_hops)
+        def counting(ops, x, k_hops):
+            calls.append((len(ops), k_hops, ops[0].m, x.shape[-1]))
+            return diffuse(ops, x, k_hops)
 
-        monkeypatch.setattr(ad, "spmm_diff", counting)
+        monkeypatch.setattr(ad, "diffuse", counting)
         for s in (1, 3):
             for k_hops in (1, 3):
                 cfg = tiny_config(s=s, K=k_hops)
                 model = IstdGcnModel(cfg, g, seed=0)
                 calls.clear()
                 forward(Tape(), model, rng.standard_normal((cfg.T, 3, 1)))
-                assert calls == [(2, k_hops)] * expected_iterations(cfg.T, cfg.m)
+                raw, carry = (2, k_hops, cfg.m, 1), (2, k_hops, 1, cfg.d)
+                passes = expected_iterations(cfg.T, cfg.m)
+                assert calls == [raw] + [carry, raw] * (passes - 1)
 
     def test_tape_records_one_block_assembly_per_pass(self, rng, monkeypatch):
         g = random_sensor_graph(rng, 3)
@@ -328,13 +392,15 @@ class TestForward:
         passes = expected_iterations(cfg.T, cfg.m)
         # only the first pass has no carry
         assert slices == [False] + [True] * (passes - 1)
-        # per pass, whatever K and s are: slice_time, one spmm_diff, then one
-        # linear, layer_norm, temporal_compress and mix linear for all s
-        # channels; once per forward, s + 1 concat_features stack the thetas
-        # and 3 more the scales, shifts and kernels; around them the input
-        # linear and the 6 decoder records: 1 + 6 * passes + (s + 4) + 6
-        per_pass = 6
-        assert len(tape) == 1 + passes * per_pass + (cfg.s + 4) + 6 == 31
+        # per pass, whatever K and s are: slice_time, the linear of the raw
+        # window's diffusion against theta_fold, then layer_norm,
+        # temporal_compress and the mix linear for all s channels; a carried
+        # pass adds the carry's spmm_diff and its linear.  Once per forward,
+        # s + 1 concat_features stack the thetas, one kron_linear folds them
+        # and 3 more concat_features stack the scales, shifts and kernels;
+        # around them the input linear and the 6 decoder records:
+        # 1 + 5 * passes + 2 * (passes - 1) + (s + 5) + 6
+        assert len(tape) == 1 + 5 * passes + 2 * (passes - 1) + (cfg.s + 5) + 6 == 33
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 
