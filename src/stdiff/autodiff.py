@@ -324,12 +324,12 @@ def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
-    mask = x.value > 0
-    out = Tensor(np.where(mask, x.value, 0.0))
+    """max(x, 0); a NaN passes through, so it reaches the output."""
+    out = Tensor(np.maximum(x.value, 0.0))
 
     def backward():
         x.ensure_grad()
-        x.grad += np.where(mask, out.grad, 0.0)
+        x.grad += np.where(x.value > 0, out.grad, 0.0)
 
     tape.record(backward)
     return out

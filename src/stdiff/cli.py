@@ -24,12 +24,12 @@ from .autodiff import Tape, grad_check
 from .checkpoint import restore_params
 from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
                    make_windows, save_speed_csv)
-from .errors import ArgumentError, FormatError, StdiffError
+from .errors import ArgumentError, DomainError, FormatError, StdiffError
 from .graph import build_gaussian_adjacency, load_adjacency, load_distance_csv, save_adjacency
 from .metrics import (evaluate, historical_average_baseline, horizon_minutes,
                       metrics_by_horizon)
 from .model import IstdGcnModel, ModelConfig, forward
-from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_batch,
+from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_windows,
                        split_dataset, train, zscore)
 
 ENV_PREFIX = "STDIFF_"
@@ -131,7 +131,10 @@ def _load_dataset(args, cfg: ModelConfig, graph=None):
     series = load_speed_csv(args.data, graph=graph)
     windows = make_windows(series, cfg.T, cfg.H)
     train_w, val_w, test_w = split_dataset(windows)
-    stats = compute_norm_stats(np.stack([w.history for w in train_w]))
+    try:
+        stats = compute_norm_stats(np.stack([w.history for w in train_w]))
+    except DomainError as exc:
+        raise FormatError(f"{args.data}: training range: {exc}") from None
     return graph, series, (train_w, val_w, test_w), stats
 
 
@@ -213,10 +216,7 @@ def cmd_predict(args) -> int:
     minutes = [horizon_minutes(h + 1, series.interval) for h in range(cfg.H)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
-        for lo in range(0, len(test_w), 64):
-            chunk = test_w[lo:lo + 64]
-            hist = np.stack([w.history for w in chunk])
-            preds = predict_batch(model, hist, stats)
+        for chunk, preds in predict_windows(model, test_w, stats, 64):
             for w, pred in zip(chunk, preds):
                 for h in range(cfg.H):
                     ts = int(w.target_timestamps[h])

@@ -56,7 +56,7 @@ class WindowSample:
     history: np.ndarray            # (T, n, 1)
     target: np.ndarray             # (H, n, 1)
     start_index: int
-    target_timestamps: np.ndarray | None = None
+    target_timestamps: np.ndarray
 
 
 def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:

@@ -149,7 +149,7 @@ def load_adjacency(prefix) -> SensorGraph:
     ids = [str(s) for s in ids]
     if len(set(ids)) != n:
         raise FormatError(f"{bad}: duplicate sensor id")
-    rows, cols, vals = [], [], []
+    rows, cols, vals, seen = [], [], [], set()
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -169,6 +169,9 @@ def load_adjacency(prefix) -> SensorGraph:
                 raise FormatError(f"{where}: index out of range for n={n}")
             if not (math.isfinite(v) and v >= 0):
                 raise FormatError(f"{where}: weight {line[2]!r} is not finite and nonnegative")
+            if (r, c) in seen:
+                raise FormatError(f"{where}: duplicate edge ({r}, {c})")
+            seen.add((r, c))
             rows.append(r)
             cols.append(c)
             vals.append(v)

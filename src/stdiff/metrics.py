@@ -1,10 +1,12 @@
 """Evaluation metrics, horizon-sliced reporting, and the historical-average
 baseline.
 
-MAE and MAPE follow their standard definitions over unmasked entries; RMSE
-is the conventional sqrt-of-mean-squared-error.  MAPE is reported in
-percent with a small denominator shift, and zero-target entries (the
-datasets' missing-data convention) are excluded by the default mask.
+MAE, RMSE and MAPE are computed together over the same unmasked entries.
+MAE and MAPE follow their standard definitions; RMSE is the conventional
+sqrt-of-mean-squared-error.  MAPE is reported in percent with a small
+denominator shift, and zero-target entries (the datasets' missing-data
+convention) are excluded by the default mask.  The historical average
+predicts each sensor's mean observed reading at the same time-of-week slot.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .data import DEFAULT_INTERVAL
 from .errors import ArgumentError, DomainError, ShapeError
-from .training import NormStats, predict_batch
+from .training import NormStats, predict_windows
 
 DEFAULT_HORIZONS = (3, 6, 12)  # snapshots: 15 / 30 / 60 minutes at 5-min interval
 
@@ -29,7 +31,13 @@ def horizon_minutes(steps: int, interval: int) -> int | float:
     return int(minutes) if minutes.is_integer() else minutes
 
 
-def _prep(pred, target, mask):
+def masked_errors(pred, target, mask=None, delta: float = 1e-5) -> tuple[float, float, float]:
+    """MAE, RMSE and MAPE (percent) over the entries ``mask`` keeps.
+
+    The default mask keeps the nonzero targets.
+    """
+    if delta <= 0:
+        raise ArgumentError("mape delta must be positive")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -42,25 +50,23 @@ def _prep(pred, target, mask):
             raise ShapeError("mask shape mismatch")
     if not mask.any():
         raise DomainError("empty mask: metric undefined")
-    return pred[mask], target[mask]
+    t = target[mask]
+    err = np.abs(pred[mask] - t)
+    return (float(err.mean()), float(np.sqrt((err ** 2).mean())),
+            float((err / (t + delta)).mean() * 100.0))
 
 
 def mae(pred, target, mask=None) -> float:
-    p, t = _prep(pred, target, mask)
-    return float(np.abs(p - t).mean())
+    return masked_errors(pred, target, mask)[0]
 
 
 def rmse(pred, target, mask=None) -> float:
-    p, t = _prep(pred, target, mask)
-    return float(np.sqrt(((p - t) ** 2).mean()))
+    return masked_errors(pred, target, mask)[1]
 
 
 def mape(pred, target, mask=None, delta: float = 1e-5) -> float:
     """Mean absolute percentage error, in percent."""
-    if delta <= 0:
-        raise ArgumentError("mape delta must be positive")
-    p, t = _prep(pred, target, mask)
-    return float((np.abs(p - t) / (t + delta)).mean() * 100.0)
+    return masked_errors(pred, target, mask, delta)[2]
 
 
 @dataclass(frozen=True)
@@ -93,85 +99,45 @@ def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None,
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim < 3:
         raise ShapeError("expected matching (B, H, n, ...) arrays")
+    mask = target != 0.0 if mask is None else np.asarray(mask, dtype=bool)
     h_avail = pred.shape[1]
-    if mask is None:
-        mask = target != 0.0
-    rows = []
-    for h in horizons:
-        if h > h_avail:
-            continue
-        idx = h - 1
-        rows.append(HorizonMetrics(
-            horizon_min=horizon_minutes(h, interval),
-            mae=mae(pred[:, idx], target[:, idx], mask[:, idx]),
-            rmse=rmse(pred[:, idx], target[:, idx], mask[:, idx]),
-            mape=mape(pred[:, idx], target[:, idx], mask[:, idx]),
-            n_samples=pred.shape[0],
-        ))
-    aggregate = HorizonMetrics(
-        horizon_min=horizon_minutes(h_avail, interval),
-        mae=mae(pred, target, mask),
-        rmse=rmse(pred, target, mask),
-        mape=mape(pred, target, mask),
-        n_samples=pred.shape[0],
-    )
-    return EvalReport(per_horizon=tuple(rows), aggregate=aggregate)
+
+    def row(h, sl):
+        return HorizonMetrics(horizon_minutes(h, interval),
+                              *masked_errors(pred[sl], target[sl], mask[sl]), pred.shape[0])
+
+    return EvalReport(per_horizon=tuple(row(h, np.s_[:, h - 1]) for h in horizons
+                                        if h <= h_avail),
+                      aggregate=row(h_avail, np.s_[:]))
 
 
-def historical_average_baseline(
-    train_series,
-    eval_windows: list,
-    *,
-    mode: str = "weekly",
-) -> np.ndarray:
-    """Constant-per-slot predictions from the training stream.
+def historical_average_baseline(train_series, eval_windows: list) -> np.ndarray:
+    """(windows, H, n, 1) historical-average forecasts from the training stream.
 
-    ``weekly`` averages each vertex at the same time-of-week slot; ``global``
-    uses the per-vertex mean.  Predictions are constant across horizons.
-    Falls back to global mode with a warning when the stream is shorter than
-    one weekly cycle.
+    A sensor's forecast for a snapshot is its mean observed (nonzero) reading
+    at the same time-of-week slot of the training stream, so forecasts follow
+    the weekly pattern along the horizon.  A slot with no readings takes the
+    sensor's mean over the whole stream, and a sensor with none predicts 0.
+    A stream shorter than one week is the one-slot case, with a warning: every
+    horizon then gets the sensor's mean.
     """
-    if mode not in ("weekly", "global"):
-        raise ArgumentError(f"unknown baseline mode {mode!r}")
-    values = train_series.values
-    interval = train_series.interval
-    week_slots = 7 * 86400 // interval
-    if mode == "weekly" and values.shape[0] < week_slots:
-        warnings.warn("training stream shorter than one week; using global mode")
-        mode = "global"
-    obs = np.where(values != 0.0, values, np.nan)
-    n = values.shape[1]
-    if mode == "global":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            level = np.nanmean(obs, axis=0)
-        level = np.nan_to_num(level)
-        slot_mean = None
-    else:
-        slots = (train_series.timestamps // interval) % week_slots
-        slot_mean = np.full((week_slots, n), np.nan)
-        for slot in range(week_slots):
-            rows = obs[slots == slot]
-            if rows.size:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    slot_mean[slot] = np.nanmean(rows, axis=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            level = np.nanmean(obs, axis=0)
-        level = np.nan_to_num(level)
-        slot_mean = np.where(np.isfinite(slot_mean), slot_mean, level)
-    preds = []
-    for w in eval_windows:
-        h_len = w.target.shape[0]
-        if mode == "global":
-            block = np.broadcast_to(level, (h_len, n)).copy()
-        else:
-            t0 = w.target_timestamps[0] if w.target_timestamps is not None else 0
-            slot0 = (t0 // interval) % week_slots
-            block = np.stack([slot_mean[(slot0 + h) % week_slots] for h in range(h_len)])
-        preds.append(block[..., None])
-    return np.stack(preds)
+    values, interval = train_series.values, train_series.interval
+    n_slots = 7 * 86400 // interval
+    if len(values) < n_slots:
+        warnings.warn("training stream shorter than one week; one slot per sensor")
+        n_slots = 1
+    count = (values != 0.0).sum(axis=0)
+    level = np.where(count > 0, values.sum(axis=0) / np.maximum(count, 1), 0.0)
+    # rows laid out week by week from slot 0; the padding reads 0, i.e. missing
+    first = (train_series.timestamps[0] // interval) % n_slots
+    padded = np.zeros((-(-(first + len(values)) // n_slots) * n_slots, values.shape[1]))
+    padded[first:first + len(values)] = values
+    weeks = padded.reshape(-1, n_slots, values.shape[1])
+    slot_count = (weeks != 0.0).sum(axis=0)
+    slot_mean = np.where(slot_count > 0, weeks.sum(axis=0) / np.maximum(slot_count, 1), level)
+    start = np.array([w.target_timestamps[0] for w in eval_windows]) // interval
+    steps = start[:, None] + np.arange(eval_windows[0].target.shape[0])
+    return slot_mean[steps % n_slots][..., None]
 
 
 def evaluate(
@@ -189,12 +155,6 @@ def evaluate(
     """
     if not test_windows:
         raise ArgumentError("empty test set")
-    preds, targs = [], []
-    for lo in range(0, len(test_windows), batch_size):
-        chunk = test_windows[lo:lo + batch_size]
-        hist = np.stack([w.history for w in chunk])
-        preds.append(predict_batch(model, hist, stats))
-        targs.append(np.stack([w.target for w in chunk]))
-    return metrics_by_horizon(np.concatenate(preds), np.concatenate(targs),
+    pred = np.concatenate([p for _, p in predict_windows(model, test_windows, stats, batch_size)])
+    return metrics_by_horizon(pred, np.stack([w.target for w in test_windows]),
                               horizons=horizons, interval=interval)
-

@@ -145,12 +145,6 @@ class TrainReport:
     stopped_early: bool
 
 
-def _batch_arrays(windows: list) -> tuple[np.ndarray, np.ndarray]:
-    hist = np.stack([w.history for w in windows])
-    targ = np.stack([w.target for w in windows])
-    return hist, targ
-
-
 def predict_batch(model: IstdGcnModel, history: np.ndarray, stats: NormStats) -> np.ndarray:
     """Denormalized model predictions for a (B, T, n, d_in) history block.
 
@@ -160,19 +154,20 @@ def predict_batch(model: IstdGcnModel, history: np.ndarray, stats: NormStats) ->
     return inverse_zscore(pred.value, stats)
 
 
-def _validation_metrics(model, windows, stats, batch_size):
-    from .metrics import mae, mape, rmse  # local import avoids a cycle
+def predict_windows(model: IstdGcnModel, windows: list, stats: NormStats, batch_size: int):
+    """Yield each run of ``batch_size`` windows with its denormalized predictions.
 
-    preds, targs = [], []
+    The one loop that batches windows through ``predict_batch``.  A window
+    whose prediction is not finite raises ``NumericError`` naming its start.
+    """
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo:lo + batch_size]
-        hist, targ = _batch_arrays(chunk)
-        preds.append(predict_batch(model, hist, stats))
-        targs.append(targ)
-    pred = np.concatenate(preds)
-    targ = np.concatenate(targs)
-    mask = targ != 0.0
-    return mae(pred, targ, mask), rmse(pred, targ, mask), mape(pred, targ, mask)
+        pred = predict_batch(model, np.stack([w.history for w in chunk]), stats)
+        finite = np.isfinite(pred).reshape(len(chunk), -1).all(axis=1)
+        if not finite.all():
+            bad = chunk[int(np.argmin(finite))].start_index
+            raise NumericError(f"non-finite prediction for the window starting at {bad}")
+        yield chunk, pred
 
 
 def train(
@@ -192,6 +187,8 @@ def train(
     Batch order is shuffled per epoch from ``config.seed``, so runs are
     deterministic end to end.
     """
+    from .metrics import evaluate  # local import avoids a cycle
+
     if not train_windows or not val_windows:
         raise ArgumentError("need nonempty train and validation sets")
     rng = np.random.default_rng(config.seed)
@@ -209,7 +206,8 @@ def train(
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train_windows[i] for i in order[lo:lo + config.batch_size]]
-            hist, targ = _batch_arrays(batch)
+            hist = np.stack([w.history for w in batch])
+            targ = np.stack([w.target for w in batch])
             tape = Tape()
             pred = forward(tape, model, zscore(hist, stats))
             loss = mae_l2_loss(tape, pred, zscore(targ, stats), params, config.l2_lambda)
@@ -223,12 +221,11 @@ def train(
             optimizer_step(params, state, config)
             epoch_loss += float(loss.value)
             n_batches += 1
-        val_mae, val_rmse, val_mape = _validation_metrics(
-            model, val_windows, stats, config.batch_size)
-        logs.append(EpochLog(epoch, epoch_loss / n_batches, val_mae, val_rmse,
-                             val_mape, time.monotonic() - start))
-        if val_mae < best_val:
-            best_val = val_mae
+        val = evaluate(model, val_windows, stats, batch_size=config.batch_size).aggregate
+        logs.append(EpochLog(epoch, epoch_loss / n_batches, val.mae, val.rmse,
+                             val.mape, time.monotonic() - start))
+        if val.mae < best_val:
+            best_val = val.mae
             best_epoch = epoch
             best_values = [p.value.copy() for p in params]
         elif epoch - best_epoch >= config.early_stop_patience:

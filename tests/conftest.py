@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stdiff.training as training
 from stdiff.autodiff import Tape
 from stdiff.graph import SensorGraph
 from stdiff.sparse import SparseMatrix
@@ -42,3 +43,17 @@ def tapes_seen(monkeypatch):
 
     monkeypatch.setattr(Tape, "record", logging_record)
     return seen
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of windows of each ``predict_batch`` call during the test, in order."""
+    sizes = []
+    predict = training.predict_batch
+
+    def counting(model, history, stats):
+        sizes.append(len(history))
+        return predict(model, history, stats)
+
+    monkeypatch.setattr(training, "predict_batch", counting)
+    return sizes

@@ -521,6 +521,17 @@ class TestMlpDecode:
         y = ad.mlp_decode(Tape(), Tensor(x), w1, b1, w2, b2, horizon=1, d_out=d)
         assert np.array_equal(y.value[0], x)
 
+    def test_relu_passes_nan_and_keeps_finite_bits(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", False)  # the inputs are non-finite on purpose
+        x = np.concatenate([rng.standard_normal(200), [-0.0, 0.0, np.inf, -np.inf, np.nan]])
+        out = ad.relu(Tape(), Tensor(x)).value
+        finite = np.isfinite(x)
+        # bit for bit what the earlier np.where(x > 0, x, 0.0) gave, +0.0 for -0.0 included
+        want = np.where(x > 0, x, 0.0)
+        assert np.array_equal(out[finite], want[finite])
+        assert not np.signbit(out[finite]).any()
+        assert out[-3] == np.inf and out[-2] == 0.0 and np.isnan(out[-1])
+
     def test_finite_differences(self, rng):
         for _ in range(30):
             x = ParamArray("x", rng.standard_normal((3, 4)))

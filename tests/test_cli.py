@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import stdiff.autodiff as ad
 import stdiff.cli as cli
 from stdiff.autodiff import ParamArray
 from stdiff.checkpoint import load_params, save_params
@@ -171,7 +172,7 @@ class TestTrain:
         digest = hashlib.sha256((root / "speed.csv").read_bytes()).hexdigest()
         assert manifest["inputs"][str(root / "speed.csv")] == digest
 
-    @pytest.mark.parametrize("record", ["0,x,0.5", "0,1", "0,99,0.5"])
+    @pytest.mark.parametrize("record", ["0,x,0.5", "0,1", "0,99,0.5", "0,1,0.5\n0,1,0.5"])
     def test_bad_adjacency_exits_2_naming_csv(self, dataset, tmp_path, capsys, record):
         root, _graph, _series = dataset
         (tmp_path / "adj.json").write_text((root / "adj.json").read_text())
@@ -238,6 +239,19 @@ class TestTrain:
         assert str(config) in err and field in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("reading", [0.0, 42.0], ids=["all_missing", "constant"])
+    def test_training_range_without_usable_readings_exits_2_naming_csv(
+            self, dataset, tmp_path, capsys, reading):
+        root, _graph, series = dataset
+        flat = tmp_path / "flat.csv"
+        save_speed_csv(SpeedSeries(series.timestamps, np.full_like(series.values, reading),
+                                   series.ids), flat)
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--data") + 1] = str(flat)
+        assert main(args) == 2
+        assert str(flat) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset
         short = type(series)(series.timestamps[:9], series.values[:9], series.ids)
@@ -283,6 +297,20 @@ class TestEval:
                      "--data", str(tmp_path / "short.csv"),
                      "--adj", str(root / "adj"), "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("reading", [0.0, 42.0], ids=["all_missing", "constant"])
+    def test_training_range_without_usable_readings_exits_2_naming_csv(
+            self, trained, tmp_path, capsys, reading):
+        root, run, series = trained
+        flat = tmp_path / "flat.csv"
+        save_speed_csv(SpeedSeries(series.timestamps, np.full_like(series.values, reading),
+                                   series.ids), flat)
+        out = tmp_path / "out" / "r.csv"
+        code = main(["eval", "--checkpoint", str(run / "best.stdf"), "--data", str(flat),
+                     "--adj", str(root / "adj"), "--out", str(out)])
+        assert code == 2
+        assert str(flat) in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_missing_checkpoint_exits_2(self, trained, tmp_path):
         root, _run, _series = trained
@@ -420,6 +448,36 @@ class TestForwardOnlyCommands:
     def test_keeps_no_records(self, trained, tmp_path, tapes_seen, command):
         self.invoke(trained, tmp_path, command)
         assert tapes_seen and all(len(t) == 0 for t in tapes_seen.values())
+
+    def test_predicts_64_windows_per_batch(self, trained, tmp_path, batch_sizes, command):
+        root, run, series = trained
+        rng = np.random.default_rng(7)
+        steps = 400
+        long = SpeedSeries(series.timestamps[0] + 300 * np.arange(steps, dtype=np.int64),
+                           rng.uniform(20.0, 70.0, size=(steps, len(series.ids))), series.ids)
+        save_speed_csv(long, tmp_path / "long.csv")
+        n_test = len(split_dataset(make_windows(long, TINY.T, TINY.H))[2])
+        assert main([command, "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(tmp_path / "long.csv"), "--adj", str(root / "adj"),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert n_test % 64 and batch_sizes == [64] * (n_test // 64) + [n_test % 64]
+
+    def test_non_finite_prediction_exits_1_naming_window(self, trained, tmp_path, monkeypatch,
+                                                         capsys, command):
+        # the loop's own message, so op-level debug checks stay off
+        monkeypatch.setattr(ad, "_DEBUG", False)
+        restore = cli.restore_params
+
+        def restore_then_poison(params, path):
+            restore(params, path)
+            next(p for p in params if p.name == "ch0.theta_nh1").value[0, 1] = np.nan
+
+        monkeypatch.setattr(cli, "restore_params", restore_then_poison)
+        root, run, _series = trained
+        assert main([command, "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
+                     "--out", str(tmp_path / f"{command}.csv")]) == 1
+        assert "non-finite prediction for the window starting at" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

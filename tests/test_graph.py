@@ -126,11 +126,19 @@ class TestAdjacencyIO:
         "-1,1,0.5",      # negative index
         "0,1,nan",       # non-finite weight
         "0,1,-0.5",      # negative weight
+        "1,2,0.25",      # the edge of line 2 again
     ])
     def test_bad_adjacency_record_names_csv(self, tmp_path, record):
         (tmp_path / "adj.json").write_text('{"n": 3, "ids": ["a", "b", "c"]}\n')
         (tmp_path / "adj.csv").write_text(f"row,col,weight\n1,2,0.25\n{record}\n")
         with pytest.raises(FormatError, match=r"adj\.csv line 3"):
+            load_adjacency(tmp_path / "adj")
+
+    def test_repeated_edge_rejected_not_summed(self, tmp_path):
+        # the reversed edge (1, 0) is another entry; a second (0, 1) used to load as 1.0
+        (tmp_path / "adj.json").write_text('{"n": 2, "ids": ["a", "b"]}\n')
+        (tmp_path / "adj.csv").write_text("row,col,weight\n0,1,0.5\n1,0,0.5\n0,1,0.5\n")
+        with pytest.raises(FormatError, match=r"adj\.csv line 4: duplicate edge \(0, 1\)"):
             load_adjacency(tmp_path / "adj")
 
     @pytest.mark.parametrize("sidecar", [

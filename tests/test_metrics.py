@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,28 +136,110 @@ def weekly_series(weeks=2, interval=300):
     return SpeedSeries(ts, values, ("a", "b"))
 
 
+def slot_loop_reference(train_series, eval_windows):
+    """The historical average as a per-slot ``nanmean`` loop, one time-of-week slot at a time.
+
+    A stream shorter than one week averages each sensor over the whole stream.
+    """
+    values, interval = train_series.values, train_series.interval
+    week_slots = 7 * 86400 // interval
+    obs = np.where(values != 0.0, values, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        level = np.nan_to_num(np.nanmean(obs, axis=0))
+        if values.shape[0] < week_slots:
+            slot_mean, week_slots = level[None], 1
+        else:
+            slots = (train_series.timestamps // interval) % week_slots
+            slot_mean = np.full((week_slots, values.shape[1]), np.nan)
+            for slot in range(week_slots):
+                rows = obs[slots == slot]
+                if rows.size:
+                    slot_mean[slot] = np.nanmean(rows, axis=0)
+            slot_mean = np.where(np.isfinite(slot_mean), slot_mean, level)
+    preds = []
+    for w in eval_windows:
+        slot0 = (w.target_timestamps[0] // interval) % week_slots
+        preds.append(np.stack([slot_mean[(slot0 + h) % week_slots]
+                               for h in range(w.target.shape[0])])[..., None])
+    return np.stack(preds)
+
+
+def noisy_series(rng, days, interval=300, n=3, start=1_577_836_800 + 7_200):
+    """Random speeds from ``start``, about 3% of them stored as 0 (missing)."""
+    steps = days * 86400 // interval
+    ts = start + np.arange(steps, dtype=np.int64) * interval
+    vals = rng.uniform(20.0, 70.0, size=(steps, n))
+    vals[rng.random(vals.shape) < 0.03] = 0.0
+    return SpeedSeries(ts, vals, tuple(f"s{i}" for i in range(n)))
+
+
+def always_zero_sensor(rng):
+    series = noisy_series(rng, days=15)
+    series.values[:, 1] = 0.0
+    return series
+
+
+def slot_without_readings(rng):
+    series = noisy_series(rng, days=15)
+    slots = (series.timestamps // 300) % 2016
+    series.values[slots == 7] = 0.0
+    series.values[slots == 8, 2] = 0.0
+    return series
+
+
 class TestHistoricalAverage:
-    def test_weekly_mode_recovers_slot_pattern(self):
+    @pytest.mark.parametrize("make", [
+        lambda rng: noisy_series(rng, days=22),
+        always_zero_sensor,
+        slot_without_readings,
+        lambda rng: noisy_series(rng, days=16, interval=600),
+    ], ids=["three_weeks", "always_zero_sensor", "slot_without_readings", "600s"])
+    def test_equals_slot_loop_reference(self, rng, make):
+        series = make(rng)
+        windows = make_windows(series, 12, 12, stride=7)
+        got = historical_average_baseline(series, windows)
+        assert np.array_equal(got, slot_loop_reference(series, windows))
+
+    def test_single_sensor_many_weeks_within_rounding_of_reference(self, rng):
+        # nanmean sums a one-column slot of 8+ rows pairwise, the baseline week by week
+        series = noisy_series(rng, days=63, n=1)
+        windows = make_windows(series, 12, 12, stride=97)
+        got = historical_average_baseline(series, windows)
+        np.testing.assert_allclose(got, slot_loop_reference(series, windows),
+                                   rtol=8 * np.finfo(np.float64).eps, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_short_stream_equals_slot_loop_reference(self, rng, n):
+        series = noisy_series(rng, days=5, n=n)
+        windows = make_windows(series, 12, 12, stride=5)
+        with pytest.warns(UserWarning, match="shorter than one week"):
+            got = historical_average_baseline(series, windows)
+        assert np.array_equal(got, slot_loop_reference(series, windows))
+
+    def test_recovers_weekly_slot_pattern(self):
         series = weekly_series(weeks=2)
         windows = make_windows(series, 12, 12, stride=50)
-        preds = historical_average_baseline(series, windows, mode="weekly")
+        preds = historical_average_baseline(series, windows)
         for w, p in zip(windows, preds):
             assert np.max(np.abs(p - w.target)) < 1e-12
 
-    def test_global_mode_is_constant_per_vertex(self):
+    def test_short_stream_is_constant_per_vertex(self):
+        # one slot: every horizon of every window gets the sensor's mean
         series = weekly_series(weeks=1)
-        windows = make_windows(series, 12, 12, stride=100)
-        preds = historical_average_baseline(series, windows, mode="global")
-        assert np.allclose(preds[:, :, 0, 0], preds[0, 0, 0, 0])
-        mean_a = series.values[:, 0].mean()
-        assert preds[0, 0, 0, 0] == pytest.approx(mean_a, rel=1e-12)
+        short = SpeedSeries(series.timestamps[:-1], series.values[:-1], series.ids)
+        windows = make_windows(short, 12, 12, stride=100)
+        with pytest.warns(UserWarning, match="shorter than one week"):
+            preds = historical_average_baseline(short, windows)
+        assert np.all(preds[:, :, 0, 0] == preds[0, 0, 0, 0])
+        assert preds[0, 0, 0, 0] == pytest.approx(short.values[:, 0].mean(), rel=1e-12)
 
     def test_short_stream_falls_back_with_warning(self):
         ts = np.arange(50, dtype=np.int64) * 300
         series = SpeedSeries(ts, np.full((50, 2), 42.0), ("a", "b"))
         windows = make_windows(series, 12, 12)
         with pytest.warns(UserWarning, match="shorter than one week"):
-            preds = historical_average_baseline(series, windows, mode="weekly")
+            preds = historical_average_baseline(series, windows)
         assert np.allclose(preds, 42.0)
 
     def test_zero_entries_excluded_from_averages(self):
@@ -164,10 +248,6 @@ class TestHistoricalAverage:
         vals[::4] = 0.0  # missing
         series = SpeedSeries(ts, vals, ("a",))
         windows = make_windows(series, 12, 12)
-        preds = historical_average_baseline(series, windows, mode="global")
+        with pytest.warns(UserWarning, match="shorter than one week"):
+            preds = historical_average_baseline(series, windows)
         assert np.allclose(preds, 50.0)
-
-    def test_unknown_mode_rejected(self):
-        series = weekly_series(weeks=1)
-        with pytest.raises(ArgumentError):
-            historical_average_baseline(series, [], mode="monthly")

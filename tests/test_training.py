@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from stdiff.metrics import evaluate
 from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.training import (AdamState, NormStats, TrainConfig, compute_norm_stats,
                              inverse_zscore, mae_l2_loss, optimizer_step, predict_batch,
-                             split_dataset, train, zscore)
+                             predict_windows, split_dataset, train, zscore)
 
 
 def tiny_setup(seed=0, steps=40, **cfg_overrides):
@@ -250,6 +252,57 @@ class TestForwardOnlyPasses:
         n_train, n_val = -(-len(tr) // 4), -(-len(va) // 4)
         assert len(kept) == n_train + n_val
         assert all(kept[:n_train]) and kept[n_train:] == [0] * n_val
+
+
+def nan_history(window):
+    return dataclasses.replace(window, history=np.full_like(window.history, np.nan))
+
+
+class TestPredictionLoop:
+    def test_evaluate_predicts_64_windows_per_batch(self, batch_sizes):
+        _cfg, _g, _series, windows, model = tiny_setup(steps=160)
+        stats = compute_norm_stats(np.stack([w.history for w in windows]))
+        evaluate(model, windows, stats)
+        assert batch_sizes == [64, 64, len(windows) - 128]
+
+    def test_validation_predicts_batch_size_windows_per_batch(self, batch_sizes):
+        _cfg, _g, _series, windows, model = tiny_setup(steps=60)
+        tr, va, _te = split_dataset(windows)
+        stats = compute_norm_stats(np.stack([w.history for w in tr]))
+        train(model, tr, va, stats, TrainConfig(epochs=2, batch_size=4))
+        per_epoch = [4] * (len(va) // 4) + [len(va) % 4]
+        assert len(va) % 4 and batch_sizes == per_epoch * 2
+
+    def test_names_first_window_with_a_non_finite_prediction(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", False)
+        _cfg, _g, _series, windows, model = tiny_setup()
+        stats = compute_norm_stats(np.stack([w.history for w in windows]))
+        windows = windows[:9] + [nan_history(w) for w in windows[9:11]] + windows[11:]
+        done = []
+        with pytest.raises(NumericError, match="window starting at 9$"):
+            for chunk, _pred in predict_windows(model, windows, stats, 4):
+                done.append(chunk)
+        assert done == [windows[:4], windows[4:8]]
+
+    def test_nan_parameter_reaches_the_predictions(self, monkeypatch):
+        # relu used to map NaN to 0, so every output was the same finite number
+        monkeypatch.setattr(ad, "_DEBUG", False)
+        _cfg, _g, _series, windows, model = tiny_setup()
+        tr, _va, te = split_dataset(windows)
+        stats = compute_norm_stats(np.stack([w.history for w in tr]))
+        next(p for p in model.params() if p.name == "ch0.theta_nh1").value[0, 1] = np.nan
+        assert np.isnan(predict_batch(model, np.stack([w.history for w in te]), stats)).all()
+        with pytest.raises(NumericError, match=f"window starting at {te[0].start_index}$"):
+            evaluate(model, te, stats)
+
+    def test_validation_refuses_a_non_finite_prediction(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG", False)
+        _cfg, _g, _series, windows, model = tiny_setup()
+        tr, va, _te = split_dataset(windows)
+        stats = compute_norm_stats(np.stack([w.history for w in tr]))
+        va = va[:3] + [nan_history(va[3])] + va[4:]
+        with pytest.raises(NumericError, match=f"window starting at {va[3].start_index}$"):
+            train(model, tr, va, stats, TrainConfig(epochs=1, batch_size=4))
 
 
 def _one_epoch_loss(model, tr, stats, tcfg, epoch_index):
