@@ -1,6 +1,6 @@
 """Spatial-temporal diffusion graph convolution for traffic speed forecasting.
 
-From-scratch implementation: a CSR graph container, block spatial-temporal
+From-scratch implementation: dense graph matrices, block spatial-temporal
 graphs, a tape-based reverse-mode core with hand-derived backward passes,
 the iterative compression encoder with a parallel MLP decoder, training,
 metrics, and a CLI (``stdiff``).

@@ -25,7 +25,8 @@ from .checkpoint import restore_params
 from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
                    make_windows, save_speed_csv)
 from .errors import ArgumentError, DomainError, FormatError, StdiffError
-from .graph import build_gaussian_adjacency, load_adjacency, load_distance_csv, save_adjacency
+from .graph import (build_gaussian_adjacency, load_adjacency, load_distance_csv, open_text,
+                    save_adjacency)
 from .metrics import (evaluate, historical_average_baseline, horizon_minutes,
                       metrics_by_horizon)
 from .model import IstdGcnModel, ModelConfig, forward
@@ -90,7 +91,8 @@ def _model_config(path) -> ModelConfig:
 
 def cmd_build_adj(args) -> int:
     records = load_distance_csv(args.distances)
-    ids = [s for s in Path(args.ids).read_text(encoding="utf-8").split() if s]
+    with open_text(args.ids) as fh:
+        ids = fh.read().split()
     graph = build_gaussian_adjacency(records, ids, epsilon=args.epsilon,
                                      weight_quantile=args.quantile)
     out = Path(args.out)
@@ -214,16 +216,23 @@ def cmd_predict(args) -> int:
     write_manifest(out.parent, "predict", {"model": asdict(cfg)}, _restored_inputs(args),
                    [str(out)])
     minutes = [horizon_minutes(h + 1, series.interval) for h in range(cfg.H)]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
-        for chunk, preds in predict_windows(model, test_w, stats, 64):
-            for w, pred in zip(chunk, preds):
-                for h in range(cfg.H):
-                    ts = int(w.target_timestamps[h])
-                    for v, vid in enumerate(series.ids):
-                        fh.write(f"{ts},{vid},{minutes[h]},"
-                                 f"{float(pred[h, v, 0])!r},"
-                                 f"{float(w.target[h, v, 0])!r}\n")
+    # batches stream into a temporary file that replaces --out only once all
+    # are written, so a failed run leaves no partial CSV behind
+    tmp = out.with_name(out.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
+            for chunk, preds in predict_windows(model, test_w, stats, 64):
+                for w, pred in zip(chunk, preds):
+                    for h in range(cfg.H):
+                        ts = int(w.target_timestamps[h])
+                        for v, vid in enumerate(series.ids):
+                            fh.write(f"{ts},{vid},{minutes[h]},"
+                                     f"{float(pred[h, v, 0])!r},"
+                                     f"{float(w.target[h, v, 0])!r}\n")
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote {out} ({len(test_w)} windows)")
     return 0
 
@@ -324,7 +333,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ArgumentError, FileNotFoundError) as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StdiffError as exc:

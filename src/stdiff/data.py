@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, FormatError, IdentifierError
-from .graph import DistanceRecord, SensorGraph, build_gaussian_adjacency
+from .graph import DistanceRecord, SensorGraph, build_gaussian_adjacency, open_text
 from .sparse import transition_matrix
 
 DEFAULT_INTERVAL = 300  # 5-minute snapshots
@@ -62,7 +62,7 @@ class WindowSample:
 def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:
     """Read a speed CSV; with a graph given, column ids must match its order."""
     ts, rows = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "timestamp" or len(header) < 2:

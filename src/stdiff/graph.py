@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -97,10 +98,24 @@ def build_gaussian_adjacency(
 # -- CSV round trips ---------------------------------------------------
 
 
+@contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text.
+
+    A byte that is not UTF-8, wherever the reader meets it, is a
+    ``FormatError`` naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_distance_csv(path) -> list[DistanceRecord]:
     """Read `from,to,distance` records."""
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["from", "to", "distance"]:
@@ -122,11 +137,10 @@ def load_distance_csv(path) -> list[DistanceRecord]:
 def save_adjacency(graph: SensorGraph, prefix) -> None:
     """Write edge-list CSV `<prefix>.csv` and JSON sidecar `<prefix>.json`."""
     prefix = Path(prefix)
-    adj = graph.adjacency
     with open(prefix.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "weight"])
-        for r, c, v in zip(adj.row_ids(), adj.col_indices, adj.values):
+        for r, c, v in zip(*graph.adjacency.nonzero()):
             writer.writerow([int(r), int(c), repr(float(v))])
     sidecar = {"n": graph.n, "ids": list(graph.vertex_ids)}
     prefix.with_suffix(".json").write_text(json.dumps(sidecar) + "\n", encoding="utf-8")
@@ -150,7 +164,7 @@ def load_adjacency(prefix) -> SensorGraph:
     if len(set(ids)) != n:
         raise FormatError(f"{bad}: duplicate sensor id")
     rows, cols, vals, seen = [], [], [], set()
-    with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
+    with open_text(prefix.with_suffix(".csv")) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["row", "col", "weight"]:

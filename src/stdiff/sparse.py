@@ -1,17 +1,15 @@
-"""CSR sparse matrices: the container graphs are stored, loaded and compared in.
+"""Graph matrices: each one validated, finite, read-only 2-D float64 array.
 
-Canonical form: within each row the column indices are strictly increasing
-and no explicit zeros are stored.  All arrays are immutable after
-construction, so instances can be shared freely across threads.
+The model computes densely.  At road-network sizes (hundreds of sensors) a
+dense matrix of n * n * 8 bytes is small and one BLAS matmul beats any
+sparse kernel, so a graph matrix is stored as nothing but its dense array.
+The class keeps the name ``SparseMatrix``, and ``matmul_sparse`` its name,
+because the benchmark's tracer binds both.
 
-The model computes densely.  ``matmul_dense`` is one BLAS matmul against a
-lazily built, read-only dense copy (rows * cols * 8 bytes), broadcast over
-any leading axes; a GEMM's summation order depends only on the shapes and
-the BLAS thread count, so results are bit-reproducible.  At road-network
-sizes (hundreds of sensors) dense beats any sparse kernel.  ``matmul_sparse``
-is a dense product too, returned as CSR.  With ``matrix_power`` it builds
-only the specification hop powers that tests read; it keeps its name
-because the benchmark's tracer binds it.
+``matmul_dense`` is one matmul broadcast over any leading axes; a GEMM's
+summation order depends only on the shapes and the BLAS thread count, so
+results are bit-reproducible.  ``matmul_sparse`` and ``matrix_power`` build
+only the specification hop powers that tests read.
 """
 from __future__ import annotations
 
@@ -21,125 +19,81 @@ from .errors import ArgumentError, DomainError, ShapeError
 
 
 class SparseMatrix:
-    """Real matrix in canonical CSR form."""
+    """Real graph matrix, held as one read-only dense array."""
 
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "_dense")
+    __slots__ = ("dense",)
 
-    def __init__(self, rows: int, cols: int, row_offsets, col_indices, values):
-        row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if rows < 0 or cols < 0:
-            raise ShapeError(f"negative dimensions ({rows}, {cols})")
-        if row_offsets.shape != (rows + 1,):
-            raise ShapeError("row_offsets must have length rows+1")
-        if row_offsets[0] != 0 or np.any(np.diff(row_offsets) < 0):
-            raise ShapeError("row_offsets must start at 0 and be nondecreasing")
-        nnz = int(row_offsets[-1])
-        if col_indices.shape != (nnz,) or values.shape != (nnz,):
-            raise ShapeError("col_indices/values length must match row_offsets[-1]")
-        if nnz and (col_indices.min() < 0 or col_indices.max() >= cols):
-            raise ShapeError("column index out of range")
-        row_ids = np.repeat(np.arange(rows), np.diff(row_offsets))
-        bad = (row_ids[1:] == row_ids[:-1]) & (np.diff(col_indices) <= 0)
-        if bad.any():
-            raise ShapeError(f"row {row_ids[1:][bad][0]} columns not strictly increasing")
-        if nnz and not np.all(np.isfinite(values)):
-            raise DomainError("non-finite value in sparse matrix")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_offsets = row_offsets
-        self.col_indices = col_indices
-        self.values = values
-        for a in (row_offsets, col_indices, values):
-            a.flags.writeable = False
-        self._dense = None
+    def __init__(self, dense):
+        dense = np.array(dense, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ShapeError("a graph matrix is a 2-D array")
+        if not np.all(np.isfinite(dense)):
+            raise DomainError("non-finite value in graph matrix")
+        dense.flags.writeable = False
+        self.dense = dense
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_coo(rows: int, cols: int, r, c, v) -> "SparseMatrix":
-        """Build from coordinate triples; duplicates are summed, zeros dropped."""
+        """Build from coordinate triples; duplicates are summed in input order."""
         r = np.asarray(r, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         v = np.asarray(v, dtype=np.float64)
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative dimensions ({rows}, {cols})")
         if not (r.shape == c.shape == v.shape):
             raise ShapeError("coo arrays must have equal length")
-        if r.size:
-            if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
-                raise ShapeError("coo index out of range")
-            order = np.lexsort((c, r))
-            r, c, v = r[order], c[order], v[order]
-            # collapse duplicate (r, c) pairs
-            key_change = np.empty(r.size, dtype=bool)
-            key_change[0] = True
-            key_change[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            group = np.cumsum(key_change) - 1
-            rv = np.zeros(group[-1] + 1)
-            np.add.at(rv, group, v)
-            r, c = r[key_change], c[key_change]
-            keep = rv != 0.0
-            r, c, rv = r[keep], c[keep], rv[keep]
-        else:
-            rv = v
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(offsets, r + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return SparseMatrix(rows, cols, offsets, c, rv)
+        if r.size and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
+            raise ShapeError("coo index out of range")
+        dense = np.zeros((rows, cols))
+        np.add.at(dense, (r, c), v)
+        return SparseMatrix(dense)
 
     @staticmethod
     def from_dense(dense) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ShapeError("from_dense expects a 2-D array")
-        r, c = np.nonzero(dense)
-        return SparseMatrix.from_coo(dense.shape[0], dense.shape[1], r, c, dense[r, c])
+        return SparseMatrix(dense)
 
     # -- queries ------------------------------------------------------
 
     @property
-    def nnz(self) -> int:
-        return int(self.row_offsets[-1])
+    def rows(self) -> int:
+        return self.dense.shape[0]
 
-    def row_ids(self) -> np.ndarray:
-        """The row index of each stored entry."""
-        return np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
+    @property
+    def cols(self) -> int:
+        return self.dense.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.dense))
+
+    def nonzero(self) -> tuple:
+        """(rows, cols, values) of the nonzero entries, in row-major order."""
+        r, c = np.nonzero(self.dense)
+        return r, c, self.dense[r, c]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        out[self.row_ids(), self.col_indices] = self.values
-        return out
+        """A writable copy of the matrix."""
+        return self.dense.copy()
 
     def row_degrees(self) -> np.ndarray:
-        """Row sums (out-degrees for an adjacency matrix)."""
-        deg = np.zeros(self.rows)
-        np.add.at(deg, self.row_ids(), self.values)
-        return deg
+        """Row sums (out-degrees for an adjacency matrix), added left to right.
+
+        That order keeps the bits an edge-list sum gives the degrees, and so
+        every prediction; numpy's pairwise ``sum`` would move them an ulp.
+        """
+        return sum(self.dense.T, np.zeros(self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-            and np.array_equal(self.values, other.values)
-        )
+        return np.array_equal(self.dense, other.dense)
 
     # -- kernels ------------------------------------------------------
 
-    @property
-    def dense(self) -> np.ndarray:
-        """Read-only dense copy, built on first use and kept."""
-        if self._dense is None:
-            dense = self.to_dense()
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
-
     def matmul_dense(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A @ X for X (..., cols, k), one matmul against the dense copy.
+        """A @ X for X (..., cols, k), one matmul.
 
         ``out``, when given, receives the product; it may be a strided view.
         """
@@ -149,27 +103,26 @@ class SparseMatrix:
         return np.matmul(self.dense, x, out=out)
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
-        """A @ B as a dense product, returned in canonical CSR."""
+        """A @ B as a dense product."""
         if self.cols != other.rows:
             raise ShapeError("sparse matmul shape mismatch")
-        return SparseMatrix.from_dense(self.to_dense() @ other.to_dense())
+        return SparseMatrix(self.dense @ other.dense)
 
 
 def sparsify(dense) -> SparseMatrix:
     return SparseMatrix.from_dense(dense)
 
 
+def inverse_degrees(deg: np.ndarray) -> np.ndarray:
+    """1 / deg, and 0 where deg is not positive: a zero-degree row diffuses nothing."""
+    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+
+
 def add_self_loops(a: SparseMatrix) -> SparseMatrix:
     """Return A + I; existing diagonal entries are incremented by one."""
     if a.rows != a.cols:
         raise ShapeError("self-loops require a square matrix")
-    diag = np.arange(a.rows, dtype=np.int64)
-    return SparseMatrix.from_coo(
-        a.rows, a.cols,
-        np.concatenate([a.row_ids(), diag]),
-        np.concatenate([a.col_indices, diag]),
-        np.concatenate([a.values, np.ones(a.rows)]),
-    )
+    return SparseMatrix(a.dense + np.eye(a.rows))
 
 
 def transition_matrix(a: SparseMatrix) -> SparseMatrix:
@@ -179,16 +132,13 @@ def transition_matrix(a: SparseMatrix) -> SparseMatrix:
     """
     if a.rows != a.cols:
         raise ShapeError("transition matrix requires a square adjacency")
-    if a.nnz and a.values.min() < 0:
+    if np.any(a.dense < 0):
         raise DomainError("adjacency entries must be nonnegative")
-    deg = a.row_degrees()
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return SparseMatrix(a.rows, a.cols, a.row_offsets, a.col_indices,
-                        a.values * inv[a.row_ids()])
+    return SparseMatrix(a.dense * inverse_degrees(a.row_degrees())[:, None])
 
 
 def matrix_power(p: SparseMatrix, k: int) -> SparseMatrix:
-    """k-th power of a square matrix by repeated products, canonical CSR."""
+    """k-th power of a square matrix by repeated products."""
     if k < 1:
         raise ArgumentError("matrix power requires k >= 1")
     if p.rows != p.cols:

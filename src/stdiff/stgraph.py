@@ -23,8 +23,9 @@ another, never raised to powers.
 hop powers as the specification the operators are tested against.  They
 are built on first access, densely and the way the paper writes them, as
 Kronecker products (``kron(I_m, S)`` plus ``kron(E, I_n)`` with E the
-shifted identity), then stored as CSR; nothing on the forward or backward
-path reads them.
+shifted identity), each held as one dense (m*n) x (m*n) ``SparseMatrix``
+(the name the benchmark binds); nothing on the forward or backward path
+reads them.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .sparse import SparseMatrix, matrix_power, transition_matrix
+from .sparse import SparseMatrix, inverse_degrees, matrix_power, transition_matrix
 
 TEMPORAL_DIRECTIONS = ("as_written", "transposed")
 
@@ -106,7 +107,7 @@ def _block_diffusion(spatial: SparseMatrix, m: int, shift: int) -> BlockDiffusio
         deg[:-1] += 1.0
     elif shift < 0:
         deg[1:] += 1.0
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    inv = inverse_degrees(deg)
     inv.flags.writeable = False
     return BlockDiffusion(spatial, inv, shift)
 

@@ -5,6 +5,7 @@ import pytest
 
 import stdiff.autodiff as ad
 import stdiff.cli as cli
+import stdiff.training as training
 from stdiff.autodiff import ParamArray
 from stdiff.checkpoint import load_params, save_params
 from stdiff.cli import build_parser, main
@@ -36,6 +37,15 @@ def train_args(dataset_root, out, **extra):
     for flag, value in extra.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     return args
+
+
+def save_long_series(series, path, steps=400):
+    """A ``steps``-snapshot series over ``series``' sensors, saved to ``path``; returned."""
+    rng = np.random.default_rng(7)
+    long = SpeedSeries(series.timestamps[0] + 300 * np.arange(steps, dtype=np.int64),
+                       rng.uniform(20.0, 70.0, size=(steps, len(series.ids))), series.ids)
+    save_speed_csv(long, path)
+    return long
 
 
 def strip_wall_time(log_text):
@@ -423,6 +433,28 @@ class TestPredict:
         assert horizon == 5
         assert float(first[4]) == series.values[t_index, v_index]
 
+    def test_failure_leaves_no_output(self, trained, tmp_path, monkeypatch):
+        # the second batch's first window is not finite: nothing of the
+        # first batch may be left behind, not even a temporary file
+        root, run, series = trained
+        save_long_series(series, tmp_path / "long.csv")
+        predict, calls = training.predict_batch, []
+
+        def nan_in_second_batch(model, history, stats):
+            pred = predict(model, history, stats)
+            calls.append(len(history))
+            if len(calls) == 2:
+                pred[0] = np.nan
+            return pred
+
+        monkeypatch.setattr(training, "predict_batch", nan_in_second_batch)
+        out = tmp_path / "out" / "pred.csv"
+        assert main(["predict", "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(tmp_path / "long.csv"), "--adj", str(root / "adj"),
+                     "--out", str(out)]) == 1
+        assert len(calls) == 2
+        assert sorted(p.name for p in out.parent.iterdir()) == ["manifest.json"]
+
 
 @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
 @pytest.mark.parametrize("command", ["eval", "predict"])
@@ -451,11 +483,7 @@ class TestForwardOnlyCommands:
 
     def test_predicts_64_windows_per_batch(self, trained, tmp_path, batch_sizes, command):
         root, run, series = trained
-        rng = np.random.default_rng(7)
-        steps = 400
-        long = SpeedSeries(series.timestamps[0] + 300 * np.arange(steps, dtype=np.int64),
-                           rng.uniform(20.0, 70.0, size=(steps, len(series.ids))), series.ids)
-        save_speed_csv(long, tmp_path / "long.csv")
+        long = save_long_series(series, tmp_path / "long.csv")
         n_test = len(split_dataset(make_windows(long, TINY.T, TINY.H))[2])
         assert main([command, "--checkpoint", str(run / "best.stdf"),
                      "--data", str(tmp_path / "long.csv"), "--adj", str(root / "adj"),
@@ -493,6 +521,35 @@ def ten_minute_run(tmp_path_factory):
     assert main(train_args(root, root / "run")) == 0
     return root, ["--checkpoint", str(root / "run" / "best.stdf"),
                   "--data", str(root / "speed.csv"), "--adj", str(root / "adj")]
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("build-adj", "--distances", "utf16"),
+    ("build-adj", "--ids", "utf16"),
+    ("train", "--data", "utf16"),
+    ("train", "--adj", "utf16"),
+    ("build-adj", "--distances", "directory"),
+])
+def test_unreadable_input_exits_2_naming_file(dataset, tmp_path, capsys, command, flag, kind):
+    root, _graph, _series = dataset
+    if command == "build-adj":
+        TestBuildAdj().make_inputs(tmp_path)
+        args = ["build-adj", "--distances", str(tmp_path / "d.csv"),
+                "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "adj")]
+    else:
+        args = train_args(root, tmp_path / "run")
+    if flag == "--adj":  # a good sidecar beside the unreadable edge list
+        (tmp_path / "bad.json").write_text((root / "adj.json").read_text())
+        path, value = tmp_path / "bad.csv", str(tmp_path / "bad")
+    else:
+        path = value = tmp_path / "bad"
+    if kind == "directory":
+        path.mkdir()
+    else:  # a byte-order mark and UTF-16 text: not UTF-8
+        path.write_bytes(b"\xff\xfe" + "from,to,distance\n".encode("utf-16-le"))
+    args[args.index(flag) + 1] = str(value)
+    assert main(args) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 class TestTenMinuteInterval:

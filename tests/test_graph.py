@@ -58,8 +58,9 @@ class TestGaussianAdjacency:
         ids = ["a", "b", "c", "d"]
         recs = symmetric_records([("a", "b", 1.0), ("c", "d", 7.0), ("a", "d", 3.0)])
         g = build_gaussian_adjacency(recs, ids, weight_quantile=0.0)
-        assert g.adjacency.values.min() >= 0.0
-        assert g.adjacency.values.max() <= 1.0
+        _rows, _cols, weights = g.adjacency.nonzero()
+        assert len(weights) == 6
+        assert weights.min() > 0.0 and weights.max() <= 1.0
 
     def test_epsilon_mode_thresholds_on_distance(self):
         recs = [DistanceRecord("a", "b", 1.0), DistanceRecord("b", "a", 9.0)]
@@ -99,6 +100,29 @@ class TestAdjacencyIO:
         g2 = load_adjacency(tmp_path / "adj")
         assert g2.vertex_ids == g.vertex_ids
         assert g2.adjacency == g.adjacency
+
+    def test_save_adjacency_golden_text(self, tmp_path):
+        # records out of row-major order, a self-edge and a repeated (s2, s3)
+        # pair, whose two weights are summed into one edge
+        recs = [DistanceRecord(a, b, d) for a, b, d in [
+            ("s3", "s0", 6.0), ("s2", "s3", 4.0), ("s0", "s1", 1.0), ("s1", "s2", 2.5),
+            ("s0", "s3", 6.0), ("s2", "s1", 2.5), ("s1", "s0", 1.0), ("s0", "s2", 3.0),
+            ("s0", "s0", 0.0), ("s2", "s3", 5.0)]]
+        g = build_gaussian_adjacency(recs, ["s0", "s1", "s2", "s3"], weight_quantile=0.0)
+        save_adjacency(g, tmp_path / "adj")
+        assert (tmp_path / "adj.csv").read_bytes() == (
+            b"row,col,weight\r\n"
+            b"0,0,1.0\r\n"
+            b"0,1,0.7807308955495855\r\n"
+            b"0,2,0.10777357587828773\r\n"
+            b"0,3,0.00013491156218652388\r\n"
+            b"1,0,0.7807308955495855\r\n"
+            b"1,2,0.21287935057700197\r\n"
+            b"2,1,0.21287935057700197\r\n"
+            b"2,3,0.021109252530499105\r\n"
+            b"3,0,0.00013491156218652388\r\n")
+        assert (tmp_path / "adj.json").read_bytes() == (
+            b'{"n": 4, "ids": ["s0", "s1", "s2", "s3"]}\n')
 
     def test_distance_csv(self, tmp_path):
         path = tmp_path / "d.csv"

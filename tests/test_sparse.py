@@ -13,33 +13,54 @@ class TestRoundTrip:
         for _ in range(50):
             a = random_sparse(rng, rng.integers(1, 10), rng.integers(1, 10))
             assert sparsify(a.to_dense()) == a
+            r, c, v = a.nonzero()  # the edge list, row-major, round-trips too
+            assert np.all(np.diff(r * a.cols + c) > 0)
+            assert SparseMatrix.from_coo(a.rows, a.cols, r, c, v) == a
 
     def test_from_coo_sums_duplicates(self):
         a = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
         assert np.array_equal(a.to_dense(), [[0, 5], [1, 0]])
+        # in input order: (1e16 + 1) + 1 rounds twice, 1e16 + (1 + 1) would not
+        a = SparseMatrix.from_coo(1, 2, [0, 0, 0, 0], [1, 1, 1, 0], [1e16, 1.0, 1.0, 3.0])
+        assert a.to_dense().tolist() == [[3.0, (1e16 + 1.0) + 1.0]]
 
     def test_from_coo_drops_zeros(self):
         a = SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [0.0, 2.0])
         assert a.nnz == 1
+        a = SparseMatrix.from_coo(2, 2, [0, 1, 1], [0, 1, 1], [0.0, 2.0, -2.0])
+        assert a.nnz == 0
 
-    def test_canonical_form_enforced(self):
+    @pytest.mark.parametrize("r, c", [([], []), ([1], [0])], ids=["no_entry", "one_entry"])
+    def test_from_coo_zero_and_one_entry(self, r, c):
+        a = SparseMatrix.from_coo(2, 2, r, c, np.ones(len(r)))
+        assert a.nnz == len(r) and a.to_dense().sum() == len(r)
+
+    @pytest.mark.parametrize("shape, r, c, v", [
+        ((-1, 2), [], [], []),           # negative rows
+        ((2, -1), [], [], []),           # negative cols
+        ((2, 2), [0, 2], [0, 0], [1.0, 1.0]),   # row index past the end
+        ((2, 2), [0], [-1], [1.0]),      # negative column index
+        ((2, 2), [0, 1], [0], [1.0]),    # unequal lengths
+    ], ids=["neg_rows", "neg_cols", "row_out_of_range", "negative_col", "ragged"])
+    def test_from_coo_rejects_bad_shape_or_index(self, shape, r, c, v):
         with pytest.raises(ShapeError):
-            SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 1.0])  # cols not increasing
+            SparseMatrix.from_coo(*shape, r, c, v)
 
-    @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 1, 1]], ids=["decreasing", "repeated"])
-    def test_bad_row_named(self, cols):
-        # row 0 holds column 0; row 1 holds the two offending entries
-        with pytest.raises(ShapeError, match="row 1 columns"):
-            SparseMatrix(3, 3, [0, 1, 3, 3], cols, [1.0, 1.0, 1.0])
+    def test_nonzero_row_major(self):
+        a = SparseMatrix.from_coo(3, 3, [2, 0, 1, 0, 2], [0, 2, 1, 0, 2],
+                                  [5.0, 2.0, 3.0, 1.0, 6.0])
+        r, c, v = a.nonzero()
+        assert r.tolist() == [0, 0, 1, 2, 2] and c.tolist() == [0, 2, 1, 0, 2]
+        assert v.tolist() == [1.0, 2.0, 3.0, 5.0, 6.0]
 
-    def test_column_drop_across_rows_accepted(self):
-        a = SparseMatrix(3, 3, [0, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(a.to_dense(), [[0, 1, 2], [3, 0, 0], [4, 0, 0]])
-
-    @pytest.mark.parametrize("offsets, cols", [([0, 0, 0], []), ([0, 0, 1], [1])])
-    def test_zero_and_one_entry_matrices_accepted(self, offsets, cols):
-        a = SparseMatrix(2, 2, offsets, cols, np.ones(len(cols)))
-        assert a.nnz == len(cols)
+    def test_row_degrees_added_left_to_right(self, rng):
+        a = random_sparse(rng, 30, 100, nonneg=True)
+        dense, degrees = a.to_dense(), a.row_degrees()
+        for i in range(a.rows):
+            total = 0.0
+            for x in dense[i]:
+                total += x
+            assert degrees[i] == total
 
     def test_equal_matrices_compare_equal_and_are_unhashable(self):
         a, b = sparsify([[1.0, 0.0], [0.0, 2.0]]), sparsify([[1.0, 0.0], [0.0, 2.0]])
@@ -48,9 +69,16 @@ class TestRoundTrip:
         with pytest.raises(TypeError):
             hash(a)
 
-    def test_non_finite_rejected(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
         with pytest.raises(DomainError):
-            SparseMatrix(1, 1, [0, 1], [0], [np.nan])
+            SparseMatrix.from_coo(1, 1, [0], [0], [value])
+        with pytest.raises(DomainError):
+            sparsify([[0.0, value]])
+
+    def test_not_two_dimensional_rejected(self):
+        with pytest.raises(ShapeError):
+            sparsify(np.zeros(3))
 
 
 class TestSelfLoops:
@@ -138,12 +166,16 @@ class TestSpmm:
             for j in range(2):
                 assert np.max(np.abs(got[i, j] - a.to_dense() @ x[i, j])) < 1e-12
 
-    def test_dense_copy_built_once_and_read_only(self, rng):
-        a = random_sparse(rng, 4, 6)
-        assert a.dense is a.dense
-        assert np.array_equal(a.dense, a.to_dense())
+    def test_dense_read_only_and_to_dense_a_writable_copy(self, rng):
+        source = rng.standard_normal((4, 6))
+        a = sparsify(source)
+        source[0, 0] = 99.0  # the matrix holds its own copy
+        assert a.dense[0, 0] != 99.0
         with pytest.raises(ValueError):
             a.dense[0, 0] = 1.0
+        copy = a.to_dense()
+        copy[0, 0] = 1.0
+        assert a.dense[0, 0] != 1.0 and np.array_equal(copy[1:], a.dense[1:])
 
 
 class TestSparseProducts:

@@ -110,8 +110,8 @@ class TestStructureInvariants:
             m = int(rng.integers(2, 5))
             block = build_hstg(random_sensor_graph(rng, n), m)
             p = block.hstg_transition
-            rows = p.row_ids()
-            br, bc = rows // n, p.col_indices // n
+            rows, cols, _ = p.nonzero()
+            br, bc = rows // n, cols // n
             assert np.all((bc == br) | (bc == br + 1))
 
     def test_nhstg_block_diagonality(self, rng):
@@ -119,8 +119,8 @@ class TestStructureInvariants:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))
             p = build_hstg(random_sensor_graph(rng, n), m).nhstg_transition
-            rows = p.row_ids()
-            assert np.all(rows // n == p.col_indices // n)
+            rows, cols, _ = p.nonzero()
+            assert np.all(rows // n == cols // n)
 
     def test_last_block_row_has_no_coupling(self, rng):
         n, m = 3, 4
