@@ -3,8 +3,10 @@
 Not a general autodiff: each operation here has a hand-derived backward
 pass.  A forward call hands one record to the tape.  A recording ``Tape()``,
 as training and the analytic pass of ``grad_check`` use, keeps it;
-``Tape.backward`` replays the records in exact reverse execution order with
-fixed (row-major) accumulation, so repeated replays are bit-identical.
+``Tape.backward`` replays the records once, in exact reverse execution order
+with fixed (row-major) accumulation, so a replay is deterministic.  It drops
+each record once it has run, and with it the arrays that op saved and the
+gradient of its output.
 Forward-only passes (prediction, evaluation, validation, the finite
 differences of ``grad_check``) run on ``Tape(record=False)``, which drops each
 record, so they are never replayed and hold no op's saved arrays past its use.
@@ -45,9 +47,22 @@ class Tensor:
         return self.value.shape
 
     def ensure_grad(self) -> np.ndarray:
+        """The gradient, zero-filled first if there is none: for an op that writes part of it."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         return self.grad
+
+    def add_grad(self, g: np.ndarray, owned: bool = True) -> None:
+        """Add ``g``, of this tensor's shape, to its gradient.
+
+        The first ``g`` becomes the gradient: taken as it is when ``owned``
+        (just computed, and handed to no other tensor), else copied, as a view
+        of another tensor's gradient must be.  Later ones are added into it.
+        """
+        if self.grad is None:
+            self.grad = g if owned else g.copy()
+        else:
+            self.grad += g
 
 
 class ParamArray(Tensor):
@@ -69,15 +84,18 @@ class Tape:
 
     Every op calls ``record`` with its backward closure, which holds the
     arrays that op saved.  A recording tape (the default) keeps the closures
-    until the tape is dropped, for ``backward`` to replay.  ``record=False``
-    makes a forward-only tape: it drops each closure at once, so an op's
-    saved arrays are freed as soon as the next op has consumed its output,
-    and it can never be replayed.
+    for ``backward``, which replays them once, deterministically: it pops
+    each closure before running it, so the closure, its saved arrays and the
+    gradient of its op's output are freed as soon as it has run.  A second
+    ``backward`` raises.  ``record=False`` makes a forward-only tape: it
+    drops each closure at once, so an op's saved arrays are freed as soon as
+    the next op has consumed its output, and it can never be replayed.
     """
 
     def __init__(self, record: bool = True):
         self._recording = record
         self._records = []
+        self._replayed = False
 
     def record(self, backward_fn):
         if self._recording:
@@ -89,29 +107,35 @@ class Tape:
     def backward(self, loss: Tensor):
         if not self._recording:
             raise ArgumentError("cannot replay: tape was created with record=False")
+        if self._replayed:
+            raise ArgumentError("cannot replay: a tape is replayed once")
         if loss.value.shape != ():
             raise ShapeError("backward starts from a scalar loss")
-        loss.ensure_grad()[...] = 1.0
-        for fn in reversed(self._records):
-            fn()
+        records, self._records, self._replayed = self._records, [], True
+        loss.grad = np.ones_like(loss.value)
+        while records:
+            records.pop()()
 
 
 # -- primitive ops -----------------------------------------------------
 
 
-def linear(tape: Tape, x: Tensor, theta: Tensor) -> Tensor:
-    """Y = X @ Theta on the feature axis; X is (..., r, d_in), Theta (d_in, d_out)."""
-    if x.value.ndim < 2 or theta.value.ndim != 2 or x.value.shape[-1] != theta.value.shape[0]:
-        raise ShapeError(f"linear shape mismatch {x.shape} @ {theta.shape}")
-    out = Tensor(x.value @ theta.value)
+def linear(tape: Tape, x: Tensor | np.ndarray, theta: Tensor) -> Tensor:
+    """Y = X @ Theta on the feature axis; X is (..., r, d_in), Theta (d_in, d_out).
+
+    An X given as a plain array is data: it gets no gradient.
+    """
+    xv = x if isinstance(x, np.ndarray) else x.value
+    if xv.ndim < 2 or theta.value.ndim != 2 or xv.shape[-1] != theta.value.shape[0]:
+        raise ShapeError(f"linear shape mismatch {xv.shape} @ {theta.shape}")
+    out = Tensor(xv @ theta.value)
 
     def backward():
         g = out.grad
-        x.ensure_grad()
-        x.grad += g @ theta.value.T
-        theta.ensure_grad()
-        theta.grad += x.value.reshape(-1, theta.value.shape[0]).T @ g.reshape(
-            -1, theta.value.shape[1])
+        if xv is not x:
+            x.add_grad(g @ theta.value.T)
+        theta.add_grad(xv.reshape(-1, theta.value.shape[0]).T @ g.reshape(
+            -1, theta.value.shape[1]))
 
     tape.record(backward)
     return out
@@ -130,10 +154,8 @@ def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
 
     def backward():
         g = out.grad.reshape(-1, a, c)
-        e.ensure_grad()
-        e.grad += np.einsum("rac,rfc->af", g, blocks)
-        theta.ensure_grad()
-        theta.grad += (e.value.T @ g).reshape(theta.value.shape)
+        e.add_grad(np.einsum("rac,rfc->af", g, blocks))
+        theta.add_grad((e.value.T @ g).reshape(theta.value.shape))
 
     tape.record(backward)
     return out
@@ -167,13 +189,12 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 
     def backward():
         g = out.grad.reshape(out.grad.shape[:-1] + (k_hops, r, d))
-        x.ensure_grad()
         for i in reversed(range(r)):
             acc = ops[i].apply_transpose(g[..., k_hops - 1, i, :])
             for k in reversed(range(k_hops - 1)):
                 acc += g[..., k, i, :]
                 acc = ops[i].apply_transpose(acc)
-            x.grad += acc
+            x.add_grad(acc)
 
     tape.record(backward)
     return out
@@ -212,24 +233,20 @@ def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
     def backward():
         g = out.grad.reshape(-1, width)
         ones = np.ones(g.shape[0])
-        shift.ensure_grad()
-        shift.grad += ones @ g
+        shift.add_grad(ones @ g)
         tmp = g * xhat.reshape(-1, width)
-        scale.ensure_grad()
-        scale.grad += ones @ tmp
+        scale.add_grad(ones @ tmp)
         dacc = (g * scale.value).reshape(-1, d)    # dxhat, then dacc in place
         tmp = np.multiply(dacc, xhat, out=tmp.reshape(-1, d))
         proj = (tmp @ avg)[:, None]
         dacc -= (dacc @ avg)[:, None]
         dacc -= np.multiply(xhat, proj, out=tmp)
         dacc *= inv[:, None]
-        x.ensure_grad()
-        x.grad += dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape)
-        y.ensure_grad()
-        y.grad += dacc.reshape(y.value.shape)
+        x.add_grad(dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape))
+        dy = dacc.reshape(y.value.shape)
         if y0 is not None:
-            y0.ensure_grad()
-            y0.grad += dacc.reshape(y.value.shape)[..., 0, :, :]
+            y0.add_grad(dy[..., 0, :, :], owned=False)
+        y.add_grad(dy)
 
     tape.record(backward)
     return out
@@ -254,8 +271,7 @@ def temporal_compress(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        x.ensure_grad()
-        x.grad += np.einsum("...nf,tf->...tnf", g, k)
+        x.add_grad(np.einsum("...nf,tf->...tnf", g, k))
         kernel.ensure_grad()
         tail = x.value.shape[-3:]
         kernel.grad[:m] += np.einsum(
@@ -285,8 +301,7 @@ def concat_features(tape: Tape, parts: list[Tensor], axis: int = -1) -> Tensor:
     def backward():
         g = out.grad
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.ensure_grad()
-            p.grad += g[lead + (slice(lo, hi),)]
+            p.add_grad(g[lead + (slice(lo, hi),)], owned=False)
 
     tape.record(backward)
     return out
@@ -298,10 +313,8 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value + b.value)
 
     def backward():
-        a.ensure_grad()
-        a.grad += out.grad
-        b.ensure_grad()
-        b.grad += out.grad
+        a.add_grad(out.grad, owned=False)
+        b.add_grad(out.grad, owned=False)
 
     tape.record(backward)
     return out
@@ -314,10 +327,8 @@ def add_bias(tape: Tape, x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.value + b.value)
 
     def backward():
-        x.ensure_grad()
-        x.grad += out.grad
-        b.ensure_grad()
-        b.grad += out.grad.sum(axis=tuple(range(out.grad.ndim - 1)))
+        x.add_grad(out.grad, owned=False)
+        b.add_grad(out.grad.sum(axis=tuple(range(out.grad.ndim - 1))))
 
     tape.record(backward)
     return out
@@ -328,8 +339,7 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.value, 0.0))
 
     def backward():
-        x.ensure_grad()
-        x.grad += np.where(x.value > 0, out.grad, 0.0)
+        x.add_grad(np.where(x.value > 0, out.grad, 0.0))
 
     tape.record(backward)
     return out
@@ -357,8 +367,7 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
     def backward():
         g = out.grad
         if carry is not None:
-            carry.ensure_grad()
-            carry.grad += g[..., 0, :, :]
+            carry.add_grad(g[..., 0, :, :], owned=False)
         x.ensure_grad()
         x.grad[..., t0:t1, :, :] += g[..., c:, :, :]
 
@@ -392,8 +401,7 @@ def mlp_decode(
     )
 
     def backward():
-        o.ensure_grad()
-        o.grad += np.swapaxes(out.grad, -3, -2).reshape(o.value.shape)
+        o.add_grad(np.swapaxes(out.grad, -3, -2).copy().reshape(o.value.shape))
 
     tape.record(backward)
     return out
@@ -411,8 +419,7 @@ def mae_loss(tape: Tape, pred: Tensor, target: np.ndarray) -> Tensor:
     out = Tensor(np.abs(diff).mean())
 
     def backward():
-        pred.ensure_grad()
-        pred.grad += out.grad * np.sign(diff) / diff.size
+        pred.add_grad(out.grad * np.sign(diff) / diff.size)
 
     tape.record(backward)
     return out
@@ -426,9 +433,8 @@ def l2_penalty(tape: Tape, params: list[Tensor], lam: float) -> Tensor:
     def backward():
         g = float(out.grad)
         for p in params:
-            p.ensure_grad()
             if norm > 0.0:
-                p.grad += g * lam * p.value / norm
+                p.add_grad(g * lam * p.value / norm)
 
     tape.record(backward)
     return out

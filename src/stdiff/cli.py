@@ -133,8 +133,11 @@ def _load_dataset(args, cfg: ModelConfig, graph=None):
     series = load_speed_csv(args.data, graph=graph)
     windows = make_windows(series, cfg.T, cfg.H)
     train_w, val_w, test_w = split_dataset(windows)
+    # the training windows' readings, each row counted once per window that holds it
+    rows = np.arange(len(train_w) + cfg.T - 1)
+    held = np.minimum(rows, len(train_w) - 1) - np.maximum(rows - cfg.T + 1, 0) + 1
     try:
-        stats = compute_norm_stats(np.stack([w.history for w in train_w]))
+        stats = compute_norm_stats(series.values[:len(rows)], held)
     except DomainError as exc:
         raise FormatError(f"{args.data}: training range: {exc}") from None
     return graph, series, (train_w, val_w, test_w), stats

@@ -261,7 +261,7 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor, bank: Chan
             raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
             row0 = [BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops]
             y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
-        y = ad.linear(tape, Tensor(ad.diffuse(ops, raw, cfg.K)), bank.theta_fold)
+        y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), bank.theta_fold)
     h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)
     return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
 
@@ -298,7 +298,7 @@ def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:
         raise ShapeError(f"window shape {window.shape} does not match (T={cfg.T}, n, d_in={cfg.d_in})")
     if window.shape[-2] != model.graph.n:
         raise ShapeError("window vertex count does not match the graph")
-    embedded = ad.linear(tape, Tensor(window), model.input_embed)
+    embedded = ad.linear(tape, window, model.input_embed)
     com = encode(tape, model, embedded, window)
     return ad.mlp_decode(
         tape, com.features,

@@ -59,16 +59,29 @@ def inverse_zscore(z, stats: NormStats) -> np.ndarray:
     return np.asarray(z, dtype=np.float64) * stats.std + stats.mean
 
 
-def compute_norm_stats(values: np.ndarray) -> NormStats:
-    """Mean/std over observed entries; zeros are treated as missing."""
+def compute_norm_stats(values: np.ndarray, weights: np.ndarray | None = None) -> NormStats:
+    """Mean/std over observed entries; zeros are treated as missing.
+
+    ``weights``, one positive count per row of ``values`` (its first axis),
+    counts each entry of a row that many times: the stats of a stack that
+    repeats each row as often, without building it.
+    """
     values = np.asarray(values, dtype=np.float64)
-    obs = values[values != 0.0]
+    observed = values != 0.0
+    obs = values[observed]
     if obs.size == 0:
         raise DomainError("no observed values to normalize")
-    std = float(obs.std())
-    if std == 0.0:
+    if obs.min() == obs.max():  # a rounded mean of a constant can leave a tiny nonzero std
         raise DomainError("constant series: zero standard deviation")
-    return NormStats(mean=float(obs.mean()), std=std)
+    if weights is None:
+        w, total = 1.0, obs.size
+    else:  # obs lists each row's entries in turn
+        w = np.repeat(np.asarray(weights, dtype=np.float64),
+                      observed.reshape(len(values), -1).sum(axis=1))
+        total = w.sum()
+    mean = (w * obs).sum() / total
+    std = float(np.sqrt((w * (obs - mean) ** 2).sum() / total))
+    return NormStats(mean=float(mean), std=std)
 
 
 def mae_l2_loss(

@@ -28,20 +28,38 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class TapesSeen(dict):
+    """id -> every tape handed a record, in order of its first record."""
+
+    def __init__(self):
+        super().__init__()
+        self.at_backward = {}
+
+    def kept(self) -> list[int]:
+        """The records each tape kept: its length when ``backward`` started, else now."""
+        return [self.at_backward.get(key, len(tape)) for key, tape in self.items()]
+
+
 @pytest.fixture
 def tapes_seen(monkeypatch):
-    """Every tape handed a record during the test, in order of its first record.
+    """Every tape handed a record during the test (``TapesSeen``).
 
-    The tapes stay alive, so ``len(tape)`` afterwards is what each one kept.
+    The tapes stay alive.  ``backward`` empties a tape, so each one's length
+    is also taken when its ``backward`` starts.
     """
-    seen = {}
-    record = Tape.record
+    seen = TapesSeen()
+    record, backward = Tape.record, Tape.backward
 
     def logging_record(tape, backward_fn):
         seen.setdefault(id(tape), tape)
         record(tape, backward_fn)
 
+    def logging_backward(tape, loss):
+        seen.at_backward[id(tape)] = len(tape)
+        backward(tape, loss)
+
     monkeypatch.setattr(Tape, "record", logging_record)
+    monkeypatch.setattr(Tape, "backward", logging_backward)
     return seen
 
 

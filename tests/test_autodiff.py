@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
+from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
+from stdiff.training import mae_l2_loss
 
 from conftest import random_sensor_graph
 
@@ -65,6 +70,21 @@ class TestLinear:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             ad.linear(Tape(), Tensor(rng.random((2, 3))), Tensor(rng.random((4, 2))))
+        with pytest.raises(ShapeError):
+            ad.linear(Tape(), rng.random((2, 3)), Tensor(rng.random((4, 2))))
+
+    def test_plain_array_input_is_data(self, rng):
+        # the same theta gradient as a Tensor input gives, and no input gradient
+        data = rng.standard_normal((2, 4, 3))
+        w = rng.standard_normal((2, 4, 2))
+        grads = []
+        for x in (data, Tensor(data)):
+            theta = ParamArray("theta", rng.standard_normal((3, 2)))
+            tape = Tape()
+            tape.backward(project(tape, ad.linear(tape, x, theta), w))
+            grads.append(theta.grad)
+        assert np.array_equal(grads[0], grads[1])
+        assert np.array_equal(grads[0], data.reshape(-1, 3).T @ w.reshape(-1, 2))
 
 
 def edgeless_block(n, m, self_loops):
@@ -572,6 +592,70 @@ class TestTapeDeterminism:
         assert np.array_equal(grads[0][1], grads[1][1])
 
 
+class TestReplayOnce:
+    def test_second_backward_raises(self):
+        tape = Tape()
+        theta = ParamArray("t", np.ones((2, 2)))
+        loss = project(tape, ad.linear(tape, np.ones((1, 2)), theta), np.ones((1, 2)))
+        tape.backward(loss)
+        assert len(tape) == 0 and np.array_equal(theta.grad, np.ones((2, 2)))
+        with pytest.raises(ArgumentError, match="replayed once"):
+            tape.backward(loss)
+        assert np.array_equal(theta.grad, np.ones((2, 2)))
+
+    def test_saved_array_freed_once_its_backward_has_run(self, rng):
+        # linear saves its input; a record made before it runs after its backward
+        theta = ParamArray("t", rng.standard_normal((3, 2)))
+        data = rng.standard_normal((4, 3))
+        saved = weakref.ref(data)
+        tape = Tape()
+        alive_after = []
+        tape.record(lambda: alive_after.append(saved() is not None))
+        loss = project(tape, ad.linear(tape, data, theta), np.ones((4, 2)))
+        del data
+        assert saved() is not None
+        tape.backward(loss)
+        assert alive_after == [False]
+
+    def test_diamond_finite_differences(self, rng):
+        # h feeds three ops, and both inputs of an add (and a concat) are one tensor:
+        # a gradient that became a view of, or the same array as, another would corrupt it
+        x = ParamArray("x", rng.standard_normal((3, 4)))
+        theta = ParamArray("theta", rng.standard_normal((4, 4)))
+        bias = ParamArray("bias", rng.standard_normal(4))
+
+        def build(tape):
+            h = ad.linear(tape, x, theta)
+            a = ad.relu(tape, h)
+            b = ad.add_bias(tape, h, bias)
+            s = ad.add(tape, a, b)
+            twice = ad.add(tape, s, s)
+            both = ad.concat_features(tape, [twice, h, twice])
+            return ad.add(tape, both, ad.concat_features(tape, [h, s, s]))
+
+        check_op([x, theta, bias], build, rng)
+
+    def test_backward_peaks_near_the_forward_memory(self, rng):
+        # a train-wide-like step: n=12, K1 s1 d128 m4, B=32, T=H=12
+        n = 12
+        cfg = ModelConfig(K=1, s=1, d=128, m=4, T=12, H=12)
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
+        window = rng.standard_normal((32, cfg.T, n, 1))
+        target = rng.standard_normal((32, cfg.H, n, 1))
+        params = model.params()
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            loss = mae_l2_loss(tape, forward(tape, model, window), target, params, 1e-4)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * held, (peak, held)
+
+
 class TestNonRecordingTape:
     def test_backward_refuses_to_replay(self):
         tape = Tape(record=False)
@@ -591,7 +675,7 @@ class TestNonRecordingTape:
         (report,) = grad_check(loss_fn, [theta])
         assert report.passed and report.max_rel_err < 1e-9
         # the analytic pass keeps its 2 records; 2 differences per entry keep none
-        assert [len(t) for t in tapes_seen.values()] == [2] + [0] * 2 * theta.value.size
+        assert tapes_seen.kept() == [2] + [0] * 2 * theta.value.size
 
 
 class TestGradCheckHarness:

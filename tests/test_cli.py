@@ -249,7 +249,8 @@ class TestTrain:
         assert str(config) in err and field in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("reading", [0.0, 42.0], ids=["all_missing", "constant"])
+    @pytest.mark.parametrize("reading", [0.0, 42.0, 47.9],
+                             ids=["all_missing", "constant", "constant_with_rounded_mean"])
     def test_training_range_without_usable_readings_exits_2_naming_csv(
             self, dataset, tmp_path, capsys, reading):
         root, _graph, series = dataset
@@ -261,6 +262,26 @@ class TestTrain:
         assert main(args) == 2
         assert str(flat) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("variant", ["stored_zeros", "outage", "train_shorter_than_T"])
+    def test_norm_stats_equal_the_stacked_training_windows(self, dataset, tmp_path, variant):
+        root, _graph, series = dataset
+        values = series.values.copy()
+        if variant == "stored_zeros":
+            values[np.random.default_rng(5).random(values.shape) < 0.1] = 0.0
+        elif variant == "outage":
+            values[10:19] = 0.0
+        else:  # 9 windows of T + H = 8 steps, 5 of them training windows
+            values = values[:16]
+        data = tmp_path / "speed.csv"
+        save_speed_csv(SpeedSeries(series.timestamps[:len(values)], values, series.ids), data)
+        args = build_parser().parse_args(train_args(root, tmp_path / "run"))
+        args.data = str(data)
+        _g, _s, (train_w, _v, _t), stats = cli._load_dataset(args, TINY)
+        assert variant != "train_shorter_than_T" or len(train_w) < TINY.T
+        want = training.compute_norm_stats(np.stack([w.history for w in train_w]))
+        assert abs(stats.mean - want.mean) <= 1e-12 * abs(want.mean)
+        assert abs(stats.std - want.std) <= 1e-12 * want.std
 
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset

@@ -248,8 +248,8 @@ class TestEmbeddingFold:
             widths = []
             linear = ad.linear
 
-            def counting(tape, x, theta):
-                widths.append((x.value.shape[:-1], theta.value.shape[0]))
+            def counting(tape, x, theta):  # x is a Tensor, or a plain array of data
+                widths.append((getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
                 return linear(tape, x, theta)
 
             monkeypatch.setattr(ad, "linear", counting)
@@ -257,6 +257,50 @@ class TestEmbeddingFold:
             monkeypatch.setattr(ad, "linear", linear)
             full = [lead for lead, width in widths if width == 2 * cfg.d]
             assert sum(np.prod(lead) for lead in full) == rows * 2 * n, direction
+
+
+class TestDataInputs:
+    """The raw window and each folded pass's raw Z are data: they get no gradient."""
+
+    def config(self, direction):
+        # d_in = 3 and Z's 2K*d_in = 6 features are widths no other tensor has
+        return ModelConfig(K=1, m=3, s=2, d=8, T=7, H=4, d_in=3, temporal_direction=direction)
+
+    def step(self, model, rng):
+        cfg = model.config
+        window = rng.standard_normal((2, cfg.T, model.graph.n, cfg.d_in))
+        target = rng.standard_normal((2, cfg.H, model.graph.n, cfg.d_out))
+        model.zero_grads()
+        tape = Tape()
+        tape.backward(ad.mae_loss(tape, forward(tape, model, window), target))
+        return [p.grad.copy() for p in model.params()]
+
+    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
+    def test_no_gradient_is_built_for_data(self, rng, monkeypatch, direction):
+        model = IstdGcnModel(self.config(direction), random_sensor_graph(rng, 4), seed=0)
+        built = []
+        for method in ("ensure_grad", "add_grad"):
+            def logging(tensor, *args, _method=getattr(Tensor, method), **kwargs):
+                if tensor.grad is None:
+                    built.append(tensor.value.shape[-1])
+                return _method(tensor, *args, **kwargs)
+            monkeypatch.setattr(Tensor, method, logging)
+        self.step(model, rng)
+        assert built and 3 not in built and 6 not in built
+
+    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
+    def test_parameter_gradients_bit_identical_to_tensor_inputs(self, rng, monkeypatch,
+                                                                direction):
+        # the data as Tensors, which get (and compute) a gradient nothing reads
+        model = IstdGcnModel(self.config(direction), random_sensor_graph(rng, 4), seed=0)
+        state = rng.bit_generator.state
+        plain = self.step(model, rng)
+        linear = ad.linear
+        monkeypatch.setattr(ad, "linear", lambda tape, x, theta: linear(
+            tape, Tensor(x) if isinstance(x, np.ndarray) else x, theta))
+        rng.bit_generator.state = state
+        wrapped = self.step(model, rng)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, wrapped))
 
 
 class TestEncode:

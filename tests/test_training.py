@@ -248,7 +248,7 @@ class TestForwardOnlyPasses:
         tr, va, _te = split_dataset(windows)
         stats = compute_norm_stats(np.stack([w.history for w in tr]))
         train(model, tr, va, stats, TrainConfig(epochs=1, batch_size=4))
-        kept = [len(t) for t in tapes_seen.values()]
+        kept = tapes_seen.kept()
         n_train, n_val = -(-len(tr) // 4), -(-len(va) // 4)
         assert len(kept) == n_train + n_val
         assert all(kept[:n_train]) and kept[n_train:] == [0] * n_val
