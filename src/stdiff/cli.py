@@ -162,8 +162,11 @@ def cmd_train(args) -> int:
                    _inputs(args, args.config),
                    [str(out / "best.stdf"), str(out / "log.csv")])
     model = IstdGcnModel(cfg, graph, seed=args.seed)
-    report = train(model, train_w, val_w, stats, tcfg,
-                   log_path=out / "log.csv", checkpoint_path=out / "best.stdf")
+    try:
+        report = train(model, train_w, val_w, stats, tcfg,
+                       log_path=out / "log.csv", checkpoint_path=out / "best.stdf")
+    except DomainError as exc:  # validation metrics over a range with no readings
+        raise FormatError(f"{args.data}: validation range: {exc}") from None
     print(f"best epoch {report.best_epoch}: val MAE {report.best_val_mae:.4f}"
           + (" (early stop)" if report.stopped_early else ""))
     return 0
@@ -193,13 +196,16 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     write_manifest(out.parent, "eval", {"model": asdict(cfg)}, _restored_inputs(args),
                    [str(out)])
-    report = evaluate(model, test_w, stats, interval=series.interval)
-    n_train_steps = train_w[-1].start_index + cfg.T
-    train_series = type(series)(series.timestamps[:n_train_steps],
-                                series.values[:n_train_steps], series.ids)
-    ha_pred = historical_average_baseline(train_series, test_w)
-    ha_targ = np.stack([w.target for w in test_w])
-    ha_report = metrics_by_horizon(ha_pred, ha_targ, interval=series.interval)
+    try:
+        report = evaluate(model, test_w, stats, interval=series.interval)
+        n_train_steps = train_w[-1].start_index + cfg.T
+        train_series = type(series)(series.timestamps[:n_train_steps],
+                                    series.values[:n_train_steps], series.ids)
+        ha_pred = historical_average_baseline(train_series, test_w)
+        ha_targ = np.stack([w.target for w in test_w])
+        ha_report = metrics_by_horizon(ha_pred, ha_targ, interval=series.interval)
+    except DomainError as exc:  # metrics over a range with no readings
+        raise FormatError(f"{args.data}: test range: {exc}") from None
     with open(out, "w", newline="", encoding="utf-8") as fh:
         fh.write("model,horizon_min,mae,rmse,mape_pct,n_samples\n")
         for label, rep in (("istd-gcn", report), ("ha", ha_report)):

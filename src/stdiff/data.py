@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import typing
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ class SpeedSeries:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowSample:
     history: np.ndarray            # (T, n, 1)
     target: np.ndarray             # (H, n, 1)
@@ -60,28 +61,41 @@ class WindowSample:
 
 
 def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:
-    """Read a speed CSV; with a graph given, column ids must match its order."""
-    ts, rows = [], []
+    """Read a speed CSV; with a graph given, column ids must match its order.
+
+    The accepted grammar: a header ``timestamp,<id>,...`` (ids may be double
+    quoted), then one row per snapshot of an int64 epoch-second timestamp and
+    one numeric reading per sensor, comma separated.  Any field may be double
+    quoted and padded with spaces; blank lines are skipped; a ``#`` is not a
+    comment but a malformed field.  Line endings are LF or CRLF.  A file that
+    breaks this grammar, or holds no readings, is a ``FormatError`` naming it.
+    """
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: bad header: {exc}") from None
         if not header or header[0] != "timestamp" or len(header) < 2:
             raise FormatError(f"{path}: expected header 'timestamp,<id>,...'")
         ids = tuple(header[1:])
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != len(header):
-                raise FormatError(f"{path}: ragged row {line!r}")
-            try:
-                ts.append(int(line[0]))
-                rows.append([float(v) for v in line[1:]])
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric entry in {line!r}") from None
-    if graph is not None and ids != tuple(graph.vertex_ids):
-        raise IdentifierError(f"{path}: sensor columns do not match the adjacency ids")
+        if graph is not None and ids != tuple(graph.vertex_ids):
+            raise IdentifierError(f"{path}: sensor columns do not match the adjacency ids")
+        row = np.dtype([("t", np.int64), ("v", np.float64, (len(ids),))])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise  # open_text names the file
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if not len(table):
+        raise FormatError(f"{path}: holds no readings, only a header")
     try:
-        return SpeedSeries(np.asarray(ts, dtype=np.int64), np.asarray(rows), ids)
+        # a structured table's fields are strided views: copy each out contiguous
+        return SpeedSeries(np.ascontiguousarray(table["t"]),
+                           np.ascontiguousarray(table["v"]), ids)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -103,16 +117,11 @@ def make_windows(series: SpeedSeries, t_hist: int = 12, horizon: int = 12,
     if total < t_hist + horizon:
         raise ArgumentError(
             f"series length {total} shorter than one window ({t_hist}+{horizon})")
+    values, ts = series.values[..., None], series.timestamps
     out = []
     for start in range(0, total - t_hist - horizon + 1, stride):
-        hist = series.values[start:start + t_hist]
-        targ = series.values[start + t_hist:start + t_hist + horizon]
-        out.append(WindowSample(
-            history=hist[..., None],
-            target=targ[..., None],
-            start_index=start,
-            target_timestamps=series.timestamps[start + t_hist:start + t_hist + horizon],
-        ))
+        mid, end = start + t_hist, start + t_hist + horizon
+        out.append(WindowSample(values[start:mid], values[mid:end], start, ts[mid:end]))
     return out
 
 

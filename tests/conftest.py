@@ -23,6 +23,28 @@ def random_sensor_graph(rng, n, density=0.5):
     return SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.from_dense(dense))
 
 
+# bytes a mutation inserts: delimiter, comment and quote characters, a bare
+# carriage return, NUL, and a byte that is never UTF-8
+FUZZ_INSERTS = (b",", b"#", b'"', b"\r", b"\x00", b"\xff")
+
+
+def mutate_bytes(data: bytes, rng) -> bytes:
+    """``data`` with one seeded mutation: a flipped byte, a deleted or duplicated
+    run, a truncation, or one of ``FUZZ_INSERTS`` inserted."""
+    i = int(rng.integers(len(data)))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return data[:i] + bytes([data[i] ^ int(rng.integers(1, 256))]) + data[i + 1:]
+    if kind == 1:
+        return data[:i] + data[i + int(rng.integers(1, 8)):]
+    if kind == 2:
+        j = min(len(data), i + int(rng.integers(1, 40)))
+        return data[:j] + data[i:j] + data[j:]
+    if kind == 3:
+        return data[:i]
+    return data[:i] + FUZZ_INSERTS[int(rng.integers(len(FUZZ_INSERTS)))] + data[i:]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

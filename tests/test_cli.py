@@ -6,6 +6,7 @@ import pytest
 import stdiff.autodiff as ad
 import stdiff.cli as cli
 import stdiff.training as training
+from conftest import mutate_bytes
 from stdiff.autodiff import ParamArray
 from stdiff.checkpoint import load_params, save_params
 from stdiff.cli import build_parser, main
@@ -46,6 +47,14 @@ def save_long_series(series, path, steps=400):
                        rng.uniform(20.0, 70.0, size=(steps, len(series.ids))), series.ids)
     save_speed_csv(long, path)
     return long
+
+
+def save_with_range_missing(series, path, which):
+    """``series`` saved to ``path`` with every target of its ``which`` split stored as 0."""
+    split = split_dataset(make_windows(series, TINY.T, TINY.H))[which]
+    values = series.values.copy()
+    values[split[0].start_index + TINY.T:split[-1].start_index + TINY.T + TINY.H] = 0.0
+    save_speed_csv(SpeedSeries(series.timestamps, values, series.ids), path)
 
 
 def strip_wall_time(log_text):
@@ -224,6 +233,7 @@ class TestTrain:
     @pytest.mark.parametrize("rows", [
         [(0, "1.0"), (300, "inf")],                  # non-finite reading
         [(0, "1.0"), (300, "2.0"), (900, "3.0")],    # off the fixed interval
+        [(0, "1.0"), (10 ** 20, "2.0")],             # timestamp beyond int64
     ])
     def test_bad_speed_csv_exits_2_naming_file(self, dataset, tmp_path, capsys, rows):
         root, graph, _series = dataset
@@ -282,6 +292,16 @@ class TestTrain:
         want = training.compute_norm_stats(np.stack([w.history for w in train_w]))
         assert abs(stats.mean - want.mean) <= 1e-12 * abs(want.mean)
         assert abs(stats.std - want.std) <= 1e-12 * want.std
+
+    def test_validation_range_without_readings_exits_2_naming_csv(self, dataset, tmp_path,
+                                                                   capsys):
+        root, _graph, series = dataset
+        data = tmp_path / "speed.csv"
+        save_with_range_missing(series, data, 1)
+        args = train_args(root, tmp_path / "run")
+        args[args.index("--data") + 1] = str(data)
+        assert main(args) == 2
+        assert f"{data}: validation range: empty mask" in capsys.readouterr().err
 
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset
@@ -342,6 +362,30 @@ class TestEval:
         assert code == 2
         assert str(flat) in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_test_range_without_readings_exits_2_naming_csv(self, trained, tmp_path, capsys):
+        root, run, series = trained
+        data = tmp_path / "speed.csv"
+        save_with_range_missing(series, data, 2)
+        code = main(["eval", "--checkpoint", str(run / "best.stdf"), "--data", str(data),
+                     "--adj", str(root / "adj"), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"{data}: test range: empty mask" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    def test_fuzzed_speed_csv_exits_0_or_2(self, trained, tmp_path, capsys):
+        root, run, _series = trained
+        data = (root / "speed.csv").read_bytes()
+        rng = np.random.default_rng(1515)
+        codes = []
+        for i in range(8):
+            path = tmp_path / f"m{i}.csv"
+            path.write_bytes(mutate_bytes(data, rng))
+            codes.append(main(["eval", "--checkpoint", str(run / "best.stdf"),
+                               "--data", str(path), "--adj", str(root / "adj"),
+                               "--out", str(tmp_path / f"r{i}.csv")]))
+            assert codes[-1] == 0 or str(path) in capsys.readouterr().err
+        assert set(codes) == {0, 2}
 
     def test_missing_checkpoint_exits_2(self, trained, tmp_path):
         root, _run, _series = trained

@@ -1,6 +1,10 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import mutate_bytes
 from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic,
                          load_speed_csv, make_windows, save_speed_csv)
 from stdiff.errors import ArgumentError, FormatError, IdentifierError
@@ -73,6 +77,108 @@ class TestCsvRoundTrip:
         (tmp_path / "s.csv").write_text("timestamp,a\n0,1.0\n300\n")
         with pytest.raises(FormatError):
             load_speed_csv(tmp_path / "s.csv")
+
+
+def csv_loop_reference(path):
+    """``(ids, timestamps, values)`` of a speed CSV, read one Python number at a time.
+
+    The reading loop the speed CSV loader used before it parsed with numpy;
+    the loader must read every valid file exactly as this does.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        ts, rows = [], []
+        for line in reader:
+            if not line:
+                continue
+            assert len(line) == len(header)
+            ts.append(int(line[0]))
+            rows.append([float(v) for v in line[1:]])
+    return tuple(header[1:]), np.asarray(ts, dtype=np.int64), np.asarray(rows)
+
+
+VALID_SPEED_CSVS = {
+    "crlf": "timestamp,a,b\r\n0,1.5,2\r\n300,3.25,4\r\n",
+    "blank_lines": "timestamp,a,b\n\n0,1.5,2\n\n\n300,3.25,4\n\n",
+    "no_final_newline": "timestamp,a,b\n0,1.5,2\n300,3.25,4",
+    "spaces": "timestamp,a,b\n 0 , 1.5,2 \n300 ,3.25 ,\t4\n",
+    "quoted": '"timestamp","a","b,c"\n"0","1.5",2\n300,"3.25"," 4"\n',
+    "exponents": "timestamp,a,b\n0,1.5e1,2E-3\n300,3.25e+2,.4e0\n",
+    "leading_sign_or_zero": "timestamp,a,b\n+0,+1.5,002\n0300,03.25,+04.\n",
+    "stored_zeros": "timestamp,a,b\n0,0,0.0\n300,0e0,4\n600,-0,0.000\n",
+    "long_digits": ("timestamp,a,b\n1330000000,0.1,62.123456789012345678901\n"
+                    "1330000300,4.9e-324,2.2250738585072011e-308\n"),
+}
+
+
+class TestLoaderMatchesCsvLoop:
+    @pytest.mark.parametrize("text", VALID_SPEED_CSVS.values(), ids=VALID_SPEED_CSVS.keys())
+    def test_valid_file_reads_bit_for_bit(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        ids, ts, values = csv_loop_reference(path)
+        series = load_speed_csv(path)
+        assert series.ids == ids
+        assert series.timestamps.dtype == np.int64 and series.values.dtype == np.float64
+        assert series.timestamps.flags.c_contiguous and series.values.flags.c_contiguous
+        assert series.timestamps.tobytes() == ts.tobytes()
+        assert series.values.tobytes() == values.tobytes()
+
+
+class TestSpeedCsvEdgeCases:
+    def test_header_only_holds_no_readings(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,a,b\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning stays silent
+            with pytest.raises(FormatError, match=f"{path}: holds no readings"):
+                load_speed_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,a\n0,1.0\n300,2.0#x\n",              # '#' does not start a comment
+        "timestamp,a\n0,1.0\n300.5,2.0\n",              # timestamp not an integer
+        "timestamp,a\n0,1.0\n99999999999999999999,2.0\n",  # timestamp beyond int64
+        "timestamp,a\n0,1.0\n300,\n",                    # empty reading
+    ], ids=["hash_in_value", "fractional_timestamp", "timestamp_beyond_int64",
+            "empty_reading"])
+    def test_malformed_row_names_file(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=str(path)):
+            load_speed_csv(path)
+
+    def test_unclosed_quote_in_header_names_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('timestamp,"a\n' + "0,1.0\n" * 40000)
+        with pytest.raises(FormatError, match=str(path)):
+            load_speed_csv(path)
+
+
+def test_fuzzed_speed_csv_is_a_series_or_an_error_naming_it(tmp_path):
+    graph, series = generate_synthetic(SyntheticSpec(n=3, steps=20, seed=2))
+    values = series.values.copy()
+    values[3, 1] = 0.0
+    good = tmp_path / "good.csv"
+    save_speed_csv(SpeedSeries(series.timestamps, values, series.ids), good)
+    data = good.read_bytes()
+    rng = np.random.default_rng(1505)
+    outcomes = {"series": 0, "error": 0}
+    for i in range(300):
+        path = tmp_path / f"m{i}.csv"
+        path.write_bytes(mutate_bytes(data, rng))
+        try:
+            back = load_speed_csv(path, graph=graph if i % 2 else None)
+        except (FormatError, IdentifierError) as exc:
+            assert str(path) in str(exc)
+            outcomes["error"] += 1
+            continue
+        outcomes["series"] += 1
+        assert back.values.flags.c_contiguous and np.all(np.isfinite(back.values))
+        ids, ts, ref = csv_loop_reference(path)  # what is accepted reads as before
+        assert back.ids == ids and back.timestamps.tobytes() == ts.tobytes()
+        assert back.values.tobytes() == ref.tobytes()
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 class TestWindows:
