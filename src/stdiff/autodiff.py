@@ -66,14 +66,18 @@ class Tensor:
 
 
 class ParamArray(Tensor):
-    """Named trainable tensor; gradient storage always allocated."""
+    """Named trainable tensor; gradient storage always allocated.
+
+    A ``grad`` array, when given, is the gradient storage itself, so a
+    parameter can be a view of one block of a larger one, value and gradient.
+    """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, value, grad: np.ndarray | None = None):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if grad is None else grad
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -488,8 +492,7 @@ def grad_check(
 
     reports = []
     for p in params:
-        flat = p.value.reshape(-1)
-        n_entries = flat.size
+        n_entries = p.value.size
         if n_entries > max_entries:
             idx = rng.choice(n_entries, size=max_entries, replace=False)
         else:
@@ -497,12 +500,13 @@ def grad_check(
         a_flat = analytic[p.name].reshape(-1)
         max_err = 0.0
         for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
+            at = np.unravel_index(i, p.value.shape)  # a strided view does not flatten in place
+            orig = p.value[at]
+            p.value[at] = orig + h
             f_plus = run()
-            flat[i] = orig - h
+            p.value[at] = orig - h
             f_minus = run()
-            flat[i] = orig
+            p.value[at] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = a_flat[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))

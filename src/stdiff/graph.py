@@ -102,14 +102,17 @@ def build_gaussian_adjacency(
 def open_text(path):
     """``path`` opened for reading as UTF-8 text.
 
-    A byte that is not UTF-8, wherever the reader meets it, is a
-    ``FormatError`` naming the file.
+    A byte that is not UTF-8, or a ``csv`` reader's error (a quote never
+    closed, a field beyond its size limit), wherever the reader meets it, is
+    a ``FormatError`` naming the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV: {exc}") from None
 
 
 def load_distance_csv(path) -> list[DistanceRecord]:

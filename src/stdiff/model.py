@@ -17,11 +17,13 @@ The sum is evaluated in fused form, for all s channels at once.  The
 diffusion features Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]
 (m, n, 2K*d) do not depend on the channel, so each block computes them
 once: hop k applies its graph's structured operator
-(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.  Once
-per forward, ``stack_channels`` lays every channel's weights side by side
-on the feature axis, channel c in columns [c*d, (c+1)*d).  Whatever K and s
-are, a pass is then one channel term Y = Z Theta, one channel-grouped layer
-norm of X + Y, one temporal compression and the mix GEMM.
+(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.  The
+model stores every channel's weights side by side on the feature axis,
+channel c in columns [c*d, (c+1)*d), in one ``ChannelBank``; each named
+channel parameter is a view into it, so no forward stacks weights and no
+backward splits their gradient.  Whatever K and s are, a pass is then one
+channel term Y = Z Theta, one channel-grouped layer norm of X + Y, one
+temporal compression and the mix GEMM.
 
 Y is folded.  A raw snapshot is the embedding w ⊗ E of its (n, d_in)
 readings, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per snapshot,
@@ -146,20 +148,13 @@ class IstdGcnModel:
         self.graph = graph
         self._blocks: dict[int, StBlockGraph] = {}
         rng = np.random.default_rng(seed)
-        d, K, s = config.d, config.K, config.s
-        m_eff = config.effective_m
+        d, s = config.d, config.s
         self.input_embed = ParamArray("input_embed", _glorot(rng, config.d_in, d, (config.d_in, d)))
-        self.channels: list[StscChannelParams] = []
-        for c in range(s):
-            self.channels.append(StscChannelParams(
-                theta_nh=[ParamArray(f"ch{c}.theta_nh{k}", _glorot(rng, d, d, (d, d)))
-                          for k in range(1, K + 1)],
-                theta_h=[ParamArray(f"ch{c}.theta_h{k}", _glorot(rng, d, d, (d, d)))
-                         for k in range(1, K + 1)],
-                ln_scale=ParamArray(f"ch{c}.ln_scale", np.ones(d)),
-                ln_shift=ParamArray(f"ch{c}.ln_shift", np.zeros(d)),
-                compress_kernel=ParamArray(f"ch{c}.compress", np.full((m_eff, d), 1.0 / m_eff)),
-            ))
+        self.bank = ChannelBank(config)
+        self.channels = self.bank.channels
+        for ch in self.channels:
+            for theta in (*ch.theta_nh, *ch.theta_h):
+                theta.value[...] = _glorot(rng, d, d, (d, d))
         self.mix = ParamArray("mix", _glorot(rng, s * d, d, (s * d, d)))
         hidden = config.hidden
         out_w = config.H * config.d_out
@@ -194,7 +189,7 @@ def _hop_terms(k_hops: int, ablation: str) -> list[tuple[str, int]]:
     """(theta list name, k) of each diffusion term, in summation order.
 
     ``no_two_step`` drops the decoupled terms, ``no_hstg`` the coupled ones;
-    Z and the stacked thetas drop the same terms.
+    Z and the bank's GEMM weight drop the same terms.
     """
     kept = [name for name, dropped_by in (("theta_nh", "no_two_step"), ("theta_h", "no_hstg"))
             if ablation != dropped_by]
@@ -207,61 +202,80 @@ def _kept_graphs(block: StBlockGraph, ablation: str) -> list[BlockDiffusion]:
     return [graphs[name] for name, _ in _hop_terms(1, ablation)]
 
 
-@dataclass(frozen=True)
 class ChannelBank:
-    """Every channel's weights side by side; channel c owns columns [c*d, (c+1)*d)."""
-    theta: Tensor            # (terms*d, s*d), rows in ``_hop_terms`` order
-    ln_scale: Tensor         # (s*d,)
-    ln_shift: Tensor         # (s*d,)
-    compress_kernel: Tensor  # (m_eff, s*d)
-    theta_fold: Tensor | None = None  # (terms*d_in, s*d): (I_terms ⊗ E) theta, E = input_embed
+    """Every channel's weights side by side, channel c in columns [c*d, (c+1)*d).
+
+    The storage of the named channel parameters in ``channels``, each a view
+    of one block of it, value and gradient alike: a forward reads the weights
+    where they are stored, and a backward adds their gradients there.
+    """
+
+    def __init__(self, config: ModelConfig):
+        d, width, m_eff = config.d, config.s * config.d, config.effective_m
+        kept = _hop_terms(config.K, config.ablation)
+        # theta's rows: the terms Z keeps, in summation order, then the dropped ones
+        rows = kept + [term for term in _hop_terms(config.K, "full") if term not in kept]
+        self.theta = ParamArray("bank.theta", np.zeros((len(rows) * d, width)))
+        self.ln_scale = ParamArray("bank.ln_scale", np.ones(width))
+        self.ln_shift = ParamArray("bank.ln_shift", np.zeros(width))
+        self.compress_kernel = ParamArray("bank.compress", np.full((m_eff, width), 1.0 / m_eff))
+        # the channel GEMM's weight: theta's leading, kept, rows
+        self.weight = _view("bank.weight", self.theta, slice(len(kept) * d))
+        self.channels: list[StscChannelParams] = []
+        for c in range(config.s):
+            cols = slice(c * d, (c + 1) * d)
+            theta = {(name, k): _view(f"ch{c}.{name}{k + 1}", self.theta,
+                                      (slice(i * d, (i + 1) * d), cols))
+                     for i, (name, k) in enumerate(rows)}
+            self.channels.append(StscChannelParams(
+                theta_nh=[theta["theta_nh", k] for k in range(config.K)],
+                theta_h=[theta["theta_h", k] for k in range(config.K)],
+                ln_scale=_view(f"ch{c}.ln_scale", self.ln_scale, cols),
+                ln_shift=_view(f"ch{c}.ln_shift", self.ln_shift, cols),
+                compress_kernel=_view(f"ch{c}.compress", self.compress_kernel, (slice(None), cols)),
+            ))
 
 
-def _stack_thetas(tape: Tape, params: StscChannelParams, terms: list) -> Tensor:
-    return ad.concat_features(tape, [getattr(params, name)[k] for name, k in terms], axis=0)
-
-
-def stack_channels(tape: Tape, model: IstdGcnModel, fold: bool = False) -> ChannelBank:
-    """The model's channel weights as one bank, once per forward: s + 4 records, + 1 to fold."""
-    chs, terms = model.channels, _hop_terms(model.config.K, model.config.ablation)
-    theta = ad.concat_features(tape, [_stack_thetas(tape, ch, terms) for ch in chs])
-    return ChannelBank(theta, *(ad.concat_features(tape, [getattr(ch, f) for ch in chs])
-                                for f in ("ln_scale", "ln_shift", "compress_kernel")),
-                       ad.kron_linear(tape, model.input_embed, theta) if fold else None)
+def _view(name: str, storage: ParamArray, index) -> ParamArray:
+    return ParamArray(name, storage.value[index], grad=storage.grad[index])
 
 
 def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: Tensor, *,
                  ablation: str = "full", ln_eps: float = 1e-5) -> Tensor:
     """One channel's convolution block on (..., m, n, d) or (..., m*n, d) input.
 
-    A ``multi_channel_forward`` pass with s = 1, up to the layer norm; the
-    output has the input's shape.  X feeds the hops of both graphs.
+    A ``multi_channel_forward`` pass with s = 1, up to the layer norm, on
+    separate parameters, which it stacks per call; the output has the
+    input's shape.  X feeds the hops of both graphs.
     """
     k_hops = len(params.theta_nh)
     z = ad.spmm_diff(tape, _kept_graphs(block, ablation), x, k_hops)
-    theta = _stack_thetas(tape, params, _hop_terms(k_hops, ablation))
+    theta = ad.concat_features(
+        tape, [getattr(params, name)[k] for name, k in _hop_terms(k_hops, ablation)], axis=0)
     return ad.layer_norm(tape, x, ad.linear(tape, z, theta), params.ln_scale,
                          params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor, bank: ChannelBank,
-                          raw: np.ndarray | None = None, carry: Tensor | None = None) -> Tensor:
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
+                          raw: np.ndarray | None = None, carry: Tensor | None = None,
+                          theta_fold: Tensor | None = None) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
     Without ``raw`` the channel term is Z(X) Theta; with it, x must be
-    ``carry`` (if any) then raw @ E, and the term is folded (module docstring).
+    ``carry`` (if any) then raw @ E, and the term is folded against
+    ``theta_fold``, (I_terms ⊗ E) Theta (module docstring).
     """
-    cfg = model.config
+    cfg, bank = model.config, model.bank
     ops = _kept_graphs(model.block_graph(x.value.shape[-3]), cfg.ablation)
     y0 = None
     if raw is None or (carry is not None and cfg.temporal_direction != "as_written"):
-        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
+        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.weight)
     else:
         if carry is not None:
             raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
             row0 = [BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops]
-            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
-        y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), bank.theta_fold)
+            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.weight)
+        y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), theta_fold)
     h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)
     return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
 
@@ -276,13 +290,14 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
     m = model.config.effective_m
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
-    bank = stack_channels(tape, model, fold=window is not None)
+    theta_fold = (None if window is None
+                  else ad.kron_linear(tape, model.input_embed, model.bank.weight))
     com, idx, iterations = None, 0, 0
     while idx < t_total:
         end = idx + (m if com is None else min(m - 1, t_total - idx))
         block = ad.slice_time(tape, embedded, idx, end, carry=com)
         raw = None if window is None else window[..., idx:end, :, :]
-        com = multi_channel_forward(tape, model, block, bank, raw, com)
+        com = multi_channel_forward(tape, model, block, raw, com, theta_fold)
         idx, iterations = end, iterations + 1
     return CompressedSnapshot(features=com, iterations=iterations)
 

@@ -113,6 +113,14 @@ class TestBuildAdj:
         assert f"quantile {float(quantile)!r}" in capsys.readouterr().err
         assert not (tmp_path / "adj.csv").exists()
 
+    def test_unclosed_quote_in_distances_exits_2_naming_csv(self, tmp_path, capsys):
+        self.make_inputs(tmp_path)
+        path = tmp_path / "d.csv"
+        path.write_text('from,to,"distance\n' + "a,b,1.0\n" * 30000)
+        assert main(["build-adj", "--distances", str(path), "--ids", str(tmp_path / "ids.txt"),
+                     "--out", str(tmp_path / "adj")]) == 2
+        assert f"{path}: malformed CSV" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         (tmp_path / "ids.txt").write_text("a\n")
         code = main(["build-adj", "--distances", str(tmp_path / "nope.csv"),
@@ -395,6 +403,17 @@ class TestEval:
                      "--config", str(root / "config.json"),
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    def test_unclosed_quote_in_adjacency_exits_2_naming_csv(self, trained, tmp_path, capsys):
+        root, run, _series = trained
+        (tmp_path / "adj.json").write_text((root / "adj.json").read_text())
+        path = tmp_path / "adj.csv"
+        path.write_text('row,col,"weight\n' + "0,1,0.5\n" * 30000)
+        code = main(["eval", "--checkpoint", str(run / "best.stdf"),
+                     "--data", str(root / "speed.csv"), "--adj", str(tmp_path / "adj"),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"{path}: malformed CSV" in capsys.readouterr().err
 
 
 class TestRestoredRunManifests:

@@ -28,6 +28,24 @@ class TestSpeedSeries:
         with pytest.raises(FormatError):
             SpeedSeries(ts, np.ones((3, 1)), ("a",))
 
+    @pytest.mark.parametrize("ts", [
+        [9223372036854775000, -9223372036854775000],  # np.diff wraps to +1616
+        [-9223372036854775000, 9223372036854775000],  # increasing, span beyond int64
+        [0, 300, 300],
+    ], ids=["decreasing_past_int64", "span_past_int64", "repeated"])
+    def test_timestamps_that_wrap_or_stall_rejected_silently(self, ts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning either
+            with pytest.raises(FormatError, match="timestamps"):
+                SpeedSeries(np.array(ts, dtype=np.int64), np.ones((len(ts), 1)), ("a",))
+
+    def test_interval_near_int64_limits(self):
+        step = 2 ** 62 - 1  # the widest span an int64 holds, less one
+        ts = np.array([-step, 0, step], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SpeedSeries(ts, np.ones((3, 1)), ("a",)).interval == step
+
     def test_column_mismatch_rejected(self):
         ts = np.arange(3, dtype=np.int64) * 300
         with pytest.raises(FormatError):
@@ -147,6 +165,14 @@ class TestSpeedCsvEdgeCases:
         path.write_text(text)
         with pytest.raises(FormatError, match=str(path)):
             load_speed_csv(path)
+
+    def test_wrapping_timestamps_name_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,a\n9223372036854775000,1.0\n-9223372036854775000,2.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=f"{path}: timestamps must increase"):
+                load_speed_csv(path)
 
     def test_unclosed_quote_in_header_names_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -143,6 +143,19 @@ class TestAdjacencyIO:
         with pytest.raises(FormatError):
             load_distance_csv(path)
 
+    def test_unclosed_quote_in_distance_csv_names_file(self, tmp_path):
+        # the quote swallows every later line into one field, past csv's size limit
+        path = tmp_path / "d.csv"
+        path.write_text('from,to,"distance\n' + "a,b,1.0\n" * 30000)
+        with pytest.raises(FormatError, match=f"{path}: malformed CSV"):
+            load_distance_csv(path)
+
+    def test_unclosed_quote_in_adjacency_csv_names_file(self, tmp_path):
+        (tmp_path / "adj.json").write_text('{"n": 2, "ids": ["a", "b"]}\n')
+        (tmp_path / "adj.csv").write_text('row,col,"weight\n' + "0,1,0.5\n" * 30000)
+        with pytest.raises(FormatError, match=r"adj\.csv: malformed CSV"):
+            load_adjacency(tmp_path / "adj")
+
     @pytest.mark.parametrize("record", [
         "0,one,0.5",     # non-integer index
         "0,1",           # short row

@@ -1,16 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import stdiff.autodiff as ad
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
+from stdiff.checkpoint import restore_params, save_params
 from stdiff.errors import ArgumentError
 from stdiff.graph import SensorGraph
 from stdiff.model import (ABLATIONS, IstdGcnModel, ModelConfig, StscChannelParams, encode,
-                          expected_iterations, forward, multi_channel_forward,
-                          stack_channels, stsc_forward)
+                          expected_iterations, forward, multi_channel_forward, stsc_forward)
 from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
-from stdiff.training import mae_l2_loss
+from stdiff.training import AdamState, TrainConfig, mae_l2_loss, optimizer_step
 
 from conftest import random_sensor_graph
 
@@ -136,7 +138,7 @@ class TestMultiChannel:
         model.mix.value[...] = np.eye(cfg.d)
         tape = Tape()
         x = Tensor(rng.standard_normal((2, 3, cfg.d)))
-        got = multi_channel_forward(tape, model, x, stack_channels(tape, model))
+        got = multi_channel_forward(tape, model, x)
         tape2 = Tape()
         h = stsc_forward(tape2, model.channels[0], model.block_graph(2), x)
         assert h.value.shape == (2, 3, cfg.d)
@@ -169,7 +171,7 @@ class TestMultiChannel:
             return out.value, [p.grad.copy() for p in params]
 
         got, got_grads = grads_of(
-            lambda tape: multi_channel_forward(tape, model, x, stack_channels(tape, model)))
+            lambda tape: multi_channel_forward(tape, model, x))
         for flat in (False, True):
             def per_channel(tape):
                 x_in = reshaped(tape, x, (2, m * n, cfg.d)) if flat else x
@@ -185,6 +187,87 @@ class TestMultiChannel:
             assert np.max(np.abs(got - want)) < 1e-12
             for p, a, b in zip(params, got_grads, want_grads):
                 assert np.max(np.abs(a - b)) < 1e-10, (p.name, flat)
+
+
+class TestChannelBank:
+    """The named channel parameters are views into the model's one channel bank."""
+
+    # save_params of seed-0 tiny_config models, as written before the bank became
+    # the storage: the fresh model, then after ``perturb``
+    SEED0_SHA256 = "1c99594119dde5158845f319152ba26842673b8f680d9bf29ece17534bb23a39"
+    PERTURBED_SHA256 = "444acd85a8b22d09249d372af0bf1891cf7784251f919042a9225568e09ca07f"
+
+    @staticmethod
+    def perturb(model):
+        rng = np.random.default_rng(7)
+        for p in model.params():
+            p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
+
+    @staticmethod
+    def sha256(model, path):
+        save_params(model.params(), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_channel_parameters_are_views_tiling_the_bank(self, rng, ablation):
+        model = IstdGcnModel(tiny_config(s=3, ablation=ablation), random_sensor_graph(rng, 3))
+        bank = model.bank
+        storage = [bank.theta, bank.ln_scale, bank.ln_shift, bank.compress_kernel]
+        views = [p for ch in model.channels for p in ch.all()]
+        for p in views:
+            owners = [b for b in storage if np.shares_memory(p.value, b.value)]
+            assert len(owners) == 1 and np.shares_memory(p.grad, owners[0].grad), p.name
+        assert sum(p.value.size for p in views) == sum(b.value.size for b in storage)
+        for i, p in enumerate(views):  # each entry of the bank belongs to one view
+            p.value[...] = i
+            p.grad[...] = -i
+        for b in storage:
+            assert np.array_equal(b.grad, -b.value)
+        values = np.concatenate([b.value.ravel() for b in storage])
+        assert np.array_equal(np.unique(values), np.arange(len(views)))
+        assert np.shares_memory(bank.weight.value, bank.theta.value)
+        assert np.array_equal(bank.weight.value, bank.theta.value[:len(bank.weight.value)])
+
+    @pytest.mark.parametrize("ablation", ["full", "no_hstg"])
+    def test_checkpoint_bytes_unchanged(self, rng, tmp_path, ablation):
+        model = IstdGcnModel(tiny_config(ablation=ablation), random_sensor_graph(rng, 3), seed=0)
+        assert self.sha256(model, tmp_path / "seed0.stdf") == self.SEED0_SHA256
+
+    @pytest.mark.parametrize("ablation", ["full", "no_hstg"])
+    def test_forward_reads_restored_values(self, rng, tmp_path, ablation):
+        # the checkpoint's bytes are pinned above: they are the ones written
+        # when every parameter was its own array
+        g, cfg = random_sensor_graph(rng, 3), tiny_config(ablation=ablation)
+        written = IstdGcnModel(cfg, g, seed=0)
+        self.perturb(written)
+        path = tmp_path / "perturbed.stdf"
+        assert self.sha256(written, path) == self.PERTURBED_SHA256
+        model = IstdGcnModel(cfg, g, seed=5)
+        window = rng.standard_normal((2, cfg.T, 3, 1))
+        before = forward(Tape(), model, window).value
+        restore_params(model.params(), path)
+        for p, q in zip(model.params(), written.params()):
+            assert np.array_equal(p.value, q.value), p.name
+        after = forward(Tape(), model, window).value
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(Tape(), written, window).value)
+
+    def test_forward_reads_optimizer_updates(self, rng):
+        g, cfg = random_sensor_graph(rng, 3), tiny_config()
+        model = IstdGcnModel(cfg, g, seed=0)
+        window = rng.standard_normal((2, cfg.T, 3, 1))
+        tape = Tape()
+        tape.backward(mae_l2_loss(tape, forward(tape, model, window),
+                                  rng.standard_normal((2, cfg.H, 3, 1)), model.params(), 1e-4))
+        before = forward(Tape(), model, window).value
+        optimizer_step(model.params(), AdamState(), TrainConfig())
+        # a model whose parameters are the updated values, copied in
+        copy = IstdGcnModel(cfg, g, seed=1)
+        for p, q in zip(copy.params(), model.params()):
+            p.value[...] = q.value
+        after = forward(Tape(), model, window).value
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(Tape(), copy, window).value)
 
 
 def reshaped(tape, t, shape):
@@ -440,11 +523,10 @@ class TestForward:
         # window's diffusion against theta_fold, then layer_norm,
         # temporal_compress and the mix linear for all s channels; a carried
         # pass adds the carry's spmm_diff and its linear.  Once per forward,
-        # s + 1 concat_features stack the thetas, one kron_linear folds them
-        # and 3 more concat_features stack the scales, shifts and kernels;
-        # around them the input linear and the 6 decoder records:
-        # 1 + 5 * passes + 2 * (passes - 1) + (s + 5) + 6
-        assert len(tape) == 1 + 5 * passes + 2 * (passes - 1) + (cfg.s + 5) + 6 == 33
+        # one kron_linear folds the bank's weight; around them the input
+        # linear and the 6 decoder records:
+        # 1 + 5 * passes + 2 * (passes - 1) + 1 + 6
+        assert len(tape) == 1 + 5 * passes + 2 * (passes - 1) + 1 + 6 == 27
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 
@@ -456,10 +538,10 @@ class TestForward:
             tape = Tape()
             forward(tape, IstdGcnModel(tiny_config(s=s), g, seed=0), window)
             lengths[s] = len(tape)
-        # only the once-per-forward theta stacking has a record per channel
-        assert lengths[3] - lengths[1] == 2
+        # the channels' weights are stored side by side: nothing is per channel
+        assert lengths[3] == lengths[1]
 
-    def test_weights_stacked_once_per_forward(self, rng, monkeypatch):
+    def test_forward_stacks_no_weights(self, rng, monkeypatch):
         g = random_sensor_graph(rng, 3)
         calls = []
         concat = ad.concat_features
@@ -475,9 +557,8 @@ class TestForward:
             calls.clear()
             forward(Tape(), IstdGcnModel(cfg, g, seed=0), rng.standard_normal((t, 3, 1)))
             counts[t] = len(calls)
-        # no concat per pass; per forward, s + 1 theta stacks and 3 further
-        # stacks (scales, shifts, kernels): s + 4, however many passes
-        assert counts[8] == counts[4] == 3 + 4
+        # the bank is the weights' storage: no concat, however many passes
+        assert counts[8] == counts[4] == 0
 
     def test_training_step_leaves_spec_matrices_unbuilt(self, rng):
         g = random_sensor_graph(rng, 4)
