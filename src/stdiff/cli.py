@@ -27,8 +27,7 @@ from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
 from .errors import ArgumentError, DomainError, FormatError, StdiffError
 from .graph import (build_gaussian_adjacency, load_adjacency, load_distance_csv, open_text,
                     save_adjacency)
-from .metrics import (evaluate, historical_average_baseline, horizon_minutes,
-                      metrics_by_horizon)
+from .metrics import evaluate, evaluate_historical_average, horizon_minutes
 from .model import IstdGcnModel, ModelConfig, forward
 from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_windows,
                        split_dataset, train, zscore)
@@ -201,9 +200,7 @@ def cmd_eval(args) -> int:
         n_train_steps = train_w[-1].start_index + cfg.T
         train_series = type(series)(series.timestamps[:n_train_steps],
                                     series.values[:n_train_steps], series.ids)
-        ha_pred = historical_average_baseline(train_series, test_w)
-        ha_targ = np.stack([w.target for w in test_w])
-        ha_report = metrics_by_horizon(ha_pred, ha_targ, interval=series.interval)
+        ha_report = evaluate_historical_average(train_series, test_w, interval=series.interval)
     except DomainError as exc:  # metrics over a range with no readings
         raise FormatError(f"{args.data}: test range: {exc}") from None
     with open(out, "w", newline="", encoding="utf-8") as fh:

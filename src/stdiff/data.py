@@ -21,6 +21,7 @@ from .graph import DistanceRecord, SensorGraph, build_gaussian_adjacency, open_t
 from .sparse import transition_matrix
 
 DEFAULT_INTERVAL = 300  # 5-minute snapshots
+_PACK_ROWS = 1024  # rows per block when a parsed table's readings are packed
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,29 @@ def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:
     if not len(table):
         raise FormatError(f"{path}: holds no readings, only a header")
     try:
-        # a structured table's fields are strided views: copy each out contiguous
-        return SpeedSeries(np.ascontiguousarray(table["t"]),
-                           np.ascontiguousarray(table["v"]), ids)
+        return SpeedSeries(*_split_table(table), ids)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def _split_table(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous timestamps and (rows, n) values of a parsed speed table.
+
+    The timestamps are copied out; the values are then packed to the front
+    of the table's own buffer, ``_PACK_ROWS`` rows at a time through a small
+    copy, so the load never holds a second table-sized array.
+    """
+    # copied, never viewed: ascontiguousarray views a one-row table's field,
+    # which the packing below would overwrite
+    timestamps = table["t"].copy()
+    rows, width = len(table), table.dtype["v"].shape[0]
+    flat = table.view(np.float64)   # each row: the timestamp's bits, then its readings
+    for lo in range(0, rows, _PACK_ROWS):
+        hi = min(lo + _PACK_ROWS, rows)
+        readings = flat[lo * (width + 1):hi * (width + 1)].reshape(hi - lo, width + 1)[:, 1:]
+        # packed rows end before unread rows start, so only this block overlaps itself
+        flat[lo * width:hi * width] = readings.copy().reshape(-1)
+    return timestamps, flat[:rows * width].reshape(rows, width)
 
 
 def save_speed_csv(series: SpeedSeries, path) -> None:

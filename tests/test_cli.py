@@ -13,6 +13,7 @@ from stdiff.cli import build_parser, main
 from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_speed_csv,
                          make_windows, save_speed_csv)
 from stdiff.graph import load_adjacency, save_adjacency
+from stdiff.metrics import historical_average_baseline, metrics_by_horizon
 from stdiff.model import ModelConfig
 from stdiff.training import split_dataset
 
@@ -347,6 +348,33 @@ class TestEval:
             parts = line.split(",")
             assert len(parts) == 6
             assert float(parts[2]) >= 0 and float(parts[3]) >= float(parts[2]) - 1e-9
+
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    @pytest.mark.parametrize("steps", [400, 3600], ids=["one_slot", "weekly"])
+    def test_rows_equal_whole_array_reports(self, trained, tmp_path, steps):
+        # every row streams in 64-window chunks; whole arrays must give the same bits
+        root, run, series = trained
+        save_long_series(series, tmp_path / "long.csv", steps)
+        argv = ["eval", "--checkpoint", str(run / "best.stdf"),
+                "--data", str(tmp_path / "long.csv"), "--adj", str(root / "adj"),
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        cfg, graph, model = cli._restore_model(args)
+        _g, long, (train_w, _v, test_w), stats = cli._load_dataset(args, cfg, graph)
+        assert len(test_w) > 64
+        targets = np.stack([w.target for w in test_w])
+        pred = np.concatenate([p for _, p in training.predict_windows(model, test_w, stats, 64)])
+        n_train = train_w[-1].start_index + cfg.T
+        ha = historical_average_baseline(
+            SpeedSeries(long.timestamps[:n_train], long.values[:n_train], long.ids), test_w)
+        want = [[label, str(row.horizon_min), repr(row.mae), repr(row.rmse), repr(row.mape),
+                 str(row.n_samples)]
+                for label, rep in (("istd-gcn", metrics_by_horizon(pred, targets)),
+                                   ("ha", metrics_by_horizon(ha, targets)))
+                for row in rep.rows()]
+        lines = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert [line.split(",") for line in lines] == want
 
     def test_too_short_series_exits_2(self, trained, tmp_path):
         root, run, series = trained

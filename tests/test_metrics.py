@@ -1,12 +1,17 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from stdiff.data import SpeedSeries, make_windows
+import stdiff.metrics as metrics
+from stdiff.data import SpeedSeries, SyntheticSpec, generate_synthetic, make_windows
 from stdiff.errors import ArgumentError, DomainError, ShapeError
-from stdiff.metrics import (historical_average_baseline, mae, mape,
-                            metrics_by_horizon, rmse)
+from stdiff.metrics import (evaluate, evaluate_historical_average,
+                            historical_average_baseline, mae, mape, metrics_by_horizon,
+                            rmse)
+from stdiff.model import IstdGcnModel, ModelConfig
+from stdiff.training import NormStats, predict_batch
 
 
 def scalar_mae(pred, target, mask):
@@ -124,6 +129,105 @@ class TestHorizonReport:
         pred = rng.uniform(1, 80, size=(3, 12, 2, 1))
         report = metrics_by_horizon(pred, pred + 1.0, interval=interval)
         assert " ".join(str(r.horizon_min) for r in report.rows()) == labels
+
+
+class TestStreamedSums:
+    """Every report is accumulated window by window, in an order chunking cannot change."""
+
+    @pytest.fixture
+    def arrays(self, rng):
+        # 150 windows: no chunk size below divides it evenly
+        pred = rng.uniform(1, 80, size=(150, 12, 5, 1))
+        target = rng.uniform(1, 80, size=pred.shape)
+        target[rng.random(pred.shape) < 0.05] = 0.0
+        return pred, target, rng.random(pred.shape) < 0.7
+
+    @pytest.mark.parametrize("with_mask", [False, True], ids=["default_mask", "mask"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_size_does_not_change_a_bit(self, arrays, monkeypatch, chunk, with_mask):
+        pred, target, mask = arrays
+        mask = mask if with_mask else None
+        whole = metrics_by_horizon(pred, target, mask=mask)  # 150 windows: more than one chunk
+        monkeypatch.setattr(metrics, "_CHUNK", len(pred))
+        assert metrics_by_horizon(pred, target, mask=mask) == whole
+        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        assert metrics_by_horizon(pred, target, mask=mask) == whole
+
+    def test_rows_agree_with_masked_errors_on_slices(self, arrays):
+        pred, target, mask = arrays
+        report = metrics_by_horizon(pred, target, mask=mask)
+        for row, h in zip(report.per_horizon, (3, 6, 12)):
+            want = metrics.masked_errors(pred[:, h - 1], target[:, h - 1], mask[:, h - 1])
+            assert (row.mae, row.rmse, row.mape) == pytest.approx(want, rel=1e-12)
+        want = metrics.masked_errors(pred, target, mask)
+        agg = report.aggregate
+        assert (agg.mae, agg.rmse, agg.mape) == pytest.approx(want, rel=1e-12)
+        assert agg.n_samples == len(pred)
+
+    def test_masked_out_entries_never_enter(self, arrays):
+        # non-finite values where the mask is off change nothing and warn nothing
+        pred, target, mask = arrays
+        want = metrics_by_horizon(pred, target, mask=mask)
+        pred, target = pred.copy(), target.copy()
+        pred[~mask] = np.nan
+        target[~mask] = -1e-5  # a zero MAPE denominator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics_by_horizon(pred, target, mask=mask) == want
+
+    def test_mask_shape_mismatch_rejected(self, arrays):
+        pred, target, mask = arrays
+        with pytest.raises(ShapeError, match="mask shape"):
+            metrics_by_horizon(pred, target, mask=mask[:, :6])
+
+    def test_horizon_without_readings_rejected(self, arrays):
+        pred, target, _mask = arrays
+        target = target.copy()
+        target[:, 5] = 0.0
+        with pytest.raises(DomainError, match="empty mask"):
+            metrics_by_horizon(pred, target)
+
+    def test_no_windows_rejected(self):
+        with pytest.raises(DomainError, match="empty mask"):
+            metrics_by_horizon(np.zeros((0, 12, 3, 1)), np.zeros((0, 12, 3, 1)))
+
+
+def tiny_eval_setup(n=5, steps=160, H=3):
+    cfg = ModelConfig(K=1, m=2, s=1, d=4, T=6, H=H)
+    graph, series = generate_synthetic(SyntheticSpec(n=n, steps=steps, seed=3))
+    return IstdGcnModel(cfg, graph, seed=3), make_windows(series, cfg.T, cfg.H)
+
+
+class TestStreamedEvaluate:
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 1000])
+    def test_equals_metrics_by_horizon_on_whole_arrays(self, batch_size):
+        model, windows = tiny_eval_setup()
+        stats = NormStats(50.0, 10.0)
+        pred = predict_batch(model, np.stack([w.history for w in windows]), stats)
+        want = metrics_by_horizon(pred, np.stack([w.target for w in windows]))
+        assert evaluate(model, windows, stats, batch_size=batch_size) == want
+
+    def test_empty_test_set_rejected(self):
+        model, _windows = tiny_eval_setup()
+        with pytest.raises(ArgumentError, match="empty test set"):
+            evaluate(model, [], NormStats(50.0, 10.0))
+
+    def test_transient_peak_does_not_grow_with_the_window_count(self):
+        # one 64-window batch at a time: the whole-set arrays used to double with the set
+        model, windows = tiny_eval_setup(n=20, steps=820)
+        stats = NormStats(50.0, 10.0)
+        evaluate(model, windows[:64], stats)  # first-call allocations out of the way
+
+        def peak(ws):
+            tracemalloc.start()
+            try:
+                evaluate(model, ws, stats)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        half = len(windows) // 2
+        assert peak(windows[:2 * half]) < 1.2 * peak(windows[:half])
 
 
 def weekly_series(weeks=2, interval=300):
@@ -251,3 +355,23 @@ class TestHistoricalAverage:
         with pytest.warns(UserWarning, match="shorter than one week"):
             preds = historical_average_baseline(series, windows)
         assert np.allclose(preds, 50.0)
+
+
+class TestStreamedHistoricalAverage:
+    @pytest.mark.parametrize("days", [5, 16], ids=["one_slot", "weekly"])
+    def test_equals_metrics_by_horizon_of_the_baseline(self, rng, days):
+        series = noisy_series(rng, days=days)
+        windows = make_windows(series, 12, 12)[-300:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = evaluate_historical_average(series, windows, interval=series.interval)
+            pred = historical_average_baseline(series, windows)
+        assert got == metrics_by_horizon(pred, np.stack([w.target for w in windows]))
+
+    def test_empty_test_set_rejected_before_the_slot_table(self, rng, monkeypatch):
+        def fit(cls, train_series):
+            raise AssertionError("the slot table was built for an empty test set")
+
+        monkeypatch.setattr(metrics.HistoricalAverage, "fit", classmethod(fit))
+        with pytest.raises(ArgumentError, match="empty test set"):
+            evaluate_historical_average(noisy_series(rng, days=8), [])
