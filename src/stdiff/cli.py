@@ -28,7 +28,7 @@ from .errors import ArgumentError, DomainError, FormatError, StdiffError
 from .graph import (build_gaussian_adjacency, load_adjacency, load_distance_csv, open_text,
                     save_adjacency)
 from .metrics import evaluate, evaluate_historical_average, horizon_minutes
-from .model import IstdGcnModel, ModelConfig, forward
+from .model import ABLATIONS, IstdGcnModel, ModelConfig, forward
 from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_windows,
                        split_dataset, train, zscore)
 
@@ -300,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adj", required=True)
     p.add_argument("--config", default=_env("config", None))
     p.add_argument("--out", required=True)
-    p.add_argument("--ablation",
-                   choices=["full", "no_hstg", "no_two_step", "no_iteration"],
-                   default=_env("ablation", None))
+    p.add_argument("--ablation", choices=ABLATIONS, default=_env("ablation", None))
     p.add_argument("--epochs", type=int, default=_env("epochs", 100))
     p.add_argument("--batch-size", type=int, default=_env("batch_size", 32))
     p.add_argument("--lr", type=float, default=_env("lr", 5e-4))

@@ -45,7 +45,9 @@ class SpeedSeries:
             steps = np.diff(ts)
             if steps.min() != steps.max():
                 raise FormatError("timestamps must increase at a fixed interval")
-        if not np.all(np.isfinite(vals)):
+        # NaN propagates through min and max, so the two cover every reading
+        # without a readings-sized bool array
+        if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise FormatError("non-finite speed value")
 
     @property

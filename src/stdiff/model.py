@@ -21,9 +21,10 @@ once: hop k applies its graph's structured operator
 model stores every channel's weights side by side on the feature axis,
 channel c in columns [c*d, (c+1)*d), in one ``ChannelBank``; each named
 channel parameter is a view into it, so no forward stacks weights and no
-backward splits their gradient.  Whatever K and s are, a pass is then one
-channel term Y = Z Theta, one channel-grouped layer norm of X + Y, one
-temporal compression and the mix GEMM.
+backward splits their gradient.  The terms an ablation drops (``no_hstg``
+the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
+Whatever K and s are, a pass is then one channel term Y = Z Theta, one
+channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
 
 Y is folded.  A raw snapshot is the embedding w ⊗ E of its (n, d_in)
 readings, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per snapshot,
@@ -87,6 +88,10 @@ class ModelConfig:
         for name in ("K", "s", "d", "H", "d_in", "d_out"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
+        if self.hidden < 1:
+            raise ArgumentError("decoder_hidden must be >= 1")
+        if not 0 < self.ln_eps < math.inf:  # NaN fails both comparisons
+            raise ArgumentError(f"ln_eps must be finite and positive, not {self.ln_eps!r}")
 
     @property
     def effective_m(self) -> int:
@@ -185,51 +190,42 @@ class IstdGcnModel:
         return self._blocks[m]
 
 
-def _hop_terms(k_hops: int, ablation: str) -> list[tuple[str, int]]:
-    """(theta list name, k) of each diffusion term, in summation order.
+def _kept_families(ablation: str) -> dict[str, str]:
+    """Theta list name -> block operator, for each family of terms Z keeps.
 
-    ``no_two_step`` drops the decoupled terms, ``no_hstg`` the coupled ones;
-    Z and the bank's GEMM weight drop the same terms.
+    In summation order within a hop: the decoupled family, then the coupled
+    one.  ``no_two_step`` drops the decoupled terms, ``no_hstg`` the coupled
+    ones; a dropped family has no hops in Z and no rows in the bank.
     """
-    kept = [name for name, dropped_by in (("theta_nh", "no_two_step"), ("theta_h", "no_hstg"))
-            if ablation != dropped_by]
-    return [(name, k) for k in range(k_hops) for name in kept]
-
-
-def _kept_graphs(block: StBlockGraph, ablation: str) -> list[BlockDiffusion]:
-    """The operators whose hops make up Z, in ``_hop_terms`` order."""
-    graphs = {"theta_nh": block.decoupled, "theta_h": block.coupled}
-    return [graphs[name] for name, _ in _hop_terms(1, ablation)]
+    dropped = {"no_two_step": "theta_nh", "no_hstg": "theta_h"}.get(ablation)
+    return {name: graph for name, graph in (("theta_nh", "decoupled"), ("theta_h", "coupled"))
+            if name != dropped}
 
 
 class ChannelBank:
     """Every channel's weights side by side, channel c in columns [c*d, (c+1)*d).
 
-    The storage of the named channel parameters in ``channels``, each a view
-    of one block of it, value and gradient alike: a forward reads the weights
-    where they are stored, and a backward adds their gradients there.
+    ``theta`` holds one d-row block per term Z keeps, in Z's order, and is the
+    channel GEMM's weight.  Each named parameter in ``channels`` is a view of
+    one block of the bank, value and gradient alike; dropped terms have none.
     """
 
     def __init__(self, config: ModelConfig):
         d, width, m_eff = config.d, config.s * config.d, config.effective_m
-        kept = _hop_terms(config.K, config.ablation)
-        # theta's rows: the terms Z keeps, in summation order, then the dropped ones
-        rows = kept + [term for term in _hop_terms(config.K, "full") if term not in kept]
+        rows = [(name, k) for k in range(config.K) for name in _kept_families(config.ablation)]
         self.theta = ParamArray("bank.theta", np.zeros((len(rows) * d, width)))
         self.ln_scale = ParamArray("bank.ln_scale", np.ones(width))
         self.ln_shift = ParamArray("bank.ln_shift", np.zeros(width))
         self.compress_kernel = ParamArray("bank.compress", np.full((m_eff, width), 1.0 / m_eff))
-        # the channel GEMM's weight: theta's leading, kept, rows
-        self.weight = _view("bank.weight", self.theta, slice(len(kept) * d))
         self.channels: list[StscChannelParams] = []
         for c in range(config.s):
             cols = slice(c * d, (c + 1) * d)
-            theta = {(name, k): _view(f"ch{c}.{name}{k + 1}", self.theta,
-                                      (slice(i * d, (i + 1) * d), cols))
-                     for i, (name, k) in enumerate(rows)}
+            theta = {"theta_nh": [], "theta_h": []}
+            for i, (name, k) in enumerate(rows):  # k ascends, so list index k is hop k+1
+                theta[name].append(_view(f"ch{c}.{name}{k + 1}", self.theta,
+                                         (slice(i * d, (i + 1) * d), cols)))
             self.channels.append(StscChannelParams(
-                theta_nh=[theta["theta_nh", k] for k in range(config.K)],
-                theta_h=[theta["theta_h", k] for k in range(config.K)],
+                **theta,
                 ln_scale=_view(f"ch{c}.ln_scale", self.ln_scale, cols),
                 ln_shift=_view(f"ch{c}.ln_shift", self.ln_shift, cols),
                 compress_kernel=_view(f"ch{c}.compress", self.compress_kernel, (slice(None), cols)),
@@ -241,17 +237,19 @@ def _view(name: str, storage: ParamArray, index) -> ParamArray:
 
 
 def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: Tensor, *,
-                 ablation: str = "full", ln_eps: float = 1e-5) -> Tensor:
+                 ln_eps: float = 1e-5) -> Tensor:
     """One channel's convolution block on (..., m, n, d) or (..., m*n, d) input.
 
     A ``multi_channel_forward`` pass with s = 1, up to the layer norm, on
     separate parameters, which it stacks per call; the output has the
-    input's shape.  X feeds the hops of both graphs.
+    input's shape.  X feeds the hops of both graphs; a family whose theta
+    list is empty is a dropped term, and K is the longer list's length.
     """
-    k_hops = len(params.theta_nh)
-    z = ad.spmm_diff(tape, _kept_graphs(block, ablation), x, k_hops)
+    families = {name: g for name, g in _kept_families("full").items() if getattr(params, name)}
+    k_hops = max(len(params.theta_nh), len(params.theta_h))
+    z = ad.spmm_diff(tape, [getattr(block, graph) for graph in families.values()], x, k_hops)
     theta = ad.concat_features(
-        tape, [getattr(params, name)[k] for name, k in _hop_terms(k_hops, ablation)], axis=0)
+        tape, [getattr(params, name)[k] for k in range(k_hops) for name in families], axis=0)
     return ad.layer_norm(tape, x, ad.linear(tape, z, theta), params.ln_scale,
                          params.ln_shift, eps=ln_eps)
 
@@ -266,15 +264,16 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
     ``theta_fold``, (I_terms ⊗ E) Theta (module docstring).
     """
     cfg, bank = model.config, model.bank
-    ops = _kept_graphs(model.block_graph(x.value.shape[-3]), cfg.ablation)
+    block = model.block_graph(x.value.shape[-3])
+    ops = [getattr(block, graph) for graph in _kept_families(cfg.ablation).values()]
     y0 = None
     if raw is None or (carry is not None and cfg.temporal_direction != "as_written"):
-        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.weight)
+        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
     else:
         if carry is not None:
             raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
             row0 = [BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops]
-            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.weight)
+            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
         y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), theta_fold)
     h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)
     return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
@@ -291,7 +290,7 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
     theta_fold = (None if window is None
-                  else ad.kron_linear(tape, model.input_embed, model.bank.weight))
+                  else ad.kron_linear(tape, model.input_embed, model.bank.theta))
     com, idx, iterations = None, 0, 0
     while idx < t_total:
         end = idx + (m if com is None else min(m - 1, t_total - idx))

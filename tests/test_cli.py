@@ -228,6 +228,12 @@ class TestTrain:
         '[1]',
         '{"m": 1}',
         '{"temporal_direction": "sideways"}',
+        '{"decoder_hidden": -1}',
+        '{"decoder_hidden": 0}',
+        '{"ln_eps": -1.0}',
+        '{"ln_eps": 0}',
+        '{"ln_eps": NaN}',
+        '{"ln_eps": Infinity}',
     ])
     def test_bad_config_exits_2_naming_file(self, dataset, tmp_path, capsys, text):
         root, _graph, _series = dataset
@@ -431,6 +437,28 @@ class TestEval:
                      "--config", str(root / "config.json"),
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    def test_stale_dropped_term_in_ablated_checkpoint_exits_2(self, dataset, tmp_path, capsys):
+        # a no_hstg model has no coupled thetas, so a checkpoint holding one
+        # (as ablated checkpoints once did) is refused
+        root, _graph, _series = dataset
+        run = tmp_path / "run"
+        assert main(train_args(root, run, ablation="no_hstg")) == 0
+        argv = ["eval", "--checkpoint", str(run / "best.stdf"), "--data", str(root / "speed.csv"),
+                "--adj", str(root / "adj"), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        params = [ParamArray(name, value)
+                  for name, value in load_params(run / "best.stdf").items()]
+        assert not any(".theta_h" in p.name for p in params)
+        stale = tmp_path / "stale.stdf"
+        save_params(params + [ParamArray("ch0.theta_h1", np.ones((TINY.d, TINY.d)))], stale)
+        argv[argv.index("--checkpoint") + 1] = str(stale)
+        argv += ["--config", str(run / "config.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(stale) in err and "'ch0.theta_h1'" in err
 
     def test_unclosed_quote_in_adjacency_exits_2_naming_csv(self, trained, tmp_path, capsys):
         root, run, _series = trained

@@ -58,6 +58,33 @@ class TestSpeedSeries:
         with pytest.raises(FormatError):
             SpeedSeries(ts, vals, ("a",))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (3, 1)])
+    def test_non_finite_anywhere_rejected(self, bad, where):
+        ts = np.arange(4, dtype=np.int64) * 300
+        vals = np.ones((4, 3))
+        vals[where] = bad
+        with pytest.raises(FormatError, match="non-finite"):
+            SpeedSeries(ts, vals, ("a", "b", "c"))
+
+    def test_zero_rows_valid(self):
+        series = SpeedSeries(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), ("a", "b"))
+        assert len(series) == 0 and series.interval == 300
+
+    def test_checks_allocate_no_readings_sized_array(self):
+        # one bool per reading would be values.size bytes; the timestamp
+        # checks take about 9 bytes per row
+        steps, n = 10_000, 100
+        ts = np.arange(steps, dtype=np.int64) * 300
+        vals = np.ones((steps, n))
+        tracemalloc.start()
+        try:
+            SpeedSeries(ts, vals, tuple(map(str, range(n))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.size / 4
+
 
 class TestCsvRoundTrip:
     def test_values_survive_exactly(self, tmp_path):

@@ -106,12 +106,10 @@ class TestStscForward:
         model = IstdGcnModel(cfg, g, seed=0)
         block = model.block_graph(3)
         x = rng.standard_normal((9, cfg.d))
-        base = stsc_forward(Tape(), model.channels[0], block, Tensor(x),
-                            ablation="no_hstg").value
+        base = stsc_forward(Tape(), model.channels[0], block, Tensor(x)).value
         x2 = x.copy()
         x2[3:] = 0.0  # zero blocks 1, 2; block 0 output must not move
-        out2 = stsc_forward(Tape(), model.channels[0], block, Tensor(x2),
-                            ablation="no_hstg").value
+        out2 = stsc_forward(Tape(), model.channels[0], block, Tensor(x2)).value
         assert np.array_equal(base[:3], out2[:3])
 
 
@@ -177,8 +175,7 @@ class TestMultiChannel:
                 x_in = reshaped(tape, x, (2, m * n, cfg.d)) if flat else x
                 parts = []
                 for ch in model.channels:
-                    h = stsc_forward(tape, ch, block, x_in, ablation=ablation,
-                                     ln_eps=cfg.ln_eps)
+                    h = stsc_forward(tape, ch, block, x_in, ln_eps=cfg.ln_eps)
                     h = reshaped(tape, h, x.value.shape) if flat else h
                     parts.append(ad.temporal_compress(tape, h, ch.compress_kernel))
                 return ad.linear(tape, ad.concat_features(tape, parts), model.mix)
@@ -192,10 +189,17 @@ class TestMultiChannel:
 class TestChannelBank:
     """The named channel parameters are views into the model's one channel bank."""
 
-    # save_params of seed-0 tiny_config models, as written before the bank became
-    # the storage: the fresh model, then after ``perturb``
-    SEED0_SHA256 = "1c99594119dde5158845f319152ba26842673b8f680d9bf29ece17534bb23a39"
-    PERTURBED_SHA256 = "444acd85a8b22d09249d372af0bf1891cf7784251f919042a9225568e09ca07f"
+    # save_params of seed-0 tiny_config models: the fresh model, then after
+    # ``perturb``.  full's bytes are those written before the bank became the
+    # storage; no_hstg's are those of a model without any coupled theta
+    SEED0_SHA256 = {
+        "full": "1c99594119dde5158845f319152ba26842673b8f680d9bf29ece17534bb23a39",
+        "no_hstg": "26d508a60038ea43b84e312d7d2d3388fb338810ed5aa97cb4fc51d7eba169e0",
+    }
+    PERTURBED_SHA256 = {
+        "full": "444acd85a8b22d09249d372af0bf1891cf7784251f919042a9225568e09ca07f",
+        "no_hstg": "3b367905ff2c0be45d3f36b2836350a39f3cc1623bf92263e172224943f99584",
+    }
 
     @staticmethod
     def perturb(model):
@@ -225,23 +229,20 @@ class TestChannelBank:
             assert np.array_equal(b.grad, -b.value)
         values = np.concatenate([b.value.ravel() for b in storage])
         assert np.array_equal(np.unique(values), np.arange(len(views)))
-        assert np.shares_memory(bank.weight.value, bank.theta.value)
-        assert np.array_equal(bank.weight.value, bank.theta.value[:len(bank.weight.value)])
 
     @pytest.mark.parametrize("ablation", ["full", "no_hstg"])
     def test_checkpoint_bytes_unchanged(self, rng, tmp_path, ablation):
         model = IstdGcnModel(tiny_config(ablation=ablation), random_sensor_graph(rng, 3), seed=0)
-        assert self.sha256(model, tmp_path / "seed0.stdf") == self.SEED0_SHA256
+        assert self.sha256(model, tmp_path / "seed0.stdf") == self.SEED0_SHA256[ablation]
 
     @pytest.mark.parametrize("ablation", ["full", "no_hstg"])
     def test_forward_reads_restored_values(self, rng, tmp_path, ablation):
-        # the checkpoint's bytes are pinned above: they are the ones written
-        # when every parameter was its own array
+        # the checkpoint's bytes are pinned above
         g, cfg = random_sensor_graph(rng, 3), tiny_config(ablation=ablation)
         written = IstdGcnModel(cfg, g, seed=0)
         self.perturb(written)
         path = tmp_path / "perturbed.stdf"
-        assert self.sha256(written, path) == self.PERTURBED_SHA256
+        assert self.sha256(written, path) == self.PERTURBED_SHA256[ablation]
         model = IstdGcnModel(cfg, g, seed=5)
         window = rng.standard_normal((2, cfg.T, 3, 1))
         before = forward(Tape(), model, window).value
@@ -251,6 +252,44 @@ class TestChannelBank:
         after = forward(Tape(), model, window).value
         assert not np.array_equal(after, before)
         assert np.array_equal(after, forward(Tape(), written, window).value)
+
+    @pytest.mark.parametrize("ablation,dropped", [("no_hstg", "theta_h"),
+                                                  ("no_two_step", "theta_nh")])
+    def test_dropped_family_has_no_parameters(self, rng, ablation, dropped):
+        g, cfg = random_sensor_graph(rng, 3), tiny_config(s=3, ablation=ablation)
+        model, full = IstdGcnModel(cfg, g), IstdGcnModel(tiny_config(s=3), g)
+        kept = {"theta_h": "theta_nh", "theta_nh": "theta_h"}[dropped]
+        names = [p.name for p in model.params()]
+        assert names == [p.name for p in full.params() if f".{dropped}" not in p.name]
+        for ch in model.channels:
+            assert getattr(ch, dropped) == [] and len(getattr(ch, kept)) == cfg.K
+        assert model.bank.theta.value.shape == (cfg.K * cfg.d, cfg.s * cfg.d)
+
+    @pytest.mark.parametrize("ablation", ["no_hstg", "no_two_step"])
+    def test_l2_penalty_is_the_norm_of_the_live_weights(self, rng, ablation):
+        g, cfg = random_sensor_graph(rng, 3), tiny_config(ablation=ablation)
+        model = IstdGcnModel(cfg, g, seed=0)
+        self.perturb(model)
+        params = model.params()
+        window = rng.standard_normal((2, cfg.T, 3, 1))
+        target = rng.standard_normal((2, cfg.H, 3, 1))
+        # every parameter is live: the forward reads it, so the MAE moves it
+        tape = Tape()
+        tape.backward(ad.mae_loss(tape, forward(tape, model, window), target))
+        assert all(np.any(p.grad != 0) for p in params)
+        bank = model.bank
+        live = [model.input_embed, bank.theta, bank.ln_scale, bank.ln_shift,
+                bank.compress_kernel, model.mix, model.dec_w1, model.dec_b1,
+                model.dec_w2, model.dec_b2]
+        norm = np.sqrt(sum(float((p.value ** 2).sum()) for p in live))
+        lam = 1e-3
+        model.zero_grads()
+        tape = Tape()
+        penalty = ad.l2_penalty(tape, params, lam)
+        assert penalty.value == pytest.approx(lam * norm, rel=1e-12)
+        tape.backward(penalty)
+        for p in params:
+            assert np.allclose(p.grad, lam * p.value / norm, rtol=1e-12, atol=0), p.name
 
     def test_forward_reads_optimizer_updates(self, rng):
         g, cfg = random_sensor_graph(rng, 3), tiny_config()
@@ -606,6 +645,13 @@ class TestConfig:
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ArgumentError):
             ModelConfig(ablation="bogus")
+
+    @pytest.mark.parametrize("field,value", [
+        ("decoder_hidden", 0), ("decoder_hidden", -1), ("ln_eps", 0.0), ("ln_eps", -1.0),
+        ("ln_eps", float("nan")), ("ln_eps", float("inf")), ("ln_eps", -float("inf"))])
+    def test_out_of_range_decoder_width_or_eps_rejected(self, field, value):
+        with pytest.raises(ArgumentError, match=field):
+            tiny_config(**{field: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ArgumentError):
