@@ -146,12 +146,12 @@ def cmd_train(args) -> int:
     cfg = _model_config(args.config)
     if args.ablation is not None:
         cfg = ModelConfig(**{**asdict(cfg), "ablation": args.ablation})
-    graph, _series, (train_w, val_w, _test_w), stats = _load_dataset(args, cfg)
     tcfg = TrainConfig(
         learning_rate=args.lr, l2_lambda=args.l2_lambda, epochs=args.epochs,
         batch_size=args.batch_size, early_stop_patience=args.patience,
         seed=args.seed,
     )
+    graph, _series, (train_w, val_w, _test_w), stats = _load_dataset(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(cfg.to_json() + "\n", encoding="utf-8")

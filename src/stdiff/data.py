@@ -158,19 +158,32 @@ class SyntheticSpec:
     noise_std: float = 0.5
     dynamics: str = "seasonal+diffusion"
 
+    def __post_init__(self):
+        if self.n < 2 or self.steps < 2:
+            raise ArgumentError("n and steps must be >= 2")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
+        if self.period < 1:
+            raise ArgumentError("period must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise ArgumentError("alpha must be finite")
+        if not 0 <= self.noise_std < math.inf:  # NaN fails both comparisons
+            raise ArgumentError("noise_std must be finite and nonnegative")
+        if self.dynamics not in ("diffusion", "seasonal+diffusion"):
+            raise ArgumentError(f"unknown dynamics {self.dynamics!r}")
+
     @staticmethod
     def from_json(text: str) -> "SyntheticSpec":
-        return dataclass_from_json(SyntheticSpec, text, "synthetic spec")
+        return dataclass_from_json(SyntheticSpec, json.loads(text), "synthetic spec")
 
 
-def dataclass_from_json(cls, text: str, what: str):
-    """Build dataclass ``cls`` from a JSON object of some of its fields.
+def dataclass_from_json(cls, data, what: str):
+    """Build dataclass ``cls`` from parsed JSON ``data``, an object of some of its fields.
 
     Each value must have its field's annotated type; an int is accepted for a
     float and null for an optional field, but a bool never stands in for a
     number.  ``what`` names the input in error messages.
     """
-    data = json.loads(text)
     if not isinstance(data, dict):
         raise ArgumentError(f"{what} must be a JSON object")
     unknown = set(data) - set(cls.__dataclass_fields__)
@@ -194,12 +207,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[SensorGraph, SpeedSeries]:
     diffusion-aware forecaster has an edge over static averages.  Fully
     deterministic for a fixed seed.
     """
-    if spec.n < 2:
-        raise ArgumentError("need at least 2 vertices")
-    if spec.steps < 2:
-        raise ArgumentError("need at least 2 steps")
-    if spec.dynamics not in ("diffusion", "seasonal+diffusion"):
-        raise ArgumentError(f"unknown dynamics {spec.dynamics!r}")
     rng = np.random.default_rng(spec.seed)
     pts = rng.uniform(0.0, 10.0, size=(spec.n, 2))
     ids = [f"s{i:03d}" for i in range(spec.n)]

@@ -29,10 +29,9 @@ channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
 Y is folded.  A raw snapshot is the embedding w ⊗ E of its (n, d_in)
 readings, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per snapshot,
 2K*n^2*d_in for the diffusion, run on plain data, and 2K*n*d_in*s*d for the
-GEMM.  Under ``as_written`` no hop moves the carried snapshot out of
-snapshot 0, so only it pays full width, through the row-0 operators, and
-its term joins the layer norm's sum there; a ``transposed`` carried pass
-computes Z(X) Theta in full.
+GEMM.  Snapshot t reads t+1, never t-1, so no hop moves the carried
+snapshot out of snapshot 0: only it pays full width, through the row-0
+operators, and its term joins the layer norm's sum there.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one assembles the running compressed
@@ -55,9 +54,12 @@ from .autodiff import ParamArray, Tape, Tensor
 from .data import dataclass_from_json
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .stgraph import TEMPORAL_DIRECTIONS, BlockDiffusion, StBlockGraph, build_hstg
+from .stgraph import BlockDiffusion, StBlockGraph, build_hstg
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
+# keys of removed block-graph variants, each with the one value the model builds;
+# config.json files written before the variants went still carry them
+RETIRED_KEYS = {"self_loops": True, "temporal_direction": "as_written"}
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,11 @@ class ModelConfig:
     d_out: int = 1
     decoder_hidden: int | None = None
     ablation: str = "full"
-    temporal_direction: str = "as_written"
-    self_loops: bool = True
     ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ArgumentError(f"unknown ablation {self.ablation!r}")
-        if self.temporal_direction not in TEMPORAL_DIRECTIONS:
-            raise ArgumentError(f"unknown temporal_direction {self.temporal_direction!r}")
         if self.m < 2:
             raise ArgumentError("m must be >= 2")
         if self.T < self.m:
@@ -107,7 +105,15 @@ class ModelConfig:
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
-        return dataclass_from_json(ModelConfig, text, "config")
+        """The config in ``text``; a retired key is dropped if it holds its one value."""
+        data = json.loads(text)
+        if isinstance(data, dict):
+            for key, only in RETIRED_KEYS.items():
+                value = data.pop(key, only)
+                if (type(value), value) != (type(only), only):
+                    raise ArgumentError(f"the {key} variant {value!r} was removed; "
+                                        f"only {only!r} is supported")
+        return dataclass_from_json(ModelConfig, data, "config")
 
 
 @dataclass
@@ -181,12 +187,7 @@ class IstdGcnModel:
 
     def block_graph(self, m: int) -> StBlockGraph:
         if m not in self._blocks:
-            self._blocks[m] = build_hstg(
-                self.graph, m,
-                num_hops=self.config.K,
-                self_loops=self.config.self_loops,
-                temporal_direction=self.config.temporal_direction,
-            )
+            self._blocks[m] = build_hstg(self.graph, m, num_hops=self.config.K)
         return self._blocks[m]
 
 
@@ -267,7 +268,7 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
     block = model.block_graph(x.value.shape[-3])
     ops = [getattr(block, graph) for graph in _kept_families(cfg.ablation).values()]
     y0 = None
-    if raw is None or (carry is not None and cfg.temporal_direction != "as_written"):
+    if raw is None:
         y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
     else:
         if carry is not None:

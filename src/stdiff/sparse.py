@@ -8,14 +8,13 @@ because the benchmark's tracer binds both.
 
 ``matmul_dense`` is one matmul broadcast over any leading axes; a GEMM's
 summation order depends only on the shapes and the BLAS thread count, so
-results are bit-reproducible.  ``matmul_sparse`` and ``matrix_power`` build
-only the specification hop powers that tests read.
+results are bit-reproducible.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 
 class SparseMatrix:
@@ -103,7 +102,12 @@ class SparseMatrix:
         return np.matmul(self.dense, x, out=out)
 
     def matmul_sparse(self, other: "SparseMatrix") -> "SparseMatrix":
-        """A @ B as a dense product."""
+        """A @ B as a dense product.
+
+        The package never calls it; it stays because the benchmark's tracer
+        binds it and the benchmark's own tests delete it to check that an
+        absent target is skipped.
+        """
         if self.cols != other.rows:
             raise ShapeError("sparse matmul shape mismatch")
         return SparseMatrix(self.dense @ other.dense)
@@ -136,14 +140,3 @@ def transition_matrix(a: SparseMatrix) -> SparseMatrix:
         raise DomainError("adjacency entries must be nonnegative")
     return SparseMatrix(a.dense * inverse_degrees(a.row_degrees())[:, None])
 
-
-def matrix_power(p: SparseMatrix, k: int) -> SparseMatrix:
-    """k-th power of a square matrix by repeated products."""
-    if k < 1:
-        raise ArgumentError("matrix power requires k >= 1")
-    if p.rows != p.cols:
-        raise ShapeError("matrix power requires a square matrix")
-    out = p
-    for _ in range(k - 1):
-        out = out.matmul_sparse(p)
-    return out

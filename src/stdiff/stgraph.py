@@ -2,10 +2,10 @@
 
 Vertex (t, i) lives at flat index t*n + i (snapshot-major), which is row
 (t, i) of the (m, n, d) block layout the model keeps its blocks in.  The
-coupled graph is upper block-bidiagonal: the spatial adjacency on the
-diagonal and the identity (weight 1) on the first superdiagonal block, so
-information flows forward in time only.  The decoupled variant drops the
-couplings entirely and is block-diagonal.
+coupled graph is upper block-bidiagonal: the self-looped spatial adjacency
+A + I on the diagonal and the identity (weight 1) on the first
+superdiagonal block, so snapshot t reads snapshot t+1.  The decoupled
+variant drops the couplings entirely and is block-diagonal.
 
 The model never assembles these (m*n) x (m*n) matrices.  Block row t of the
 coupled transition matrix is
@@ -22,8 +22,8 @@ another, never raised to powers.
 ``StBlockGraph`` also exposes the assembled adjacencies, transitions and
 hop powers as the specification the operators are tested against.  They
 are built on first access, densely and the way the paper writes them, as
-Kronecker products (``kron(I_m, S)`` plus ``kron(E, I_n)`` with E the
-shifted identity), each held as one dense (m*n) x (m*n) ``SparseMatrix``
+Kronecker products (``kron(I_m, A + I)`` plus ``kron(E, I_n)`` with E
+the shifted identity), each held as one dense (m*n) x (m*n) ``SparseMatrix``
 (the name the benchmark binds); nothing on the forward or backward path
 reads them.
 """
@@ -36,9 +36,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .sparse import SparseMatrix, inverse_degrees, matrix_power, transition_matrix
-
-TEMPORAL_DIRECTIONS = ("as_written", "transposed")
+from .sparse import SparseMatrix, inverse_degrees, transition_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +47,10 @@ class BlockDiffusion:
     (..., m*n, d), and returns its result in the input's shape; flat row
     t*n + i is snapshot t, vertex i.
 
-    ``shift`` is +1 when block row t also reads snapshot t+1 (``as_written``),
-    -1 when it reads snapshot t-1 (``transposed``), and 0 for the decoupled
-    graph.  ``inv_deg`` (m, n) holds the inverse row degrees of the block
-    adjacency; a zero-degree row stays zero.
+    ``shift`` is 1 when block row t also reads snapshot t+1 (the coupled
+    graph) and 0 when it does not (the decoupled one).  ``inv_deg`` (m, n)
+    holds the inverse row degrees of the block adjacency; a zero-degree row
+    stays zero.
     """
 
     spatial: SparseMatrix
@@ -83,10 +81,8 @@ class BlockDiffusion:
         """
         xb = self._blocks(x)
         y = self.spatial.matmul_dense(xb, out=None if out is None else self._blocks(out))
-        if self.shift > 0:
+        if self.shift:
             y[..., :-1, :, :] += xb[..., 1:, :, :]
-        elif self.shift < 0:
-            y[..., 1:, :, :] += xb[..., :-1, :, :]
         y *= self.inv_deg[:, :, None]
         return y.reshape(x.shape)
 
@@ -94,33 +90,23 @@ class BlockDiffusion:
         """P^T @ G: the row scaling, then the transposed spatial product and shift."""
         h = self._blocks(g) * self.inv_deg[:, :, None]
         y = self.spatial.dense.T @ h
-        if self.shift > 0:
+        if self.shift:
             y[..., 1:, :, :] += h[..., :-1, :, :]
-        elif self.shift < 0:
-            y[..., :-1, :, :] += h[..., 1:, :, :]
         return y.reshape(g.shape)
 
 
 def _block_diffusion(spatial: SparseMatrix, m: int, shift: int) -> BlockDiffusion:
     deg = np.tile(spatial.row_degrees(), (m, 1))
-    if shift > 0:
-        deg[:-1] += 1.0
-    elif shift < 0:
-        deg[1:] += 1.0
+    deg[:-1] += shift  # the coupling to the next snapshot
     inv = inverse_degrees(deg)
     inv.flags.writeable = False
     return BlockDiffusion(spatial, inv, shift)
 
 
-def _spatial(g: SensorGraph, self_loops: bool) -> SparseMatrix:
+def _spatial(g: SensorGraph) -> SparseMatrix:
     if g.n == 0:
         raise ArgumentError("empty graph")
-    return g.self_looped if self_loops else g.adjacency
-
-
-def _check_direction(temporal_direction: str) -> None:
-    if temporal_direction not in TEMPORAL_DIRECTIONS:
-        raise ArgumentError(f"unknown temporal_direction {temporal_direction!r}")
+    return g.self_looped
 
 
 @dataclass(frozen=True)
@@ -128,15 +114,13 @@ class StBlockGraph:
     """The coupled and decoupled diffusion operators of one block size m.
 
     The six assembled matrices below are the specification, built on first
-    access (the hop powers by repeated dense products) for tests and
-    oracles only.
+    access (the hop powers as dense matrix powers) for tests and oracles
+    only.
     """
 
     graph: SensorGraph
     m: int
     num_hops: int
-    self_loops: bool
-    temporal_direction: str
     coupled: BlockDiffusion
     decoupled: BlockDiffusion
 
@@ -146,14 +130,13 @@ class StBlockGraph:
 
     @cached_property
     def nhstg_adjacency(self) -> SparseMatrix:
-        return build_nhstg_adjacency(self.graph, self.m, self_loops=self.self_loops)
+        return build_nhstg_adjacency(self.graph, self.m)
 
     @cached_property
     def hstg_adjacency(self) -> SparseMatrix:
         if self.m < 2:  # a single snapshot has no couplings
             return self.nhstg_adjacency
-        return build_hstg_adjacency(self.graph, self.m, self_loops=self.self_loops,
-                                    temporal_direction=self.temporal_direction)
+        return build_hstg_adjacency(self.graph, self.m)
 
     @cached_property
     def nhstg_transition(self) -> SparseMatrix:
@@ -165,51 +148,34 @@ class StBlockGraph:
 
     @cached_property
     def hop_powers_nh(self) -> tuple:
-        return tuple(matrix_power(self.nhstg_transition, k)
+        return tuple(SparseMatrix(np.linalg.matrix_power(self.nhstg_transition.dense, k))
                      for k in range(1, self.num_hops + 1))
 
     @cached_property
     def hop_powers_h(self) -> tuple:
-        return tuple(matrix_power(self.hstg_transition, k)
+        return tuple(SparseMatrix(np.linalg.matrix_power(self.hstg_transition.dense, k))
                      for k in range(1, self.num_hops + 1))
 
 
-def build_nhstg_adjacency(g: SensorGraph, m: int, *, self_loops: bool = True) -> SparseMatrix:
-    """The decoupled block adjacency kron(I_m, S): S on every diagonal block."""
+def build_nhstg_adjacency(g: SensorGraph, m: int) -> SparseMatrix:
+    """The decoupled block adjacency kron(I_m, A + I): A + I on every diagonal block."""
     if m < 1:
         raise ArgumentError("need at least one snapshot")
-    return SparseMatrix.from_dense(np.kron(np.eye(m), _spatial(g, self_loops).dense))
+    return SparseMatrix.from_dense(np.kron(np.eye(m), _spatial(g).dense))
 
 
-def build_hstg_adjacency(
-    g: SensorGraph,
-    m: int,
-    *,
-    self_loops: bool = True,
-    temporal_direction: str = "as_written",
-) -> SparseMatrix:
-    """The coupled block adjacency kron(I_m, S) + kron(E, I_n).
+def build_hstg_adjacency(g: SensorGraph, m: int) -> SparseMatrix:
+    """The coupled block adjacency kron(I_m, A + I) + kron(E, I_n).
 
-    E is the shifted identity: ones on the superdiagonal (``as_written``,
-    snapshot t reads t+1) or on the subdiagonal (``transposed``).
+    E is the shifted identity, ones on the superdiagonal: snapshot t reads t+1.
     """
     if m < 2:
         raise ArgumentError("coupled graph needs at least two snapshots")
-    spatial = _spatial(g, self_loops)
-    _check_direction(temporal_direction)
-    shift = np.eye(m, k=1 if temporal_direction == "as_written" else -1)
     return SparseMatrix.from_dense(
-        np.kron(np.eye(m), spatial.dense) + np.kron(shift, np.eye(g.n)))
+        np.kron(np.eye(m), _spatial(g).dense) + np.kron(np.eye(m, k=1), np.eye(g.n)))
 
 
-def build_hstg(
-    g: SensorGraph,
-    m: int,
-    *,
-    num_hops: int = 1,
-    self_loops: bool = True,
-    temporal_direction: str = "as_written",
-) -> StBlockGraph:
+def build_hstg(g: SensorGraph, m: int, *, num_hops: int = 1) -> StBlockGraph:
     """Build the coupled and decoupled diffusion operators of an m-snapshot block.
 
     ``num_hops`` only sets how many hop powers the specification exposes.
@@ -218,16 +184,7 @@ def build_hstg(
         raise ArgumentError("num_hops must be >= 1")
     if m < 1:
         raise ArgumentError("need at least one snapshot")
-    _check_direction(temporal_direction)
-    spatial = _spatial(g, self_loops)
+    spatial = _spatial(g)
     # a single snapshot has no couplings: both graphs are the spatial one
-    shift = 0 if m < 2 else (1 if temporal_direction == "as_written" else -1)
-    return StBlockGraph(
-        graph=g,
-        m=m,
-        num_hops=num_hops,
-        self_loops=self_loops,
-        temporal_direction=temporal_direction,
-        coupled=_block_diffusion(spatial, m, shift),
-        decoupled=_block_diffusion(spatial, m, 0),
-    )
+    return StBlockGraph(g, m, num_hops, coupled=_block_diffusion(spatial, m, int(m >= 2)),
+                        decoupled=_block_diffusion(spatial, m, 0))

@@ -11,6 +11,7 @@ come from the training portion only.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,12 +34,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ArgumentError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ArgumentError("l2_lambda must be nonnegative")
+        # NaN fails every comparison, so these range checks reject it too
+        if not 0 < self.learning_rate < math.inf:
+            raise ArgumentError("learning_rate must be finite and positive")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ArgumentError("l2_lambda must be finite and nonnegative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ArgumentError("epochs and batch_size must be >= 1")
+        if self.early_stop_patience < 0:
+            raise ArgumentError("early_stop_patience must be >= 0")
+        if self.seed < 0:
+            raise ArgumentError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

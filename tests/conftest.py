@@ -7,6 +7,25 @@ from stdiff.graph import SensorGraph
 from stdiff.sparse import SparseMatrix
 
 
+# config.json as ModelConfig().to_json() wrote it while the block graph had
+# variants: 13 keys, two of them retired since
+RETIRED_KEYS_CONFIG_JSON = """{
+  "H": 12,
+  "K": 5,
+  "T": 12,
+  "ablation": "full",
+  "d": 256,
+  "d_in": 1,
+  "d_out": 1,
+  "decoder_hidden": null,
+  "ln_eps": 1e-05,
+  "m": 2,
+  "s": 8,
+  "self_loops": true,
+  "temporal_direction": "as_written"
+}"""
+
+
 def random_sparse(rng, rows, cols, density=0.4, nonneg=False):
     dense = rng.random((rows, cols))
     mask = rng.random((rows, cols)) < density

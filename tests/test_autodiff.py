@@ -10,7 +10,7 @@ from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.sparse import sparsify
-from stdiff.stgraph import build_hstg
+from stdiff.stgraph import _block_diffusion, build_hstg
 from stdiff.training import mae_l2_loss
 
 from conftest import random_sensor_graph
@@ -87,22 +87,21 @@ class TestLinear:
         assert np.array_equal(grads[0], data.reshape(-1, 3).T @ w.reshape(-1, 2))
 
 
-def edgeless_block(n, m, self_loops):
+def edgeless_block(n, m):
     g = SensorGraph(n, tuple(f"v{i}" for i in range(n)), sparsify(np.zeros((n, n))))
-    return build_hstg(g, m, self_loops=self_loops)
+    return build_hstg(g, m)
 
 
 def random_operator(rng):
     block = build_hstg(random_sensor_graph(rng, int(rng.integers(1, 5))),
-                       int(rng.integers(1, 4)),
-                       temporal_direction=("as_written", "transposed")[int(rng.integers(2))])
+                       int(rng.integers(1, 4)))
     return block.coupled if rng.integers(2) else block.decoupled
 
 
 class TestSpmmDiff:
     def test_identity_passthrough(self, rng):
         # an edgeless graph with self-loops diffuses every vertex onto itself
-        op = edgeless_block(5, 1, self_loops=True).decoupled
+        op = edgeless_block(5, 1).decoupled
         x = ParamArray("x", rng.standard_normal((5, 2)))
         tape = Tape()
         y = ad.spmm_diff(tape, [op], x, 1)
@@ -112,8 +111,9 @@ class TestSpmmDiff:
         assert np.array_equal(x.grad, np.ones((5, 2)))
 
     def test_shift_semantics(self, rng):
-        # one edgeless vertex without self-loops: the coupled graph is a pure shift
-        op = edgeless_block(1, 3, self_loops=False).coupled
+        # one edgeless vertex without a self-loop: the coupled graph is a pure
+        # shift, and the last snapshot's row has degree zero
+        op = _block_diffusion(sparsify(np.zeros((1, 1))), 3, 1)
         x = Tensor(rng.random((3, 2)))
         y = ad.spmm_diff(Tape(), [op], x, 1)
         assert np.array_equal(y.value[:2], x.value[1:])
@@ -127,7 +127,7 @@ class TestSpmmDiff:
             check_op([x], lambda tape: ad.spmm_diff(tape, [op], x, 1), rng)
 
     def test_shape_mismatch(self, rng):
-        op = edgeless_block(2, 2, self_loops=True).coupled
+        op = edgeless_block(2, 2).coupled
         with pytest.raises(ShapeError):
             ad.spmm_diff(Tape(), [op], Tensor(rng.random((3, 2))), 1)
 
@@ -135,8 +135,7 @@ class TestSpmmDiff:
 
 def random_block(rng):
     return build_hstg(random_sensor_graph(rng, int(rng.integers(1, 5))),
-                      int(rng.integers(2, 4)),
-                      temporal_direction=("as_written", "transposed")[int(rng.integers(2))])
+                      int(rng.integers(2, 4)))
 
 
 def block_input(rng, op, lead, flat, d=2):

@@ -6,7 +6,7 @@ import pytest
 import stdiff.autodiff as ad
 import stdiff.cli as cli
 import stdiff.training as training
-from conftest import mutate_bytes
+from conftest import RETIRED_KEYS_CONFIG_JSON, mutate_bytes
 from stdiff.autodiff import ParamArray
 from stdiff.checkpoint import load_params, save_params
 from stdiff.cli import build_parser, main
@@ -14,7 +14,7 @@ from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_sp
                          make_windows, save_speed_csv)
 from stdiff.graph import load_adjacency, save_adjacency
 from stdiff.metrics import historical_average_baseline, metrics_by_horizon
-from stdiff.model import ModelConfig
+from stdiff.model import IstdGcnModel, ModelConfig
 from stdiff.training import split_dataset
 
 TINY = ModelConfig(K=2, m=2, s=2, d=4, T=6, H=2)
@@ -153,6 +153,14 @@ class TestSynth:
         '{"n": "five"}',          # wrongly typed field
         '{"noise_std": true}',
         '[4, 30]',                # not an object
+        '{"n": 1}',               # out-of-range fields
+        '{"steps": 1}',
+        '{"seed": -2}',
+        '{"alpha": NaN}',
+        '{"period": 0}',
+        '{"noise_std": -1}',
+        '{"noise_std": Infinity}',
+        '{"dynamics": "chaos"}',
     ])
     def test_bad_spec_exits_2_naming_file(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
@@ -234,6 +242,9 @@ class TestTrain:
         '{"ln_eps": 0}',
         '{"ln_eps": NaN}',
         '{"ln_eps": Infinity}',
+        '{"temporal_direction": "transposed"}',   # removed block-graph variants
+        '{"self_loops": false}',
+        '{"self_loops": 1}',
     ])
     def test_bad_config_exits_2_naming_file(self, dataset, tmp_path, capsys, text):
         root, _graph, _series = dataset
@@ -317,6 +328,22 @@ class TestTrain:
         args[args.index("--data") + 1] = str(data)
         assert main(args) == 2
         assert f"{data}: validation range: empty mask" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,preset", [
+        ("seed", "-1", False), ("seed", "-1", True), ("lr", "nan", False), ("lr", "inf", False),
+        ("lr", "0", False), ("l2-lambda", "nan", False), ("l2-lambda", "-1e-4", False),
+        ("patience", "-3", False)])
+    def test_out_of_range_training_flag_exits_2(self, dataset, tmp_path, monkeypatch, capsys,
+                                                flag, value, preset):
+        root, _graph, _series = dataset
+        args = train_args(root, tmp_path / "run")
+        if preset:
+            monkeypatch.setenv("STDIFF_" + flag.upper().replace("-", "_"), value)
+        else:
+            args.append(f"--{flag}={value}")
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
 
     def test_too_short_series_exits_2(self, dataset, tmp_path):
         root, graph, series = dataset
@@ -428,6 +455,25 @@ class TestEval:
                                "--out", str(tmp_path / f"r{i}.csv")]))
             assert codes[-1] == 0 or str(path) in capsys.readouterr().err
         assert set(codes) == {0, 2}
+
+    @pytest.mark.filterwarnings("ignore:training stream shorter than one week")
+    def test_config_json_with_retired_keys_reports_as_without_them(self, dataset, tmp_path):
+        root, graph, _series = dataset
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.json").write_text(RETIRED_KEYS_CONFIG_JSON)
+        save_params(IstdGcnModel(ModelConfig(), graph, seed=0).params(), run / "best.stdf")
+        stripped = json.loads(RETIRED_KEYS_CONFIG_JSON)
+        del stripped["self_loops"], stripped["temporal_direction"]
+        (tmp_path / "stripped.json").write_text(json.dumps(stripped))
+        reports = []
+        for config in ([], ["--config", str(tmp_path / "stripped.json")]):
+            out = tmp_path / f"r{len(reports)}.csv"
+            assert main(["eval", "--checkpoint", str(run / "best.stdf"),
+                         "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
+                         *config, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_missing_checkpoint_exits_2(self, trained, tmp_path):
         root, _run, _series = trained
@@ -749,6 +795,10 @@ class TestGradcheck:
     def test_fails_at_absurd_tolerance(self, capsys):
         assert main(["gradcheck", "--tol", "1e-15"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["d_in", "d_out"])
     def test_feature_width_other_than_one_exits_2_naming_config(self, tmp_path, capsys, field):

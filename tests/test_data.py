@@ -333,9 +333,12 @@ class TestSynthetic:
         assert late_spread < early_spread
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ArgumentError):
-            generate_synthetic(SyntheticSpec(n=1))
-        with pytest.raises(ArgumentError):
-            generate_synthetic(SyntheticSpec(dynamics="chaos"))
+        # every field is checked when the spec is made, before any generation
+        nan, inf = float("nan"), float("inf")
+        for field, value in (("n", 1), ("steps", 1), ("seed", -2), ("alpha", nan),
+                             ("alpha", inf), ("period", 0), ("noise_std", -1.0),
+                             ("noise_std", nan), ("noise_std", inf), ("dynamics", "chaos")):
+            with pytest.raises(ArgumentError, match=field):
+                SyntheticSpec(**{field: value})
         with pytest.raises(ArgumentError):
             SyntheticSpec.from_json('{"n": 4, "bogus": 1}')

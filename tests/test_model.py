@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from stdiff.sparse import sparsify
 from stdiff.stgraph import build_hstg
 from stdiff.training import AdamState, TrainConfig, mae_l2_loss, optimizer_step
 
-from conftest import random_sensor_graph
+from conftest import RETIRED_KEYS_CONFIG_JSON, random_sensor_graph
 
 
 def tiny_config(**overrides):
@@ -143,14 +144,12 @@ class TestMultiChannel:
         want = ad.temporal_compress(tape2, h, model.channels[0].compress_kernel)
         assert np.array_equal(got.value, want.value)
 
-    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_one_pass_equals_per_channel_composition(self, rng, ablation, direction):
+    def test_one_pass_equals_per_channel_composition(self, rng, ablation):
         # the stacked pass against the paper's form: each channel's block,
         # compressed over time, then the channels concatenated and mixed
         n = 3
-        cfg = tiny_config(s=3, K=2, m=2, T=3, ablation=ablation,
-                          temporal_direction=direction)
+        cfg = tiny_config(s=3, K=2, m=2, T=3, ablation=ablation)
         model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=2)
         for p in model.params():  # break the symmetric initial kernels and norms
             p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
@@ -331,16 +330,15 @@ def generic_forward(tape, model, window):
 
 class TestEmbeddingFold:
     @pytest.mark.parametrize("t,m", [(6, 4), (5, 2)])  # a tail block; several carried passes
-    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_folded_forward_equals_generic_path(self, rng, ablation, direction, t, m):
+    def test_folded_forward_equals_generic_path(self, rng, ablation, t, m):
         n = 3
         g = random_sensor_graph(rng, n)
         for s in (1, 3):
             for k_hops in (1, 3):
                 for d_in in (1, 2):
                     cfg = ModelConfig(K=k_hops, m=m, s=s, d=4, T=t, H=2, d_in=d_in,
-                                      ablation=ablation, temporal_direction=direction)
+                                      ablation=ablation)
                     model = IstdGcnModel(cfg, g, seed=1)
                     for p in model.params():  # break the symmetric kernels and norms
                         p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
@@ -360,33 +358,29 @@ class TestEmbeddingFold:
                         assert np.max(np.abs(a - b)) < 1e-10, (p.name, case)
 
     def test_full_width_work_only_on_the_carry(self, rng, monkeypatch):
-        # under as_written, the GEMMs against the full theta see one snapshot
-        # per carried pass; transposed carried passes stay generic
+        # the GEMMs against the full theta see one snapshot per carried pass:
+        # T=12, m=4 makes 3 carried passes
         n = 3
-        g = random_sensor_graph(rng, n)
-        for direction, rows in (("as_written", 3), ("transposed", 4 + 4 + 3)):
-            cfg = ModelConfig(K=1, m=4, s=1, d=8, T=12, H=1, temporal_direction=direction)
-            model = IstdGcnModel(cfg, g, seed=0)
-            widths = []
-            linear = ad.linear
+        cfg = ModelConfig(K=1, m=4, s=1, d=8, T=12, H=1)
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
+        widths = []
+        linear = ad.linear
 
-            def counting(tape, x, theta):  # x is a Tensor, or a plain array of data
-                widths.append((getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
-                return linear(tape, x, theta)
+        def counting(tape, x, theta):  # x is a Tensor, or a plain array of data
+            widths.append((getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
+            return linear(tape, x, theta)
 
-            monkeypatch.setattr(ad, "linear", counting)
-            forward(Tape(), model, rng.standard_normal((2, cfg.T, n, 1)))
-            monkeypatch.setattr(ad, "linear", linear)
-            full = [lead for lead, width in widths if width == 2 * cfg.d]
-            assert sum(np.prod(lead) for lead in full) == rows * 2 * n, direction
+        monkeypatch.setattr(ad, "linear", counting)
+        forward(Tape(), model, rng.standard_normal((2, cfg.T, n, 1)))
+        full = [lead for lead, width in widths if width == 2 * cfg.d]
+        assert sum(np.prod(lead) for lead in full) == 3 * 2 * n
 
 
 class TestDataInputs:
     """The raw window and each folded pass's raw Z are data: they get no gradient."""
 
-    def config(self, direction):
-        # d_in = 3 and Z's 2K*d_in = 6 features are widths no other tensor has
-        return ModelConfig(K=1, m=3, s=2, d=8, T=7, H=4, d_in=3, temporal_direction=direction)
+    # d_in = 3 and Z's 2K*d_in = 6 features are widths no other tensor has
+    CONFIG = ModelConfig(K=1, m=3, s=2, d=8, T=7, H=4, d_in=3)
 
     def step(self, model, rng):
         cfg = model.config
@@ -397,9 +391,8 @@ class TestDataInputs:
         tape.backward(ad.mae_loss(tape, forward(tape, model, window), target))
         return [p.grad.copy() for p in model.params()]
 
-    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
-    def test_no_gradient_is_built_for_data(self, rng, monkeypatch, direction):
-        model = IstdGcnModel(self.config(direction), random_sensor_graph(rng, 4), seed=0)
+    def test_no_gradient_is_built_for_data(self, rng, monkeypatch):
+        model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
         built = []
         for method in ("ensure_grad", "add_grad"):
             def logging(tensor, *args, _method=getattr(Tensor, method), **kwargs):
@@ -410,11 +403,9 @@ class TestDataInputs:
         self.step(model, rng)
         assert built and 3 not in built and 6 not in built
 
-    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
-    def test_parameter_gradients_bit_identical_to_tensor_inputs(self, rng, monkeypatch,
-                                                                direction):
+    def test_parameter_gradients_bit_identical_to_tensor_inputs(self, rng, monkeypatch):
         # the data as Tensors, which get (and compute) a gradient nothing reads
-        model = IstdGcnModel(self.config(direction), random_sensor_graph(rng, 4), seed=0)
+        model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
         state = rng.bit_generator.state
         plain = self.step(model, rng)
         linear = ad.linear
@@ -639,8 +630,12 @@ class TestForward:
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = tiny_config(ablation="no_hstg", temporal_direction="transposed")
+        cfg = tiny_config(ablation="no_hstg")
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_config_json_with_retired_keys_loads(self):
+        assert ModelConfig.from_json(RETIRED_KEYS_CONFIG_JSON) == ModelConfig()
+        assert len(json.loads(ModelConfig().to_json())) == 11
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ArgumentError):
@@ -658,8 +653,10 @@ class TestConfig:
             ModelConfig.from_json('{"K": 2, "bogus": 1}')
 
     def test_unknown_temporal_direction_rejected(self):
-        with pytest.raises(ArgumentError):
-            ModelConfig(temporal_direction="sideways")
+        # a retired key loads only at the one value the model builds
+        for value in ('"transposed"', '"sideways"', "null"):
+            with pytest.raises(ArgumentError, match="temporal_direction variant .* was removed"):
+                ModelConfig.from_json(f'{{"K": 2, "temporal_direction": {value}}}')
 
     @pytest.mark.parametrize("text", ['{"decoder_hidden": 2.0}', '{"ablation": 1}',
                                       '{"d": true}', '{"ln_eps": null}', '"K"'])

@@ -5,8 +5,8 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import Tape, Tensor
 from stdiff.errors import ArgumentError, ShapeError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import matrix_power, sparsify
-from stdiff.stgraph import build_hstg, build_hstg_adjacency, build_nhstg_adjacency
+from stdiff.sparse import sparsify
+from stdiff.stgraph import _block_diffusion, build_hstg, build_hstg_adjacency, build_nhstg_adjacency
 
 from conftest import random_sensor_graph
 
@@ -15,19 +15,14 @@ def two_vertex_swap_graph():
     return SensorGraph(2, ("a", "b"), sparsify([[0, 1], [1, 0]]))
 
 
-def dense_block_oracle(w, m, self_loops=True, direction="as_written"):
+def dense_block_oracle(spatial, m):
     """Assemble the coupled block matrix densely, term by term."""
-    n = w.shape[0]
-    spatial = w + np.eye(n) if self_loops else w
-    c = np.eye(n)
+    n = spatial.shape[0]
     out = np.zeros((m * n, m * n))
     for t in range(m):
         out[t * n:(t + 1) * n, t * n:(t + 1) * n] = spatial
     for t in range(m - 1):
-        if direction == "as_written":
-            out[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n] = c
-        else:
-            out[(t + 1) * n:(t + 2) * n, t * n:(t + 1) * n] = c
+        out[t * n:(t + 1) * n, (t + 1) * n:(t + 2) * n] = np.eye(n)
     return out
 
 
@@ -38,30 +33,23 @@ def row_normalize(a):
 
 class TestBlockLayout:
     def test_hand_assembled_two_by_two(self):
-        # n=2, m=2, W = swap, C = I, no self-loops: [[W, I], [0, W]]
-        adj = build_hstg_adjacency(two_vertex_swap_graph(), 2, self_loops=False)
-        expected = [[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]]
+        # n=2, m=2, W = swap, C = I: [[W + I, I], [0, W + I]]
+        adj = build_hstg_adjacency(two_vertex_swap_graph(), 2)
+        expected = [[1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]]
         assert np.array_equal(adj.to_dense(), expected)
 
     def test_single_vertex_chain_is_shift(self):
+        # the self-loop on the diagonal, the shift above it
         g = SensorGraph(1, ("a",), sparsify(np.zeros((1, 1))))
-        adj = build_hstg_adjacency(g, 3, self_loops=False)
+        adj = build_hstg_adjacency(g, 3)
         assert np.array_equal(adj.to_dense(),
-                              [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+                              [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
     def test_nhstg_block_diagonal(self):
-        adj = build_nhstg_adjacency(two_vertex_swap_graph(), 2, self_loops=False)
-        w = np.array([[0, 1], [1, 0]])
+        adj = build_nhstg_adjacency(two_vertex_swap_graph(), 2)
+        w = np.array([[1, 1], [1, 1]])
         expected = np.block([[w, np.zeros((2, 2))], [np.zeros((2, 2)), w]])
         assert np.array_equal(adj.to_dense(), expected)
-
-    def test_transposed_direction_places_coupling_below(self):
-        adj = build_hstg_adjacency(two_vertex_swap_graph(), 2, self_loops=False,
-                                   temporal_direction="transposed")
-        assert np.array_equal(
-            adj.to_dense(),
-            dense_block_oracle(np.array([[0, 1], [1, 0]]), 2,
-                               self_loops=False, direction="transposed"))
 
     def test_m_below_two_rejected(self):
         with pytest.raises(ArgumentError):
@@ -76,23 +64,21 @@ class TestDenseOracleEquivalence:
             g = random_sensor_graph(rng, n)
             w = g.adjacency.to_dense()
             block = build_hstg(g, m, num_hops=2)
-            expected_h = row_normalize(dense_block_oracle(w, m))
+            expected_h = row_normalize(dense_block_oracle(w + np.eye(n), m))
             expected_nh = row_normalize(
                 np.kron(np.eye(m), w + np.eye(n)))
             assert np.max(np.abs(block.hstg_transition.to_dense() - expected_h)) < 1e-12
             assert np.max(np.abs(block.nhstg_transition.to_dense() - expected_nh)) < 1e-12
 
-    @pytest.mark.parametrize("direction", ["as_written", "transposed"])
-    @pytest.mark.parametrize("self_loops", [True, False])
-    def test_kron_adjacencies_match_block_oracle(self, rng, direction, self_loops):
+    def test_kron_adjacencies_match_block_oracle(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(2, 5))
             g = random_sensor_graph(rng, n)
-            expected = dense_block_oracle(g.adjacency.to_dense(), m, self_loops, direction)
+            expected = dense_block_oracle(g.adjacency.to_dense() + np.eye(n), m)
             diagonal_blocks = np.kron(np.eye(m), np.ones((n, n)))
-            h = build_hstg_adjacency(g, m, self_loops=self_loops, temporal_direction=direction)
-            nh = build_nhstg_adjacency(g, m, self_loops=self_loops)
+            h = build_hstg_adjacency(g, m)
+            nh = build_nhstg_adjacency(g, m)
             assert np.array_equal(h.to_dense(), expected)
             assert np.array_equal(nh.to_dense(), expected * diagonal_blocks)
 
@@ -141,31 +127,36 @@ class TestHopPowers:
     def test_first_power_is_p_itself(self, rng):
         g = random_sensor_graph(rng, 3)
         block = build_hstg(g, 2, num_hops=3)
-        assert matrix_power(block.hstg_transition, 1) == block.hstg_transition
         assert block.hop_powers_h[0] == block.hstg_transition
+        assert block.hop_powers_nh[0] == block.nhstg_transition
 
     def test_nilpotent_shift(self):
-        g = SensorGraph(1, ("a",), sparsify(np.zeros((1, 1))))
-        p = build_hstg_adjacency(g, 3, self_loops=False)
-        assert np.array_equal(matrix_power(p, 2).to_dense(),
-                              [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-        assert matrix_power(p, 3).nnz == 0
+        # one edgeless vertex without a self-loop: each hop is a pure shift,
+        # and the last snapshot's row has degree zero
+        op = _block_diffusion(sparsify(np.zeros((1, 1))), 3, 1)
+        hop = np.eye(3)  # flat (m*n, d): P @ I is P
+        for want in ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                     np.zeros((3, 3))):
+            hop = op.apply(hop)
+            assert np.array_equal(hop, want)
 
     def test_cached_powers_match_dense_oracle(self, rng):
-        for _ in range(20):
+        for _ in range(30):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(2, 5))
-            block = build_hstg(random_sensor_graph(rng, n), m, num_hops=3)
+            k_hops = int(rng.integers(1, 6))
+            block = build_hstg(random_sensor_graph(rng, n), m, num_hops=k_hops)
             for powers, p in ((block.hop_powers_h, block.hstg_transition),
                               (block.hop_powers_nh, block.nhstg_transition)):
+                assert len(powers) == k_hops
                 expected = p.to_dense()
-                for k in range(3):
+                for k in range(k_hops):
                     assert np.max(np.abs(powers[k].to_dense() - expected)) < 1e-12
                     expected = expected @ p.to_dense()
 
     def test_invalid_hop_rejected(self, rng):
         with pytest.raises(ArgumentError):
-            matrix_power(sparsify(np.eye(2)), 0)
+            build_hstg(random_sensor_graph(rng, 3), 2, num_hops=0)
 
 
 class TestStackFeatures:
@@ -204,8 +195,7 @@ class TestBlockAssembly:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))
             d = int(rng.integers(1, 4))
-            direction = ("as_written", "transposed")[int(rng.integers(2))]
-            block = build_hstg(random_sensor_graph(rng, n), m, temporal_direction=direction)
+            block = build_hstg(random_sensor_graph(rng, n), m)
             x = rng.standard_normal((2, m, n, d))
             flat = x.reshape(2, m * n, d)
             for t in range(m):  # flat row t*n + i is snapshot t, vertex i
@@ -225,16 +215,20 @@ class TestBlockDiffusion:
         for _ in range(200):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 6))
-            self_loops = bool(rng.integers(2))
-            direction = ("as_written", "transposed")[int(rng.integers(2))]
             lead = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 3))))
             d = int(rng.integers(1, 4))
-            block = build_hstg(random_sensor_graph(rng, n), m, self_loops=self_loops,
-                               temporal_direction=direction)
+            g = random_sensor_graph(rng, n)
+            block = build_hstg(g, m)
             x = rng.standard_normal(lead + (m * n, d))
-            for op, p in ((block.coupled, block.hstg_transition),
-                          (block.decoupled, block.nhstg_transition)):
-                dense = p.to_dense()
+            # the same operators over A alone, whose zero-degree rows must stay zero
+            w = g.adjacency.to_dense()
+            bare_h = dense_block_oracle(w, m) if m > 1 else w
+            cases = ((block.coupled, block.hstg_transition.to_dense()),
+                     (block.decoupled, block.nhstg_transition.to_dense()),
+                     (_block_diffusion(g.adjacency, m, int(m > 1)), row_normalize(bare_h)),
+                     (_block_diffusion(g.adjacency, m, 0),
+                      row_normalize(np.kron(np.eye(m), w))))
+            for op, dense in cases:
                 got, got_t = op.apply(x), op.apply_transpose(x)
                 assert got.shape == got_t.shape == x.shape
                 assert np.max(np.abs(got - dense @ x), initial=0.0) < 1e-12
@@ -249,7 +243,6 @@ class TestBlockDiffusion:
     def test_shift_direction(self, rng):
         g = random_sensor_graph(rng, 3)
         assert build_hstg(g, 3).coupled.shift == 1
-        assert build_hstg(g, 3, temporal_direction="transposed").coupled.shift == -1
         assert build_hstg(g, 3).decoupled.shift == 0
         assert build_hstg(g, 1).coupled.shift == 0
 
@@ -263,8 +256,4 @@ class TestBlockDiffusion:
     def test_invalid_arguments_rejected(self, rng):
         g = random_sensor_graph(rng, 3)
         with pytest.raises(ArgumentError):
-            build_hstg(g, 2, temporal_direction="sideways")
-        with pytest.raises(ArgumentError):
             build_hstg(g, 0)
-        with pytest.raises(ArgumentError):
-            build_hstg(g, 2, num_hops=0)

@@ -87,6 +87,20 @@ class TestLoss:
         assert all(r.passed for r in reports)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("l2_lambda", -1e-4), ("l2_lambda", float("nan")),
+        ("l2_lambda", float("inf")), ("epochs", 0), ("batch_size", 0),
+        ("early_stop_patience", -3), ("seed", -1)])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ArgumentError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(l2_lambda=0.0, early_stop_patience=0, seed=0, epochs=1, batch_size=1)
+
+
 class TestOptimizer:
     def test_zero_grads_leave_params_unchanged(self, rng):
         p = ParamArray("p", rng.random((3, 3)))
