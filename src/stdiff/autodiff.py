@@ -379,33 +379,22 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
     return out
 
 
-def mlp_decode(
-    tape: Tape,
-    x: Tensor,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    horizon: int,
-    d_out: int,
-) -> Tensor:
+def mlp_decode(tape: Tape, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               horizon: int) -> Tensor:
     """Two-layer per-vertex MLP emitting all horizons in one pass.
 
-    X is (..., n, d); the feature chain is d -> hidden -> horizon*d_out with a
-    positive-part nonlinearity between the layers.  Output is (..., H, n, d_out).
+    X is (..., n, d); the feature chain is d -> hidden -> horizon with a
+    positive-part nonlinearity between the layers.  Output is (..., H, n, 1),
+    one speed per horizon and vertex.
     """
-    if w2.value.shape[1] != horizon * d_out:
-        raise ShapeError("decoder output layer must emit horizon*d_out features")
+    if w2.value.shape[1] != horizon:
+        raise ShapeError("decoder output layer must emit one feature per horizon")
     h = relu(tape, add_bias(tape, linear(tape, x, w1), b1))
     o = add_bias(tape, linear(tape, h, w2), b2)
-    lead = o.value.shape[:-2]
-    n = o.value.shape[-2]
-    out = Tensor(
-        np.swapaxes(o.value.reshape(lead + (n, horizon, d_out)), -3, -2)
-    )
+    out = Tensor(np.swapaxes(o.value, -2, -1)[..., None])
 
     def backward():
-        o.add_grad(np.swapaxes(out.grad, -3, -2).copy().reshape(o.value.shape))
+        o.add_grad(np.swapaxes(out.grad[..., 0], -2, -1).copy())
 
     tape.record(backward)
     return out

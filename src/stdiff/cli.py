@@ -27,7 +27,7 @@ from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
 from .errors import ArgumentError, DomainError, FormatError, StdiffError
 from .graph import (build_gaussian_adjacency, load_adjacency, load_distance_csv, open_text,
                     save_adjacency)
-from .metrics import evaluate, evaluate_historical_average, horizon_minutes
+from .metrics import EVAL_BATCH, evaluate, evaluate_historical_average, horizon_minutes
 from .model import ABLATIONS, IstdGcnModel, ModelConfig, forward
 from .training import (TrainConfig, compute_norm_stats, mae_l2_loss, predict_windows,
                        split_dataset, train, zscore)
@@ -74,15 +74,6 @@ def _read_json_config(cls, path, what: str):
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, ArgumentError) as exc:
         raise FormatError(f"bad {what} {path}: {exc}") from None
-
-
-def _model_config(path) -> ModelConfig:
-    """The model config at ``path``; d_in and d_out must match the speed CSV's one feature."""
-    cfg = _read_json_config(ModelConfig, path, "model config")
-    if (cfg.d_in, cfg.d_out) != (1, 1):
-        raise FormatError(f"bad model config {path}: speed CSVs hold one feature per sensor, "
-                          f"so d_in and d_out must be 1, not {cfg.d_in} and {cfg.d_out}")
-    return cfg
 
 
 # -- commands ----------------------------------------------------------
@@ -143,7 +134,7 @@ def _load_dataset(args, cfg: ModelConfig, graph=None):
 
 
 def cmd_train(args) -> int:
-    cfg = _model_config(args.config)
+    cfg = _read_json_config(ModelConfig, args.config, "model config")
     if args.ablation is not None:
         cfg = ModelConfig(**{**asdict(cfg), "ablation": args.ablation})
     tcfg = TrainConfig(
@@ -177,7 +168,7 @@ def _checkpoint_config(args) -> str:
 
 
 def _restore_model(args):
-    cfg = _model_config(_checkpoint_config(args))
+    cfg = _read_json_config(ModelConfig, _checkpoint_config(args), "model config")
     graph = load_adjacency(Path(args.adj))
     model = IstdGcnModel(cfg, graph, seed=0)
     restore_params(model.params(), args.checkpoint)
@@ -228,7 +219,7 @@ def cmd_predict(args) -> int:
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
-            for chunk, preds in predict_windows(model, test_w, stats, 64):
+            for chunk, preds in predict_windows(model, test_w, stats, EVAL_BATCH):
                 for w, pred in zip(chunk, preds):
                     for h in range(cfg.H):
                         ts = int(w.target_timestamps[h])
@@ -244,7 +235,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = (_model_config(args.config) if args.config
+    if not args.tol >= 0.0:  # also rejects NaN
+        raise ArgumentError(f"tolerance {args.tol!r} is negative or NaN")
+    cfg = (_read_json_config(ModelConfig, args.config, "model config") if args.config
            else ModelConfig(K=2, m=2, s=2, d=4, T=6, H=2))
     spec = SyntheticSpec(n=5, steps=cfg.T + cfg.H + 2, seed=args.seed, noise_std=1.0)
     graph, series = generate_synthetic(spec)

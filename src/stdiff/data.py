@@ -12,7 +12,7 @@ import json
 import math
 import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,21 +181,20 @@ def dataclass_from_json(cls, data, what: str):
     """Build dataclass ``cls`` from parsed JSON ``data``, an object of some of its fields.
 
     Each value must have its field's annotated type; an int is accepted for a
-    float and null for an optional field, but a bool never stands in for a
-    number.  ``what`` names the input in error messages.
+    float, but a bool never stands in for a number.  ``what`` names the input
+    in error messages.
     """
     if not isinstance(data, dict):
         raise ArgumentError(f"{what} must be a JSON object")
-    unknown = set(data) - set(cls.__dataclass_fields__)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ArgumentError(f"unknown {what} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
-        want = typing.get_args(hints[key]) or (hints[key],)
-        accepted = want + (int,) if float in want else want
-        if (isinstance(value, bool) and bool not in want) or not isinstance(value, accepted):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in want)
-            raise ArgumentError(f"{what} key {key!r} must be {names}, got {value!r}")
+        want = hints[key]
+        accepted = (float, int) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ArgumentError(f"{what} key {key!r} must be {want.__name__}, got {value!r}")
     return cls(**data)
 
 

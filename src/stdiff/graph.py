@@ -67,6 +67,8 @@ def build_gaussian_adjacency(
     """
     if not 0.0 <= weight_quantile <= 1.0:  # also rejects NaN
         raise ArgumentError(f"weight quantile {weight_quantile!r} is outside [0, 1]")
+    if epsilon is not None and not epsilon >= 0.0:  # also rejects NaN
+        raise ArgumentError(f"epsilon {epsilon!r} is negative or NaN")
     if not records:
         raise IdentifierError("at least one distance record required")
     index = {s: i for i, s in enumerate(ids)}

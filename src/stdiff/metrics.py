@@ -30,7 +30,7 @@ from .errors import ArgumentError, DomainError, ShapeError
 from .training import NormStats, predict_windows
 
 DEFAULT_HORIZONS = (3, 6, 12)  # snapshots: 15 / 30 / 60 minutes at 5-min interval
-_CHUNK = 64  # windows per chunk where metrics walk windows themselves
+EVAL_BATCH = 64  # windows per batch wherever evaluation or prediction walks windows
 
 
 def horizon_minutes(steps: int, interval: int) -> int | float:
@@ -149,8 +149,8 @@ def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None,
     The metric at horizon h covers the single h-th predicted snapshot,
     matching per-column reporting in the usual comparison tables.  Rows are
     labelled in minutes from the series' snapshot ``interval`` (seconds).
-    The arrays are read ``_CHUNK`` windows at a time, so the work arrays are
-    chunk-sized.
+    The arrays are read ``EVAL_BATCH`` windows at a time, so the work arrays
+    are chunk-sized.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -161,9 +161,9 @@ def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None,
         if mask.shape != target.shape:
             raise ShapeError("mask shape mismatch")
     # one chunk even when there are no windows, so its sums have their shape
-    chunks = ((pred[lo:lo + _CHUNK], target[lo:lo + _CHUNK],
-               None if mask is None else mask[lo:lo + _CHUNK])
-              for lo in range(0, max(len(pred), 1), _CHUNK))
+    chunks = ((pred[lo:lo + EVAL_BATCH], target[lo:lo + EVAL_BATCH],
+               None if mask is None else mask[lo:lo + EVAL_BATCH])
+              for lo in range(0, max(len(pred), 1), EVAL_BATCH))
     return _streamed_report(chunks, horizons, interval)
 
 
@@ -221,7 +221,7 @@ def evaluate(
     stats: NormStats,
     *,
     horizons=DEFAULT_HORIZONS,
-    batch_size: int = 64,
+    batch_size: int = EVAL_BATCH,
     interval: int = DEFAULT_INTERVAL,
 ) -> EvalReport:
     """Run the model over the test windows and report denormalized metrics.
@@ -247,6 +247,7 @@ def evaluate_historical_average(train_series, test_windows: list, *,
     if not test_windows:
         raise ArgumentError("empty test set")
     table = HistoricalAverage.fit(train_series)
-    chunks = (test_windows[lo:lo + _CHUNK] for lo in range(0, len(test_windows), _CHUNK))
+    chunks = (test_windows[lo:lo + EVAL_BATCH]
+              for lo in range(0, len(test_windows), EVAL_BATCH))
     return _streamed_report(((table.predict(c), _targets(c)) for c in chunks),
                             DEFAULT_HORIZONS, interval)

@@ -26,9 +26,9 @@ the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
 Whatever K and s are, a pass is then one channel term Y = Z Theta, one
 channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
 
-Y is folded.  A raw snapshot is the embedding w ⊗ E of its (n, d_in)
-readings, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per snapshot,
-2K*n^2*d_in for the diffusion, run on plain data, and 2K*n*d_in*s*d for the
+Y is folded.  A raw snapshot is the embedding w ⊗ E of its n readings, one
+speed per sensor, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per
+snapshot, 2K*n^2 for the diffusion, run on plain data, and 2K*n*s*d for the
 GEMM.  Snapshot t reads t+1, never t-1, so no hop moves the carried
 snapshot out of snapshot 0: only it pays full width, through the row-0
 operators, and its term joins the layer norm's sum there.
@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,9 +58,6 @@ from .graph import SensorGraph
 from .stgraph import BlockDiffusion, StBlockGraph, build_hstg
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
-# keys of removed block-graph variants, each with the one value the model builds;
-# config.json files written before the variants went still carry them
-RETIRED_KEYS = {"self_loops": True, "temporal_direction": "as_written"}
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,10 @@ class ModelConfig:
     d: int = 256
     T: int = 12
     H: int = 12
-    d_in: int = 1
-    d_out: int = 1
-    decoder_hidden: int | None = None
     ablation: str = "full"
-    ln_eps: float = 1e-5
+    # constants, not fields, kept on the config because benchmarks/reference.py reads them there
+    d_out: ClassVar[int] = 1
+    ln_eps: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
@@ -83,22 +80,14 @@ class ModelConfig:
             raise ArgumentError("m must be >= 2")
         if self.T < self.m:
             raise ArgumentError("history length T must be >= m")
-        for name in ("K", "s", "d", "H", "d_in", "d_out"):
+        for name in ("K", "s", "d", "H"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
-        if self.hidden < 1:
-            raise ArgumentError("decoder_hidden must be >= 1")
-        if not 0 < self.ln_eps < math.inf:  # NaN fails both comparisons
-            raise ArgumentError(f"ln_eps must be finite and positive, not {self.ln_eps!r}")
 
     @property
     def effective_m(self) -> int:
         """Snapshots per block; the non-iterative ablation folds all T at once."""
         return self.T if self.ablation == "no_iteration" else self.m
-
-    @property
-    def hidden(self) -> int:
-        return self.decoder_hidden if self.decoder_hidden is not None else self.d
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -111,9 +100,15 @@ class ModelConfig:
             for key, only in RETIRED_KEYS.items():
                 value = data.pop(key, only)
                 if (type(value), value) != (type(only), only):
-                    raise ArgumentError(f"the {key} variant {value!r} was removed; "
-                                        f"only {only!r} is supported")
+                    raise ArgumentError(f"the {key} variant {json.dumps(value)} was removed; "
+                                        f"only {json.dumps(only)} is supported")
         return dataclass_from_json(ModelConfig, data, "config")
+
+
+# keys of removed variants, each with the one value the model builds;
+# config.json files written before the variants went still carry them
+RETIRED_KEYS = {"self_loops": True, "temporal_direction": "as_written", "d_in": 1,
+                "d_out": ModelConfig.d_out, "decoder_hidden": None, "ln_eps": ModelConfig.ln_eps}
 
 
 @dataclass
@@ -160,19 +155,17 @@ class IstdGcnModel:
         self._blocks: dict[int, StBlockGraph] = {}
         rng = np.random.default_rng(seed)
         d, s = config.d, config.s
-        self.input_embed = ParamArray("input_embed", _glorot(rng, config.d_in, d, (config.d_in, d)))
+        self.input_embed = ParamArray("input_embed", _glorot(rng, 1, d, (1, d)))
         self.bank = ChannelBank(config)
         self.channels = self.bank.channels
         for ch in self.channels:
             for theta in (*ch.theta_nh, *ch.theta_h):
                 theta.value[...] = _glorot(rng, d, d, (d, d))
         self.mix = ParamArray("mix", _glorot(rng, s * d, d, (s * d, d)))
-        hidden = config.hidden
-        out_w = config.H * config.d_out
-        self.dec_w1 = ParamArray("dec_w1", _glorot(rng, d, hidden, (d, hidden)))
-        self.dec_b1 = ParamArray("dec_b1", np.zeros(hidden))
-        self.dec_w2 = ParamArray("dec_w2", _glorot(rng, hidden, out_w, (hidden, out_w)))
-        self.dec_b2 = ParamArray("dec_b2", np.zeros(out_w))
+        self.dec_w1 = ParamArray("dec_w1", _glorot(rng, d, d, (d, d)))
+        self.dec_b1 = ParamArray("dec_b1", np.zeros(d))
+        self.dec_w2 = ParamArray("dec_w2", _glorot(rng, d, config.H, (d, config.H)))
+        self.dec_b2 = ParamArray("dec_b2", np.zeros(config.H))
 
     def params(self) -> list[ParamArray]:
         out = [self.input_embed]
@@ -238,7 +231,7 @@ def _view(name: str, storage: ParamArray, index) -> ParamArray:
 
 
 def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: Tensor, *,
-                 ln_eps: float = 1e-5) -> Tensor:
+                 ln_eps: float = ModelConfig.ln_eps) -> Tensor:
     """One channel's convolution block on (..., m, n, d) or (..., m*n, d) input.
 
     A ``multi_channel_forward`` pass with s = 1, up to the layer norm, on
@@ -284,7 +277,7 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
            window: np.ndarray | None = None) -> CompressedSnapshot:
     """Iteratively fold the (..., T, n, d) history into one (..., n, d) snapshot.
 
-    Given the raw (..., T, n, d_in) ``window`` that ``embedded`` embeds, passes fold E.
+    Given the raw (..., T, n, 1) ``window`` that ``embedded`` embeds, passes fold E.
     """
     t_total = embedded.value.shape[-3]
     m = model.config.effective_m
@@ -303,20 +296,17 @@ def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
 
 
 def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:
-    """Full pass: embed the raw (..., T, n, d_in) history, encode, decode.
+    """Full pass: embed the raw (..., T, n, 1) history, encode, decode.
 
-    Returns predictions shaped (..., H, n, d_out).
+    Returns predictions shaped (..., H, n, 1).
     """
     window = np.asarray(window, dtype=np.float64)
     cfg = model.config
-    if window.ndim < 3 or window.shape[-3] != cfg.T or window.shape[-1] != cfg.d_in:
-        raise ShapeError(f"window shape {window.shape} does not match (T={cfg.T}, n, d_in={cfg.d_in})")
+    if window.ndim < 3 or window.shape[-3] != cfg.T or window.shape[-1] != 1:
+        raise ShapeError(f"window shape {window.shape} does not match (T={cfg.T}, n, 1)")
     if window.shape[-2] != model.graph.n:
         raise ShapeError("window vertex count does not match the graph")
     embedded = ad.linear(tape, window, model.input_embed)
     com = encode(tape, model, embedded, window)
-    return ad.mlp_decode(
-        tape, com.features,
-        model.dec_w1, model.dec_b1, model.dec_w2, model.dec_b2,
-        cfg.H, cfg.d_out,
-    )
+    return ad.mlp_decode(tape, com.features,
+                         model.dec_w1, model.dec_b1, model.dec_w2, model.dec_b2, cfg.H)

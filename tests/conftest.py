@@ -8,7 +8,7 @@ from stdiff.sparse import SparseMatrix
 
 
 # config.json as ModelConfig().to_json() wrote it while the block graph had
-# variants: 13 keys, two of them retired since
+# variants: 13 keys, six of them retired since
 RETIRED_KEYS_CONFIG_JSON = """{
   "H": 12,
   "K": 5,

@@ -516,29 +516,31 @@ class TestSliceTime:
 
 
 class TestMlpDecode:
-    def make_params(self, rng, d, hidden, horizon, d_out):
+    def make_params(self, rng, d, hidden, horizon):
         return (ParamArray("w1", rng.standard_normal((d, hidden)) * 0.5),
                 ParamArray("b1", rng.standard_normal(hidden) * 0.1),
-                ParamArray("w2", rng.standard_normal((hidden, horizon * d_out)) * 0.5),
-                ParamArray("b2", rng.standard_normal(horizon * d_out) * 0.1))
+                ParamArray("w2", rng.standard_normal((hidden, horizon)) * 0.5),
+                ParamArray("b2", rng.standard_normal(horizon) * 0.1))
 
     def test_zero_weights_zero_output(self, rng):
         x = Tensor(rng.random((4, 3)))
         zeros = [ParamArray(n, np.zeros(s)) for n, s in
-                 [("w1", (3, 5)), ("b1", 5), ("w2", (5, 4)), ("b2", 4)]]
-        y = ad.mlp_decode(Tape(), x, *zeros, horizon=2, d_out=2)
-        assert np.array_equal(y.value, np.zeros((2, 4, 2)))
+                 [("w1", (3, 5)), ("b1", 5), ("w2", (5, 2)), ("b2", 2)]]
+        y = ad.mlp_decode(Tape(), x, *zeros, horizon=2)
+        assert np.array_equal(y.value, np.zeros((2, 4, 1)))
 
     def test_output_layout(self, rng):
-        # H=1, d_out=d, identity second layer after a pass-through first layer
+        # H=d, identity second layer after a pass-through first layer: horizon h
+        # of vertex v is feature h of row v
         d = 3
         w1 = ParamArray("w1", np.eye(d))
         b1 = ParamArray("b1", np.zeros(d))
         w2 = ParamArray("w2", np.eye(d))
         b2 = ParamArray("b2", np.zeros(d))
-        x = np.abs(rng.random((4, d)))  # positive: relu transparent
-        y = ad.mlp_decode(Tape(), Tensor(x), w1, b1, w2, b2, horizon=1, d_out=d)
-        assert np.array_equal(y.value[0], x)
+        x = np.abs(rng.random((2, 4, d)))  # positive: relu transparent
+        y = ad.mlp_decode(Tape(), Tensor(x), w1, b1, w2, b2, horizon=d)
+        assert y.value.shape == (2, d, 4, 1)
+        assert np.array_equal(y.value[..., 0], np.swapaxes(x, -2, -1))
 
     def test_relu_passes_nan_and_keeps_finite_bits(self, rng, monkeypatch):
         monkeypatch.setattr(ad, "_DEBUG", False)  # the inputs are non-finite on purpose
@@ -554,9 +556,9 @@ class TestMlpDecode:
     def test_finite_differences(self, rng):
         for _ in range(30):
             x = ParamArray("x", rng.standard_normal((3, 4)))
-            params = self.make_params(rng, 4, 5, 2, 2)
+            params = self.make_params(rng, 4, 5, 2)
             check_op([x, *params],
-                     lambda tape: ad.mlp_decode(tape, x, *params, horizon=2, d_out=2),
+                     lambda tape: ad.mlp_decode(tape, x, *params, horizon=2),
                      rng, tol=1e-3)  # relu kinks make FD noisier
 
 

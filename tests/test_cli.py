@@ -14,7 +14,7 @@ from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic, load_sp
                          make_windows, save_speed_csv)
 from stdiff.graph import load_adjacency, save_adjacency
 from stdiff.metrics import historical_average_baseline, metrics_by_horizon
-from stdiff.model import IstdGcnModel, ModelConfig
+from stdiff.model import RETIRED_KEYS, IstdGcnModel, ModelConfig
 from stdiff.training import split_dataset
 
 TINY = ModelConfig(K=2, m=2, s=2, d=4, T=6, H=2)
@@ -105,13 +105,18 @@ class TestBuildAdj:
                      "--out", str(tmp_path / "adj")]) == 2
         assert f"{path} line 8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("quantile", ["1.5", "nan"])
-    def test_quantile_outside_unit_interval_exits_2(self, tmp_path, capsys, quantile):
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("quantile", "1.5", id="1.5"),
+        pytest.param("quantile", "nan", id="nan"),
+        pytest.param("epsilon", "nan", id="epsilon-nan"),   # nan or negative: no edge kept
+        pytest.param("epsilon", "-1", id="epsilon--1"),
+    ])
+    def test_quantile_outside_unit_interval_exits_2(self, tmp_path, capsys, flag, value):
         self.make_inputs(tmp_path)
         assert main(["build-adj", "--distances", str(tmp_path / "d.csv"),
                      "--ids", str(tmp_path / "ids.txt"),
-                     "--out", str(tmp_path / "adj"), "--quantile", quantile]) == 2
-        assert f"quantile {float(quantile)!r}" in capsys.readouterr().err
+                     "--out", str(tmp_path / "adj"), f"--{flag}", value]) == 2
+        assert f"{flag} {float(value)!r}" in capsys.readouterr().err
         assert not (tmp_path / "adj.csv").exists()
 
     def test_unclosed_quote_in_distances_exits_2_naming_csv(self, tmp_path, capsys):
@@ -245,6 +250,10 @@ class TestTrain:
         '{"temporal_direction": "transposed"}',   # removed block-graph variants
         '{"self_loops": false}',
         '{"self_loops": 1}',
+        '{"d_in": 2}',   # retired constants: one reading in, one out, decoder width d
+        '{"d_out": 2}',
+        '{"decoder_hidden": 8}',
+        '{"ln_eps": 1e-6}',
     ])
     def test_bad_config_exits_2_naming_file(self, dataset, tmp_path, capsys, text):
         root, _graph, _series = dataset
@@ -253,7 +262,10 @@ class TestTrain:
         args = train_args(root, tmp_path / "run")
         args[args.index("--config") + 1] = str(config)
         assert main(args) == 2
-        assert str(config) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(config) in err
+        data = json.loads(text)
+        assert not isinstance(data, dict) or all(key in err for key in data)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rows", [
@@ -463,8 +475,8 @@ class TestEval:
         run.mkdir()
         (run / "config.json").write_text(RETIRED_KEYS_CONFIG_JSON)
         save_params(IstdGcnModel(ModelConfig(), graph, seed=0).params(), run / "best.stdf")
-        stripped = json.loads(RETIRED_KEYS_CONFIG_JSON)
-        del stripped["self_loops"], stripped["temporal_direction"]
+        stripped = {key: value for key, value in json.loads(RETIRED_KEYS_CONFIG_JSON).items()
+                    if key not in RETIRED_KEYS}
         (tmp_path / "stripped.json").write_text(json.dumps(stripped))
         reports = []
         for config in ([], ["--config", str(tmp_path / "stripped.json")]):
@@ -581,7 +593,7 @@ class TestRestoredRunBadInputs:
             self, trained, tmp_path, capsys, command, field):
         root, run, _series = trained
         config = tmp_path / "cfg.json"
-        config.write_text(ModelConfig(**{**TINY.__dict__, field: 2}).to_json())
+        config.write_text(json.dumps({**json.loads(TINY.to_json()), field: 2}))
         out = tmp_path / "out" / f"{command}.csv"
         code = main([command, "--checkpoint", str(run / "best.stdf"),
                      "--data", str(root / "speed.csv"), "--adj", str(root / "adj"),
@@ -800,10 +812,16 @@ class TestGradcheck:
         assert main(["gradcheck", "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tolerance_exits_2(self, capsys, tol):
+        assert main(["gradcheck", "--tol", tol]) == 2
+        out = capsys.readouterr()
+        assert f"tolerance {float(tol)!r}" in out.err and out.out == ""
+
     @pytest.mark.parametrize("field", ["d_in", "d_out"])
     def test_feature_width_other_than_one_exits_2_naming_config(self, tmp_path, capsys, field):
         # its synthetic series has one feature per sensor, like a speed CSV
         config = tmp_path / "cfg.json"
-        config.write_text(ModelConfig(**{**TINY.__dict__, field: 2}).to_json())
+        config.write_text(json.dumps({**json.loads(TINY.to_json()), field: 2}))
         assert main(["gradcheck", "--config", str(config)]) == 2
         assert str(config) in capsys.readouterr().err

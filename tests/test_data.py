@@ -342,3 +342,9 @@ class TestSynthetic:
                 SyntheticSpec(**{field: value})
         with pytest.raises(ArgumentError):
             SyntheticSpec.from_json('{"n": 4, "bogus": 1}')
+
+    def test_float_field_accepts_int(self):
+        spec = SyntheticSpec.from_json('{"alpha": 1, "noise_std": 0}')
+        assert spec.alpha == 1 and spec.noise_std == 0
+        with pytest.raises(ArgumentError, match="'n' must be int"):
+            SyntheticSpec.from_json('{"n": 4.0}')

@@ -78,13 +78,21 @@ class TestGaussianAdjacency:
                 [DistanceRecord("a", "b", 2.0), DistanceRecord("b", "a", 2.0)],
                 ["a", "b"])
 
-    @pytest.mark.parametrize("quantile", [1.5, -0.1, math.nan])
-    def test_quantile_outside_unit_interval_rejected(self, quantile):
+    @pytest.mark.parametrize("keyword,value", [
+        pytest.param("weight_quantile", 1.5, id="1.5"),
+        pytest.param("weight_quantile", -0.1, id="-0.1"),
+        pytest.param("weight_quantile", math.nan, id="nan"),
+        pytest.param("epsilon", -1.0, id="epsilon--1.0"),   # nan or negative: no edge kept
+        pytest.param("epsilon", math.nan, id="epsilon-nan"),
+    ])
+    def test_quantile_outside_unit_interval_rejected(self, keyword, value):
         recs = [DistanceRecord("a", "b", 1.0), DistanceRecord("a", "c", 2.0)]
-        with pytest.raises(ArgumentError, match=f"quantile {quantile!r}"):
-            build_gaussian_adjacency(recs, ["a", "b", "c"], weight_quantile=quantile)
+        with pytest.raises(ArgumentError, match=f"{keyword.split('_')[-1]} {value!r}"):
+            build_gaussian_adjacency(recs, ["a", "b", "c"], **{keyword: value})
         for edge in (0.0, 1.0):
             build_gaussian_adjacency(recs, ["a", "b", "c"], weight_quantile=edge)
+        for kept in (0.0, math.inf):  # inf keeps every edge
+            build_gaussian_adjacency(recs, ["a", "b", "c"], epsilon=kept)
 
     def test_empty_records_rejected(self):
         with pytest.raises(IdentifierError):

@@ -148,9 +148,9 @@ class TestStreamedSums:
         pred, target, mask = arrays
         mask = mask if with_mask else None
         whole = metrics_by_horizon(pred, target, mask=mask)  # 150 windows: more than one chunk
-        monkeypatch.setattr(metrics, "_CHUNK", len(pred))
+        monkeypatch.setattr(metrics, "EVAL_BATCH", len(pred))
         assert metrics_by_horizon(pred, target, mask=mask) == whole
-        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        monkeypatch.setattr(metrics, "EVAL_BATCH", chunk)
         assert metrics_by_horizon(pred, target, mask=mask) == whole
 
     def test_rows_agree_with_masked_errors_on_slices(self, arrays):
