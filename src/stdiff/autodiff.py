@@ -165,17 +165,45 @@ def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
     return out
 
 
-def diffuse(ops: list[BlockDiffusion], x: np.ndarray, k_hops: int) -> np.ndarray:
-    """``spmm_diff``'s Z of plain data, with nothing recorded."""
+def _spatial_of(ops: list[BlockDiffusion], k_hops: int):
+    """The one spatial matrix every operator in ``ops`` applies."""
     if not ops or k_hops < 1:
         raise ArgumentError("diffusion needs at least one operator and one hop")
+    head = ops[0]
+    if any(op.spatial is not head.spatial or op.inv_deg.shape != head.inv_deg.shape
+           for op in ops):
+        raise ArgumentError("diffusion operators must share one spatial matrix and block shape")
+    return head.spatial
+
+
+def diffuse(ops: list[BlockDiffusion], x: np.ndarray, k_hops: int) -> np.ndarray:
+    """``spmm_diff``'s Z of plain data, with nothing recorded."""
+    spatial, xb = _spatial_of(ops, k_hops), ops[0].blocks(x)
     d, r = x.shape[-1], len(ops)
     z = np.empty(x.shape[:-1] + (k_hops * r * d,))
-    hops, prev = z.reshape(x.shape[:-1] + (k_hops, r, d)), [x] * r
-    for k in range(k_hops):
+    wide = z.reshape(xb.shape[:-1] + (k_hops, r * d))  # hop k of every operator, side by side
+    hops = z.reshape(xb.shape[:-1] + (k_hops, r, d))
+    ax = spatial.matmul_dense(xb)
+    # a shifted operator adds into AX in place: the unshifted ones read it first,
+    # and each shifted one but the last works on a copy
+    order = sorted(range(r), key=lambda i: ops[i].shift)
+    for i in order:
+        ops[i].finish(ax.copy() if ops[i].shift and i != order[-1] else ax, xb, hops[..., 0, i, :])
+    for k in range(1, k_hops):
+        spatial.matmul_dense(wide[..., k - 1, :], out=wide[..., k, :])
         for i, op in enumerate(ops):
-            prev[i] = op.apply(prev[i], out=hops[..., k, i, :])
+            op.finish(hops[..., k, i, :], hops[..., k - 1, i, :], hops[..., k, i, :])
     return z
+
+
+def _transposed_hop(ops: list[BlockDiffusion], g: np.ndarray) -> np.ndarray:
+    """P_i^T G_i for every operator i, G (..., m, n, r, d): one A^T product for all."""
+    h = g * np.stack([op.inv_deg for op in ops], axis=-1)[..., None]
+    y = (ops[0].spatial.dense.T @ h.reshape(h.shape[:-2] + (-1,))).reshape(h.shape)
+    for i, op in enumerate(ops):
+        if op.shift:
+            y[..., 1:, :, i, :] += h[..., :-1, :, i, :]
+    return y
 
 
 def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> Tensor:
@@ -183,22 +211,27 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 
     X is (..., m, n, d) or (..., m*n, d); Z has X's shape with k_hops*r*d
     features, hop k of operator i in columns [(k*r + i)*d, (k*r + i + 1)*d).
-    Each hop is its operator applied to the previous hop, written straight
-    into Z, which is allocated once.  Backward runs the transposed recursion
-    gX += P^T(G_1 + P^T(G_2 + ... P^T G_K)) per operator.  P carries no
-    gradient.
+    The operators share one spatial matrix A + I (one block graph's pair), so
+    each hop is one spatial product for all of them: hop 1 is A X, which
+    each operator shifts and scales into its columns; hop k > 1 is A times
+    every operator's hop k-1 side by side, written straight into Z, which is
+    allocated once.  Backward runs the transposed recursion
+    gX += P^T(G_1 + P^T(G_2 + ... P^T G_K)), one A^T product per hop over
+    all operators, and adds each operator's share to gX in turn.  P carries
+    no gradient.
     """
     out = Tensor(diffuse(ops, x.value, k_hops))
-    d, r = x.value.shape[-1], len(ops)
+    r = len(ops)
 
     def backward():
-        g = out.grad.reshape(out.grad.shape[:-1] + (k_hops, r, d))
+        xb = ops[0].blocks(x.value)
+        g = out.grad.reshape(xb.shape[:-1] + (k_hops, r, xb.shape[-1]))
+        acc = _transposed_hop(ops, g[..., k_hops - 1, :, :])
+        for k in reversed(range(k_hops - 1)):
+            acc += g[..., k, :, :]
+            acc = _transposed_hop(ops, acc)
         for i in reversed(range(r)):
-            acc = ops[i].apply_transpose(g[..., k_hops - 1, i, :])
-            for k in reversed(range(k_hops - 1)):
-                acc += g[..., k, i, :]
-                acc = ops[i].apply_transpose(acc)
-            x.add_grad(acc)
+            x.add_grad(acc[..., i, :].reshape(x.value.shape), owned=False)
 
     tape.record(backward)
     return out

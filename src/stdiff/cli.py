@@ -5,7 +5,8 @@ Every flag can be preset through an environment variable with the
 ``STDIFF_`` prefix (e.g. ``STDIFF_SEED=7``).  Exit codes: 0 ok, 1
 internal/numeric failure, 2 input or usage error.  Each command writes a
 run manifest (resolved configuration, seed, content hashes of inputs,
-output paths) before any long computation.
+output paths, the numpy version and the BLAS thread variables as set)
+before any long computation.
 """
 from __future__ import annotations
 
@@ -47,6 +48,10 @@ def _hash_file(path) -> str:
     return h.hexdigest()
 
 
+# the BLAS thread count changes both the speed and the bits of a run
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list,
                    outputs: list) -> Path:
     manifest = {
@@ -55,6 +60,8 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list,
         "config": resolved,
         "inputs": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
         "outputs": [str(p) for p in outputs],
+        "numpy": np.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"

@@ -16,8 +16,11 @@ lives in the decoder MLP.
 The sum is evaluated in fused form, for all s channels at once.  The
 diffusion features Z = [P_nh^1 X | P_h^1 X | ... | P_nh^K X | P_h^K X]
 (m, n, 2K*d) do not depend on the channel, so each block computes them
-once: hop k applies its graph's structured operator
-(``stgraph.BlockDiffusion``) to hop k-1, and no power of P is formed.  The
+once, and no power of P is formed.  Both graphs share the spatial matrix
+A + I, so one spatial product per hop serves both: hop 1 is (A + I) X,
+which each graph's structured operator (``stgraph.BlockDiffusion``)
+shifts and scales, and hop k > 1 is (A + I) times both graphs' hop k-1 side
+by side.  The
 model stores every channel's weights side by side on the feature axis,
 channel c in columns [c*d, (c+1)*d), in one ``ChannelBank``; each named
 channel parameter is a view into it, so no forward stacks weights and no
@@ -28,10 +31,11 @@ channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
 
 Y is folded.  A raw snapshot is the embedding w ⊗ E of its n readings, one
 speed per sensor, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per
-snapshot, 2K*n^2 for the diffusion, run on plain data, and 2K*n*s*d for the
-GEMM.  Snapshot t reads t+1, never t-1, so no hop moves the carried
+snapshot, (2K-1)*n^2 for the diffusion, run on plain data, and 2K*n*s*d for
+the GEMM.  Snapshot t reads t+1, never t-1, so no hop moves the carried
 snapshot out of snapshot 0: only it pays full width, through the row-0
-operators, and its term joins the layer norm's sum there.
+operators its block graph holds, and its term joins the layer norm's sum
+there.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one assembles the running compressed
@@ -55,7 +59,7 @@ from .autodiff import ParamArray, Tape, Tensor
 from .data import dataclass_from_json
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .stgraph import BlockDiffusion, StBlockGraph, build_hstg
+from .stgraph import StBlockGraph, build_hstg
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
 
@@ -259,14 +263,15 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
     """
     cfg, bank = model.config, model.bank
     block = model.block_graph(x.value.shape[-3])
-    ops = [getattr(block, graph) for graph in _kept_families(cfg.ablation).values()]
+    graphs = _kept_families(cfg.ablation).values()
+    ops = [getattr(block, graph) for graph in graphs]
     y0 = None
     if raw is None:
         y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
     else:
         if carry is not None:
             raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
-            row0 = [BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops]
+            row0 = [getattr(block, f"{graph}_row0") for graph in graphs]
             y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
         y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), theta_fold)
     h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)

@@ -16,8 +16,12 @@ coupled transition matrix is
 and the decoupled one is blockdiag(P_s, ..., P_s).  So ``BlockDiffusion``
 applies either one as a single n x n spatial product over every snapshot,
 a one-snapshot shift, and a row scaling; its memory is the n x n spatial
-matrix, independent of m and of the hop count.  Hops are applied one after
-another, never raised to powers.
+matrix, independent of m and of the hop count.  Both operators of a block
+graph hold the same spatial matrix A + I, so one spatial product per hop
+serves both: ``BlockDiffusion.finish`` turns the shared product into
+either graph's hop, and ``autodiff.diffuse`` makes one product per hop for
+every operator it is given.  Hops are applied one after another, never
+raised to powers.
 
 ``StBlockGraph`` also exposes the assembled adjacencies, transitions and
 hop powers as the specification the operators are tested against.  They
@@ -65,7 +69,7 @@ class BlockDiffusion:
     def n(self) -> int:
         return self.inv_deg.shape[1]
 
-    def _blocks(self, x: np.ndarray) -> np.ndarray:
+    def blocks(self, x: np.ndarray) -> np.ndarray:
         """The (..., m, n, d) view of a block in either layout."""
         if x.shape[-3:-1] == (self.m, self.n):
             return x
@@ -73,22 +77,26 @@ class BlockDiffusion:
             raise ShapeError(f"block operator {self.m}x{self.n} cannot act on {x.shape}")
         return x.reshape(x.shape[:-2] + (self.m, self.n, x.shape[-1]))
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P @ X: the spatial product, then the shifted snapshot, then the row scaling.
+    def finish(self, ax: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """P X from the spatial product AX = (A+I) X, both (..., m, n, d), into ``out``.
 
-        ``out``, when given, is an array (or strided view) of X's shape that
-        receives the result.
+        The shifted snapshot is added into AX in place, so a shifted operator
+        overwrites it; then the row scaling writes ``out``, which may be AX
+        itself or a strided view.
         """
-        xb = self._blocks(x)
-        y = self.spatial.matmul_dense(xb, out=None if out is None else self._blocks(out))
         if self.shift:
-            y[..., :-1, :, :] += xb[..., 1:, :, :]
-        y *= self.inv_deg[:, :, None]
-        return y.reshape(x.shape)
+            ax[..., :-1, :, :] += x[..., 1:, :, :]
+        return np.multiply(ax, self.inv_deg[:, :, None], out=out)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ X: the spatial product, then the shifted snapshot, then the row scaling."""
+        xb = self.blocks(x)
+        ax = self.spatial.matmul_dense(xb)
+        return self.finish(ax, xb, ax).reshape(x.shape)
 
     def apply_transpose(self, g: np.ndarray) -> np.ndarray:
         """P^T @ G: the row scaling, then the transposed spatial product and shift."""
-        h = self._blocks(g) * self.inv_deg[:, :, None]
+        h = self.blocks(g) * self.inv_deg[:, :, None]
         y = self.spatial.dense.T @ h
         if self.shift:
             y[..., 1:, :, :] += h[..., :-1, :, :]
@@ -113,6 +121,10 @@ def _spatial(g: SensorGraph) -> SparseMatrix:
 class StBlockGraph:
     """The coupled and decoupled diffusion operators of one block size m.
 
+    Both share one spatial matrix A + I.  ``coupled_row0`` and
+    ``decoupled_row0`` are their block row 0 alone, unshifted: the hops of a
+    carried snapshot, which no hop moves out of snapshot 0.
+
     The six assembled matrices below are the specification, built on first
     access (the hop powers as dense matrix powers) for tests and oracles
     only.
@@ -123,6 +135,8 @@ class StBlockGraph:
     num_hops: int
     coupled: BlockDiffusion
     decoupled: BlockDiffusion
+    coupled_row0: BlockDiffusion
+    decoupled_row0: BlockDiffusion
 
     @property
     def n(self) -> int:
@@ -186,5 +200,6 @@ def build_hstg(g: SensorGraph, m: int, *, num_hops: int = 1) -> StBlockGraph:
         raise ArgumentError("need at least one snapshot")
     spatial = _spatial(g)
     # a single snapshot has no couplings: both graphs are the spatial one
-    return StBlockGraph(g, m, num_hops, coupled=_block_diffusion(spatial, m, int(m >= 2)),
-                        decoupled=_block_diffusion(spatial, m, 0))
+    coupled, decoupled = _block_diffusion(spatial, m, int(m >= 2)), _block_diffusion(spatial, m, 0)
+    return StBlockGraph(g, m, num_hops, coupled, decoupled,
+                        *(BlockDiffusion(spatial, op.inv_deg[:1], 0) for op in (coupled, decoupled)))

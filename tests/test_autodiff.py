@@ -9,7 +9,7 @@ from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.model import IstdGcnModel, ModelConfig, forward
-from stdiff.sparse import sparsify
+from stdiff.sparse import SparseMatrix, sparsify
 from stdiff.stgraph import _block_diffusion, build_hstg
 from stdiff.training import mae_l2_loss
 
@@ -215,6 +215,55 @@ class TestFusedDiffusion:
         x = Tensor(block_input(rng, block.coupled, (), flat=False))
         with pytest.raises(ArgumentError):
             ad.spmm_diff(Tape(), [block.coupled] * ops_count, x, k_hops)
+
+
+class TestOneSpatialProductPerHop:
+    """Both graphs share A + I, so each hop is one spatial product for every operator."""
+
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    @pytest.mark.parametrize("n_ops", [1, 2])
+    def test_k_spatial_products_per_call(self, rng, monkeypatch, n_ops, k_hops):
+        calls = []
+        matmul_dense = SparseMatrix.matmul_dense
+
+        def counting(self, x, out=None):
+            calls.append(x.shape)
+            return matmul_dense(self, x, out=out)
+
+        monkeypatch.setattr(SparseMatrix, "matmul_dense", counting)
+        block = random_block(rng)
+        ops = [block.decoupled, block.coupled][:n_ops]
+        x = block_input(rng, block.coupled, (2,), flat=False)
+        ad.diffuse(ops, x, k_hops)
+        assert len(calls) == k_hops
+        calls.clear()
+        ad.spmm_diff(Tape(), ops, Tensor(x), k_hops)
+        assert len(calls) == k_hops
+
+    def test_one_hop_is_each_operator_applied_to_the_bit(self, rng):
+        for trial in range(6):
+            block = build_hstg(random_sensor_graph(rng, 12), 2 + trial % 3)
+            ops = [block.decoupled, block.coupled]
+            x = Tensor(block_input(rng, block.coupled, ((), (3,))[trial % 2], flat=False, d=8))
+            tape = Tape()
+            z = ad.spmm_diff(tape, ops, x, 1)
+            assert np.array_equal(z.value, np.concatenate([op.apply(x.value) for op in ops], -1))
+            assert np.array_equal(ad.diffuse(ops, x.value, 1), z.value)
+            w = rng.standard_normal(z.value.shape)
+            tape.backward(project(tape, z, w))
+            assert np.array_equal(x.grad, ops[0].apply_transpose(w[..., :8])
+                                  + ops[1].apply_transpose(w[..., 8:]))
+
+    def test_operators_of_different_graphs_or_block_sizes_rejected(self, rng):
+        g = random_sensor_graph(rng, 4)
+        other = random_sensor_graph(rng, 4)
+        x = block_input(rng, build_hstg(g, 2).coupled, (), flat=False)
+        for ops in ([build_hstg(g, 2).decoupled, build_hstg(other, 2).coupled],
+                    [build_hstg(g, 2).decoupled, build_hstg(g, 3).coupled]):
+            with pytest.raises(ArgumentError):
+                ad.diffuse(ops, x, 1)
+            with pytest.raises(ArgumentError):
+                ad.spmm_diff(Tape(), ops, Tensor(x), 2)
 
 
 def zeros_like(x):

@@ -147,6 +147,18 @@ class TestSynth:
         assert ((tmp_path / "a_adj.csv").read_bytes()
                 == (tmp_path / "b_adj.csv").read_bytes())
 
+    def test_manifest_records_numpy_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n": 4, "steps": 30, "seed": 11}\n')
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                            "MKL_NUM_THREADS": None}
+
     def test_round_trips_through_loader(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "s")])
         graph = load_adjacency(tmp_path / "s_adj")

@@ -246,6 +246,16 @@ class TestBlockDiffusion:
         assert build_hstg(g, 3).decoupled.shift == 0
         assert build_hstg(g, 1).coupled.shift == 0
 
+    def test_row0_operators_are_block_row_0_of_a_carried_snapshot(self, rng):
+        block = build_hstg(random_sensor_graph(rng, 4), 3)
+        x = np.zeros((2, 3, 4, 3))
+        x[:, 0] = rng.standard_normal((2, 4, 3))  # the carry, with the later snapshots zero
+        for op, row0 in ((block.coupled, block.coupled_row0),
+                         (block.decoupled, block.decoupled_row0)):
+            assert row0.spatial is op.spatial and row0.shift == 0
+            assert np.array_equal(row0.inv_deg, op.inv_deg[:1])
+            assert np.array_equal(row0.apply(x[:, :1]), op.apply(x)[:, :1])
+
     def test_shape_mismatch(self, rng):
         op = build_hstg(random_sensor_graph(rng, 3), 2).coupled
         with pytest.raises(ShapeError):
