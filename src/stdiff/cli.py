@@ -5,8 +5,8 @@ Every flag can be preset through an environment variable with the
 ``STDIFF_`` prefix (e.g. ``STDIFF_SEED=7``).  Exit codes: 0 ok, 1
 internal/numeric failure, 2 input or usage error.  Each command writes a
 run manifest (resolved configuration, seed, content hashes of inputs,
-output paths, the numpy version and the BLAS thread variables as set)
-before any long computation.
+output paths, the numpy version, the BLAS thread variables as set and the
+glibc heap policy ``autodiff`` set) before any long computation.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import Tape, grad_check
+from .autodiff import HEAP_POLICY, Tape, grad_check
 from .checkpoint import restore_params
 from .data import (SyntheticSpec, generate_synthetic, load_speed_csv,
                    make_windows, save_speed_csv)
@@ -62,6 +62,7 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list,
         "outputs": [str(p) for p in outputs],
         "numpy": np.__version__,
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "malloc": HEAP_POLICY,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"

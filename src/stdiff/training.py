@@ -112,22 +112,31 @@ class AdamState:
 
 
 def optimizer_step(params: list[ParamArray], state: AdamState, config: TrainConfig) -> None:
-    """Bias-corrected adaptive-moment update, in place and deterministic."""
+    """Bias-corrected adaptive-moment update, in place and deterministic.
+
+    The operations are those of m_hat = m / (1 - b1^t), v_hat likewise and
+    value -= lr * m_hat / (sqrt(v_hat) + eps), in that order, each written
+    into a (2, ...) slice of one work array that all parameters share: a step
+    makes no other temporary.
+    """
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
+    work = np.empty(2 * max((p.value.size for p in params), default=0))
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-        m = state.m.setdefault(p.name, np.zeros_like(p.value))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value))
+        if p.name not in state.m:
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
+        m, v = state.m[p.name], state.v[p.name]
+        num, den = work[:2 * p.value.size].reshape((2,) + p.value.shape)
         m *= b1
-        m += (1 - b1) * p.grad
+        m += np.multiply(1 - b1, p.grad, out=num)
         v *= b2
-        v += (1 - b2) * p.grad ** 2
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        v += np.multiply(1 - b2, np.square(p.grad, out=num), out=num)
+        np.multiply(config.learning_rate, np.divide(m, 1 - b1 ** t, out=num), out=num)
+        np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=den), out=den), eps, out=den)
+        p.value -= np.divide(num, den, out=num)
 
 
 def split_dataset(samples: list, ratios=(0.6, 0.2, 0.2)) -> tuple[list, list, list]:

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ RETIRED_KEYS_CONFIG_JSON = """{
   "self_loops": true,
   "temporal_direction": "as_written"
 }"""
+
+
+def has_mallopt() -> bool:
+    """Whether the C library this interpreter runs on has glibc's ``mallopt``."""
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 def random_sparse(rng, rows, cols, density=0.4, nonneg=False):

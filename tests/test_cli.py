@@ -6,7 +6,7 @@ import pytest
 import stdiff.autodiff as ad
 import stdiff.cli as cli
 import stdiff.training as training
-from conftest import RETIRED_KEYS_CONFIG_JSON, mutate_bytes
+from conftest import RETIRED_KEYS_CONFIG_JSON, has_mallopt, mutate_bytes
 from stdiff.autodiff import ParamArray
 from stdiff.checkpoint import load_params, save_params
 from stdiff.cli import build_parser, main
@@ -158,6 +158,12 @@ class TestSynth:
         assert manifest["numpy"] == np.__version__
         assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                                             "MKL_NUM_THREADS": None}
+
+    def test_manifest_records_the_heap_policy(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s")]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        glibc = {"mmap_threshold": 33554432, "trim_threshold": 134217728}
+        assert manifest["malloc"] == (glibc if has_mallopt() else None)
 
     def test_round_trips_through_loader(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "s")])

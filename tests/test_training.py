@@ -1,9 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stdiff
+
 import stdiff.autodiff as ad
+from conftest import has_mallopt
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.data import SyntheticSpec, generate_synthetic, make_windows
 from stdiff.errors import ArgumentError, DomainError, NumericError
@@ -331,3 +338,58 @@ def _one_epoch_loss(model, tr, stats, tcfg, epoch_index):
     loss = mae_l2_loss(tape, pred, zscore(targ, stats), model.params(),
                        tcfg.l2_lambda)
     return float(loss.value)
+
+
+
+# Training loops at train-wide's benchmark shape, each printing its minor page
+# faults per step over 5 steps after 3 warm-up steps.  Under glibc's default
+# policy a loop either keeps its heap or has the step's freed working set
+# trimmed and faulted back in by the next step, 8,608 times per step; which,
+# depends on where earlier allocations happen to sit, so several loops run.
+STEADY_STATE_LOOPS = """
+import resource
+
+import numpy as np
+
+from stdiff.autodiff import Tape
+from stdiff.graph import SensorGraph
+from stdiff.model import IstdGcnModel, ModelConfig, forward
+from stdiff.sparse import SparseMatrix
+from stdiff.training import AdamState, TrainConfig, mae_l2_loss, optimizer_step
+
+
+def faults_per_step(seed, n=12, batch=32, warm_up=3, counted=5):
+    rng = np.random.default_rng(seed)
+    dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(dense, 0.0)
+    graph = SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.from_dense(dense))
+    cfg = ModelConfig(K=1, s=1, d=128, m=4, T=12, H=12)
+    model = IstdGcnModel(cfg, graph, seed=seed)
+    params, state, config = model.params(), AdamState(), TrainConfig()
+    faults = []
+    for _ in range(warm_up + counted + 1):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        history = rng.standard_normal((batch, cfg.T, n, 1))
+        target = rng.standard_normal((batch, cfg.H, n, 1))
+        tape = Tape()
+        loss = mae_l2_loss(tape, forward(tape, model, history), target, params, config.l2_lambda)
+        model.zero_grads()
+        tape.backward(loss)
+        optimizer_step(params, state, config)
+    return (faults[-1] - faults[warm_up]) / counted
+
+
+print(*(faults_per_step(seed) for seed in range(6)))
+"""
+
+
+class TestHeapStaysMapped:
+    @pytest.mark.skipif(not has_mallopt(), reason="the heap policy needs glibc's mallopt")
+    def test_training_steps_do_not_fault_their_working_set_back_in(self):
+        pytest.importorskip("resource")
+        # a fresh interpreter: earlier tests' allocations cannot set the heap's state
+        env = dict(os.environ, PYTHONPATH=str(Path(stdiff.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", STEADY_STATE_LOOPS], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        per_loop = [float(f) for f in out.split()]
+        assert len(per_loop) == 6 and max(per_loop) < 100, per_loop
