@@ -15,18 +15,20 @@ Ops accept arbitrary leading batch axes; the documented shapes apply to the
 trailing axes.  All arithmetic is double precision.  Set ``STDIFF_DEBUG=1``
 to trip on any non-finite intermediate.
 
-A backward frees a training step's whole working set at once (34 MB at the
-train-wide benchmark's K1 s1 d128 m4 B32 shape), and the next step allocates
-it again.  glibc's default policy moves its mmap and trim thresholds with the
-allocation history and, in most runs, handed that freed heap back to the OS,
-so every step faulted it in anew: 8,608 minor faults per train-wide step.
-Importing this module fixes the mmap threshold at 32 MiB, the ceiling glibc's
-dynamic threshold climbs to on 64-bit, and the trim threshold at 128 MiB
-(``HEAP_POLICY``), so up to 128 MiB of freed heap stays mapped for the next
-step and a train-wide step takes no fault.  A paper-shape step frees more
-than that and still faults about 47,000 times.  Where an array lives does not
-change the arithmetic, so results are bit-identical.  It is a no-op where the
-C library has no ``mallopt`` (off glibc).
+A backward frees a training step's whole working set at once (22 MB at the
+train-wide benchmark's K1 s1 d128 m4 B32 shape, a step's tracemalloc peak
+above its start), and the next step allocates it again.  glibc's default
+policy moves its mmap and trim thresholds with the allocation history and,
+in most runs, handed that freed heap back to the OS, so every step faulted
+it in anew: 8,608 minor faults per train-wide step.  Importing this module
+fixes the mmap threshold at 32 MiB, the ceiling glibc's dynamic threshold
+climbs to on 64-bit, and the trim threshold at 128 MiB (``HEAP_POLICY``), so
+up to 128 MiB of freed heap stays mapped for the next step and a train-wide
+step takes no fault.  A paper-shape step (n=207 K5 s8 d256 m2, batch 1) frees
+more than that and still faults about 36,000 times (35,857-37,393 per step
+over nine steps, one BLAS thread).  Where an array lives does not change the
+arithmetic, so results are bit-identical.  It is a no-op where the C library
+has no ``mallopt`` (off glibc).
 """
 from __future__ import annotations
 
@@ -181,19 +183,28 @@ def linear(tape: Tape, x: Tensor | np.ndarray, theta: Tensor) -> Tensor:
     return out
 
 
-def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
+def kron_linear(tape: Tape, e: Tensor, theta: Tensor, residual: bool = False) -> Tensor:
     """(I_r ⊗ E) Theta, (r*a, c), for E (a, f) and Theta (r*f, c).
 
     (Z ⊗ E) Theta = Z (I_r ⊗ E) Theta: a GEMM over r*a columns, not r*f.
+    With ``residual``, the a rows of E repeated over Theta's c/f column blocks
+    lead, ((1 + r)*a, c): Z's leading a columns then add X ⊗ E itself to every
+    block, the residual as a hop 0 with identity weight.
     """
-    if e.value.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % e.value.shape[1]:
+    if (e.value.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % e.value.shape[1]
+            or residual and theta.value.shape[1] % e.value.shape[1]):
         raise ShapeError(f"kron_linear shape mismatch {e.shape} ⊗ {theta.shape}")
     (a, f), c = e.value.shape, theta.value.shape[1]
     blocks = theta.value.reshape(-1, f, c)
-    out = Tensor((e.value @ blocks).reshape(-1, c))
+    folded = (e.value @ blocks).reshape(-1, c)
+    out = Tensor(np.concatenate([np.tile(e.value, c // f), folded]) if residual else folded)
 
     def backward():
-        g = out.grad.reshape(-1, a, c)
+        g = out.grad
+        if residual:
+            e.add_grad(g[:a].reshape(a, c // f, f).sum(axis=1))
+            g = g[a:]
+        g = g.reshape(-1, a, c)
         e.add_grad(np.einsum("rac,rfc->af", g, blocks))
         theta.add_grad((e.value.T @ g).reshape(theta.value.shape))
 
@@ -232,10 +243,15 @@ def diffuse(ops: list[BlockDiffusion], x: np.ndarray, k_hops: int) -> np.ndarray
     return z
 
 
-def _transposed_hop(ops: list[BlockDiffusion], g: np.ndarray) -> np.ndarray:
-    """P_i^T G_i for every operator i, G (..., m, n, r, d): one A^T product for all."""
-    h = g * np.stack([op.inv_deg for op in ops], axis=-1)[..., None]
-    y = (ops[0].spatial.dense.T @ h.reshape(h.shape[:-2] + (-1,))).reshape(h.shape)
+def _transposed_hop(ops: list[BlockDiffusion], h: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """P_i^T G_i for every operator i: one A^T product for all.
+
+    H (..., m, n, r, d) is G already scaled by each operator's inverse
+    degrees; the product is written into ``out`` when it is given.
+    """
+    y = np.matmul(ops[0].spatial.dense.T, h.reshape(h.shape[:-2] + (-1,)),
+                  out=None if out is None else out.reshape(h.shape[:-2] + (-1,))).reshape(h.shape)
     for i, op in enumerate(ops):
         if op.shift:
             y[..., 1:, :, i, :] += h[..., :-1, :, i, :]
@@ -253,8 +269,10 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
     every operator's hop k-1 side by side, written straight into Z, which is
     allocated once.  Backward runs the transposed recursion
     gX += P^T(G_1 + P^T(G_2 + ... P^T G_K)), one A^T product per hop over
-    all operators, and adds each operator's share to gX in turn.  P carries
-    no gradient.
+    all operators, and adds each operator's share to gX in turn.  Hop K's
+    share of Z's gradient is scaled into a copy, which leaves Z's gradient as
+    it is; every later hop scales the accumulator in place, and the products
+    alternate between those two buffers.  P carries no gradient.
     """
     out = Tensor(diffuse(ops, x.value, k_hops))
     r = len(ops)
@@ -262,10 +280,13 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
     def backward():
         xb = ops[0].blocks(x.value)
         g = out.grad.reshape(xb.shape[:-1] + (k_hops, r, xb.shape[-1]))
-        acc = _transposed_hop(ops, g[..., k_hops - 1, :, :])
+        inv = np.stack([op.inv_deg for op in ops], axis=-1)[..., None]
+        h = g[..., k_hops - 1, :, :] * inv
+        acc = _transposed_hop(ops, h)
         for k in reversed(range(k_hops - 1)):
             acc += g[..., k, :, :]
-            acc = _transposed_hop(ops, acc)
+            acc *= inv
+            acc, h = _transposed_hop(ops, acc, out=h), acc
         for i in reversed(range(r)):
             x.add_grad(acc[..., i, :].reshape(x.value.shape), owned=False)
 
@@ -273,35 +294,53 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
     return out
 
 
-def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
+def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Tensor,
                eps: float = 1e-5, y0: Tensor | None = None) -> Tensor:
     """Layer norm of the residual sum X + Y per channel, population variance.
 
-    X is (..., d), Y (..., s*d): channel c normalizes X + Y[..., c*d:(c+1)*d]
-    over its d features, then applies scale and shift [c*d:(c+1)*d].  A
-    (..., n, s*d) ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d) Y.  The
-    sum is formed once, as (rows, d) channel rows, and centred and scaled in
-    place; the row moments and the scale and shift gradients are BLAS
-    matrix-vector products.  Backward keeps only that normalized sum and
-    the per-row inverse std.
+    Y is (..., s*d): channel c normalizes its d features [c*d, (c+1)*d) of
+    the sum, then applies scale and shift [c*d:(c+1)*d].  A (..., n, s*d)
+    ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d) Y.
+
+    X is the residual.  A (..., d) X on Y's rows joins every channel, and Y
+    is kept: the sum is formed once, in a new buffer.  Otherwise Y already
+    holds the residual (the fold's hop 0) and the op consumes Y: it forms the
+    sum, centres and scales it in Y's own buffer, which then holds the
+    normalized sum; Y must be an op output that nothing else reads.  X is
+    then the (..., n, d) carry, which joins snapshot 0 of every channel of a
+    (..., m, n, s*d) Y, or the channel width d alone where there is none.
+
+    The sum is centred and scaled as (rows, d) channel rows; the row moments
+    and the scale and shift gradients are BLAS matrix-vector products.
+    Backward keeps only that normalized sum and the per-row inverse std.
     """
-    d, width = x.value.shape[-1], y.value.shape[-1]
-    if (y.value.shape[:-1] != x.value.shape[:-1] or width % d
-            or scale.value.shape != (width,) or shift.value.shape != (width,)
-            or y0 is not None and y0.value.shape != y.value.shape[:-3] + y.value.shape[-2:]):
-        raise ShapeError(f"layer_norm cannot group {x.shape} {y.shape} {scale.shape} {shift.shape}")
+    shape, width = y.value.shape, y.value.shape[-1]
+    d = x.value.shape[-1] if isinstance(x, Tensor) else x
+    full = isinstance(x, Tensor) and x.value.shape[:-1] == shape[:-1]
+    carry = isinstance(x, Tensor) and not full
+    if (d < 1 or width % d or scale.value.shape != (width,) or shift.value.shape != (width,)
+            or carry and (len(shape) < 3 or x.value.shape[:-1] != shape[:-3] + shape[-2:-1])
+            or y0 is not None and y0.value.shape != shape[:-3] + shape[-2:]):
+        raise ShapeError(f"layer_norm cannot group {getattr(x, 'shape', x)} {y.shape} "
+                         f"{scale.shape} {shift.shape}")
     s = width // d
     avg = np.full(d, 1.0 / d)
-    xhat = (y.value.reshape(-1, s, d) + x.value.reshape(-1, 1, d)).reshape(-1, d)
+    if full:
+        xhat = (y.value.reshape(-1, s, d) + x.value.reshape(-1, 1, d)).reshape(-1, d)
+    else:
+        xhat = y.value.reshape(-1, d)
+    if carry:  # snapshot 0 of every channel, (..., n, s, d)
+        snap0 = xhat.reshape(shape)[..., 0, :, :].reshape(shape[:-3] + (shape[-2], s, d))
+        snap0 += x.value[..., None, :]
     if y0 is not None:
-        xhat.reshape(y.value.shape)[..., 0, :, :] += y0.value
+        xhat.reshape(shape)[..., 0, :, :] += y0.value
     xhat -= (xhat @ avg)[:, None]
     buf = np.square(xhat)
     inv = 1.0 / np.sqrt(buf @ avg + eps)
     xhat *= inv[:, None]
     out_value = np.multiply(xhat.reshape(-1, width), scale.value, out=buf.reshape(-1, width))
     out_value += shift.value
-    out = Tensor(out_value.reshape(y.value.shape))
+    out = Tensor(out_value.reshape(shape))
 
     def backward():
         g = out.grad.reshape(-1, width)
@@ -315,8 +354,11 @@ def layer_norm(tape: Tape, x: Tensor, y: Tensor, scale: Tensor, shift: Tensor,
         dacc -= (dacc @ avg)[:, None]
         dacc -= np.multiply(xhat, proj, out=tmp)
         dacc *= inv[:, None]
-        x.add_grad(dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape))
-        dy = dacc.reshape(y.value.shape)
+        dy = dacc.reshape(shape)
+        if full:
+            x.add_grad(dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape))
+        elif carry:
+            x.add_grad(dy[..., 0, :, :].reshape(x.value.shape[:-1] + (s, d)).sum(axis=-2))
         if y0 is not None:
             y0.add_grad(dy[..., 0, :, :], owned=False)
         y.add_grad(dy)

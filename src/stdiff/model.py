@@ -29,21 +29,28 @@ the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
 Whatever K and s are, a pass is then one channel term Y = Z Theta, one
 channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
 
-Y is folded.  A raw snapshot is the embedding w ⊗ E of its n readings, one
-speed per sensor, so its share of Y is Z(w) (I_terms ⊗ E) Theta: per
-snapshot, (2K-1)*n^2 for the diffusion, run on plain data, and 2K*n*s*d for
-the GEMM.  Snapshot t reads t+1, never t-1, so no hop moves the carried
-snapshot out of snapshot 0: only it pays full width, through the row-0
-operators its block graph holds, and its term joins the layer norm's sum
-there.
+Y is folded, and so is the residual.  A raw snapshot is the embedding
+w ⊗ E of its n readings, one speed per sensor, so its share of Y is
+Z(w) (I_terms ⊗ E) Theta: per snapshot, (2K-1)*n^2 for the diffusion, run on
+plain data, and 2K*n*s*d for the GEMM.  Its residual w ⊗ E has the same
+rank-1 form, as hop 0 with identity weight: the raw Z leads with the
+readings themselves, and Theta_fold with E once per channel, so one GEMM
+forms every raw snapshot's residual and diffusion terms, and no embedded
+snapshot is built.  Snapshot t reads t+1, never t-1, so no hop moves the
+carried snapshot out of snapshot 0: only it pays full width, through the
+row-0 operators its block graph holds, and its term and the carry itself
+join the layer norm's sum there (hop 0 of the raw Z is zero in that
+snapshot).  The layer norm centres and scales the sum in Y's own buffer: Y
+is the fold GEMM's output, and nothing else reads it.
 
 The encoder consumes the T-step history iteratively: the first iteration
-compresses snapshots [0, m); each later one assembles the running compressed
-snapshot and the next m-1 raw snapshots into one block (a single
-``autodiff.slice_time`` copy) and compresses again.  When the remaining
-history is shorter than m-1, a smaller block graph is built for the tail and
-the shared compression kernel is sliced to its extent.  One
-parameter set is reused at every iteration.
+compresses snapshots [0, m); each later one compresses the running
+compressed snapshot together with the next m-1 raw snapshots.  Only the
+generic path, which ``encode`` takes when given an embedded history,
+assembles each such block, in a single ``autodiff.slice_time`` copy.  When
+the remaining history is shorter than m-1, a smaller block graph is built
+for the tail and the shared compression kernel is sliced to its extent.
+One parameter set is reused at every iteration.
 """
 from __future__ import annotations
 
@@ -252,58 +259,73 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
                          params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor,
-                          raw: np.ndarray | None = None, carry: Tensor | None = None,
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray,
+                          carry: Tensor | None = None,
                           theta_fold: Tensor | None = None) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
-    Without ``raw`` the channel term is Z(X) Theta; with it, x must be
-    ``carry`` (if any) then raw @ E, and the term is folded against
-    ``theta_fold``, (I_terms ⊗ E) Theta (module docstring).
+    Given a Tensor block X, the channel term is Z(X) Theta, and the layer
+    norm adds X.  Given the raw (..., m', n, 1) snapshots as a plain array,
+    the block is ``carry`` (if any) then their embeddings, and the pass is
+    folded against ``theta_fold`` (module docstring): hop 0 of the raw Z is
+    the readings themselves, so the fold GEMM forms the raw snapshots'
+    residual too, and the carry joins snapshot 0 inside the layer norm, which
+    consumes the GEMM's output.
     """
     cfg, bank = model.config, model.bank
-    block = model.block_graph(x.value.shape[-3])
     graphs = _kept_families(cfg.ablation).values()
+    folded = not isinstance(x, Tensor)
+    if folded and carry is not None:
+        x = np.concatenate([np.zeros_like(x[..., :1, :, :]), x], axis=-3)
+    block = model.block_graph(x.shape[-3])
     ops = [getattr(block, graph) for graph in graphs]
-    y0 = None
-    if raw is None:
+    if not folded:
         y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
+        h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps)
     else:
+        y0 = None
         if carry is not None:
-            raw = np.concatenate([np.zeros_like(raw[..., :1, :, :]), raw], axis=-3)
             row0 = [getattr(block, f"{graph}_row0") for graph in graphs]
             y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
-        y = ad.linear(tape, ad.diffuse(ops, raw, cfg.K), theta_fold)
-    h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0)
+        z = np.concatenate([x, ad.diffuse(ops, x, cfg.K)], axis=-1)  # hop 0: the readings
+        y = ad.linear(tape, z, theta_fold)
+        h = ad.layer_norm(tape, cfg.d if carry is None else carry, y, bank.ln_scale,
+                          bank.ln_shift, eps=cfg.ln_eps, y0=y0)
     return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
 
 
-def encode(tape: Tape, model: IstdGcnModel, embedded: Tensor,
-           window: np.ndarray | None = None) -> CompressedSnapshot:
-    """Iteratively fold the (..., T, n, d) history into one (..., n, d) snapshot.
+def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> CompressedSnapshot:
+    """Iteratively fold the T-snapshot history into one (..., n, d) snapshot.
 
-    Given the raw (..., T, n, 1) ``window`` that ``embedded`` embeds, passes fold E.
+    Given as a (..., T, n, d) Tensor, the history is embedded, and each pass's block is cut
+    from it with one ``slice_time`` copy.  Given as the raw (..., T, n, 1)
+    window, a plain array, every pass folds E (module docstring), and no
+    embedded snapshot or block is built.
     """
-    t_total = embedded.value.shape[-3]
+    t_total = history.shape[-3]
     m = model.config.effective_m
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
-    theta_fold = (None if window is None
-                  else ad.kron_linear(tape, model.input_embed, model.bank.theta))
+    folded = not isinstance(history, Tensor)
+    theta_fold = (ad.kron_linear(tape, model.input_embed, model.bank.theta, residual=True)
+                  if folded else None)
     com, idx, iterations = None, 0, 0
     while idx < t_total:
         end = idx + (m if com is None else min(m - 1, t_total - idx))
-        block = ad.slice_time(tape, embedded, idx, end, carry=com)
-        raw = None if window is None else window[..., idx:end, :, :]
-        com = multi_channel_forward(tape, model, block, raw, com, theta_fold)
+        if folded:
+            com = multi_channel_forward(tape, model, history[..., idx:end, :, :], com, theta_fold)
+        else:
+            block = ad.slice_time(tape, history, idx, end, carry=com)
+            com = multi_channel_forward(tape, model, block)
         idx, iterations = end, iterations + 1
     return CompressedSnapshot(features=com, iterations=iterations)
 
 
 def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:
-    """Full pass: embed the raw (..., T, n, 1) history, encode, decode.
+    """Full pass: encode the raw (..., T, n, 1) history, folding E, then decode.
 
-    Returns predictions shaped (..., H, n, 1).
+    The embedded history is never built (``encode``).  Returns predictions
+    shaped (..., H, n, 1).
     """
     window = np.asarray(window, dtype=np.float64)
     cfg = model.config
@@ -311,7 +333,6 @@ def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:
         raise ShapeError(f"window shape {window.shape} does not match (T={cfg.T}, n, 1)")
     if window.shape[-2] != model.graph.n:
         raise ShapeError("window vertex count does not match the graph")
-    embedded = ad.linear(tape, window, model.input_embed)
-    com = encode(tape, model, embedded, window)
+    com = encode(tape, model, window)
     return ad.mlp_decode(tape, com.features,
                          model.dec_w1, model.dec_b1, model.dec_w2, model.dec_b2, cfg.H)

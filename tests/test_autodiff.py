@@ -217,6 +217,41 @@ class TestFusedDiffusion:
             ad.spmm_diff(Tape(), [block.coupled] * ops_count, x, k_hops)
 
 
+def test_backward_recursion_is_bit_identical_to_scaling_a_copy_per_hop(rng):
+    # the accumulator is scaled in place and the products reuse two buffers;
+    # the reference scales a fresh copy at every hop
+    for trial in range(12):
+        block = random_block(rng)
+        ops = [[block.coupled], [block.decoupled, block.coupled]][trial % 2]
+        k_hops = 1 + trial % 4
+        x = ParamArray("x", block_input(rng, ops[0], ((), (2,), (2, 3))[trial % 3],
+                                        flat=trial % 4 < 2, d=3))
+        tape = Tape()
+        z = ad.spmm_diff(tape, ops, x, k_hops)
+        w = rng.standard_normal(z.value.shape)
+        tape.backward(project(tape, z, w))
+        xb = ops[0].blocks(x.value)
+        g = w.reshape(xb.shape[:-1] + (k_hops, len(ops), 3))
+        inv = np.stack([op.inv_deg for op in ops], axis=-1)[..., None]
+
+        def hop(g):
+            h = g * inv
+            y = (ops[0].spatial.dense.T @ h.reshape(h.shape[:-2] + (-1,))).reshape(h.shape)
+            for i, op in enumerate(ops):
+                if op.shift:
+                    y[..., 1:, :, i, :] += h[..., :-1, :, i, :]
+            return y
+
+        acc = hop(g[..., k_hops - 1, :, :])
+        for k in reversed(range(k_hops - 1)):
+            acc = hop(acc + g[..., k, :, :])
+        want = np.zeros_like(x.value)
+        for i in reversed(range(len(ops))):
+            want += acc[..., i, :].reshape(x.value.shape)
+        assert np.array_equal(x.grad, want)
+        assert np.array_equal(z.grad, w)
+
+
 class TestOneSpatialProductPerHop:
     """Both graphs share A + I, so each hop is one spatial product for every operator."""
 
@@ -423,6 +458,97 @@ class TestLayerNorm:
                           scale, shift)
 
 
+class TestLayerNormResidualInY:
+    """Y already holds the residual of its raw snapshots; the carry joins snapshot 0."""
+
+    def make(self, rng, width):
+        return (ParamArray("scale", rng.standard_normal(width) + 1.0),
+                ParamArray("shift", rng.standard_normal(width)))
+
+    @staticmethod
+    def spread(x, s):
+        """X (..., d) repeated over s channels, (..., s*d)."""
+        return np.tile(x, s)
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("s,d", [(1, 4), (3, 2)])
+    def test_carry_join_equals_the_full_width_residual(self, rng, s, d, lead):
+        m, n = 3, 4
+        full = ParamArray("x", rng.standard_normal(lead + (m, n, d)))
+        carry = ParamArray("carry", full.value[..., 0, :, :].copy())
+        y = ParamArray("y", rng.standard_normal(lead + (m, n, s * d)))
+        y0 = ParamArray("y0", rng.standard_normal(lead + (n, s * d)))
+        scale, shift = self.make(rng, s * d)
+        g = rng.standard_normal(y.value.shape)
+        holds = y.value.copy()  # the raw snapshots' residual, already in Y
+        holds[..., 1:, :, :] += self.spread(full.value[..., 1:, :, :], s)
+        runs = []
+        for x, y_in in ((full, y.value), (carry, holds)):
+            for p in (x, y, y0, scale, shift):
+                p.zero_grad()
+            tape = Tape()
+            y_t = ad.add(tape, y, Tensor(y_in - y.value)) if x is carry else y
+            out = ad.layer_norm(tape, x, y_t, scale, shift, y0=y0)
+            tape.backward(project(tape, out, g))
+            runs.append((out.value, x.grad.copy(), [p.grad.copy() for p in (y, y0, scale, shift)]))
+        (want, dx, want_grads), (got, dcarry, got_grads) = runs
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(dcarry - dx[..., 0, :, :])) < 1e-12
+        for a, b in zip(got_grads, want_grads):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_width_alone_equals_the_full_width_residual(self, rng):
+        s, d = 3, 2
+        x = rng.standard_normal((2, 3, 4, d))
+        y = rng.standard_normal((2, 3, 4, s * d))
+        scale, shift = self.make(rng, s * d)
+        want = ad.layer_norm(Tape(), Tensor(x), Tensor(y), scale, shift).value
+        got = ad.layer_norm(Tape(), d, Tensor(y + self.spread(x, s)), scale, shift).value
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_carry_join_finite_differences(self, rng):
+        for s, d in ((1, 3), (2, 2)):
+            carry = ParamArray("carry", rng.standard_normal((2, 3, d)))
+            y = ParamArray("y", rng.standard_normal((2, 3, 3, s * d)))
+            y0 = ParamArray("y0", rng.standard_normal((2, 3, s * d)))
+            zero = Tensor(np.zeros(y.value.shape))
+            scale, shift = self.make(rng, s * d)
+            # a fresh Y per call: the op consumes the one it is given
+            check_op([carry, y, y0, scale, shift],
+                     lambda tape: ad.layer_norm(tape, carry, ad.add(tape, y, zero), scale,
+                                                shift, y0=y0), rng)
+            check_op([y, scale, shift],
+                     lambda tape: ad.layer_norm(tape, d, ad.add(tape, y, zero), scale, shift),
+                     rng)
+
+    def test_consumes_y_and_keeps_x(self, rng):
+        # Y's buffer ends up holding the normalized sum: each channel row has
+        # mean 0; the output is a buffer of its own
+        s, d = 2, 4
+        carry = Tensor(rng.standard_normal((2, 5, d)))
+        kept = carry.value.copy()
+        y = Tensor(rng.standard_normal((2, 3, 5, s * d)) * 3 + 1)
+        buffer = y.value
+        scale, shift = self.make(rng, s * d)
+        out = ad.layer_norm(Tape(), carry, y, scale, shift)
+        assert y.value is buffer
+        assert np.max(np.abs(buffer.reshape(-1, d).mean(axis=1))) < 1e-12
+        assert not np.shares_memory(out.value, buffer)
+        assert np.array_equal(carry.value, kept)
+
+    @pytest.mark.parametrize("x,y_shape", [
+        (Tensor(np.zeros((5, 2))), (3, 4, 6)),      # carry sized for another vertex count
+        (Tensor(np.zeros((2, 4, 2))), (3, 4, 6)),   # carry with another batch
+        (Tensor(np.zeros((3, 2))), (4, 6)),         # no snapshot axis to join
+        (4, (3, 4, 6)),                             # width not a multiple of d
+        (0, (3, 4, 6)),
+    ])
+    def test_shape_errors(self, rng, x, y_shape):
+        scale, shift = self.make(rng, y_shape[-1])
+        with pytest.raises(ShapeError):
+            ad.layer_norm(Tape(), x, Tensor(rng.random(y_shape)), scale, shift)
+
+
 class TestTemporalCompress:
     def test_single_snapshot_ones_kernel(self, rng):
         x = Tensor(rng.random((1, 4, 3)))
@@ -528,6 +654,38 @@ class TestKronLinear:
     def test_shape_mismatch(self, rng, e_shape, theta_shape):
         with pytest.raises(ShapeError):
             ad.kron_linear(Tape(), Tensor(rng.random(e_shape)), Tensor(rng.random(theta_shape)))
+
+
+class TestKronLinearResidual:
+    """A leading row block of E repeated over Theta's column blocks: the fold's hop 0."""
+
+    @pytest.mark.parametrize("r,a,f,s", [(1, 1, 3, 1), (2, 1, 4, 3), (3, 2, 3, 2)])
+    def test_forward_leads_with_e_repeated(self, rng, r, a, f, s):
+        e, theta = rng.standard_normal((a, f)), rng.standard_normal((r * f, s * f))
+        got = ad.kron_linear(Tape(), Tensor(e), Tensor(theta), residual=True).value
+        assert got.shape == ((1 + r) * a, s * f)
+        assert np.array_equal(got[:a], np.tile(e, s))
+        assert np.array_equal(got[a:], ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value)
+
+    def test_folds_the_residual_into_the_gemm(self, rng):
+        # [X | Z] (residual rows; fold) = X ⊗ E repeated per channel + (Z ⊗ E) Theta
+        r, f, s = 2, 4, 3
+        x, z = rng.standard_normal((7, 1)), rng.standard_normal((7, r))
+        e, theta = rng.standard_normal((1, f)), rng.standard_normal((r * f, s * f))
+        fold = ad.kron_linear(Tape(), Tensor(e), Tensor(theta), residual=True).value
+        want = np.tile(x @ e, s) + (z[:, :, None] * e).reshape(7, r * f) @ theta
+        assert np.max(np.abs(np.concatenate([x, z], axis=1) @ fold - want)) < 1e-12
+
+    def test_finite_differences(self, rng):
+        for r, a, s in ((1, 1, 1), (2, 1, 3), (3, 2, 2)):
+            e = ParamArray("e", rng.standard_normal((a, 3)))
+            theta = ParamArray("theta", rng.standard_normal((r * 3, s * 3)))
+            check_op([e, theta], lambda tape: ad.kron_linear(tape, e, theta, residual=True), rng)
+
+    def test_columns_not_whole_blocks_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            ad.kron_linear(Tape(), Tensor(rng.random((1, 3))), Tensor(rng.random((6, 4))),
+                           residual=True)
 
 
 def test_diffuse_is_spmm_diff_forward_without_a_record(rng):

@@ -374,6 +374,72 @@ class TestEmbeddingFold:
         assert sum(np.prod(lead) for lead in full) == 3 * 2 * n
 
 
+class TestResidualInTheFold:
+    """The residual is the fold's hop 0: forward builds no embedded history."""
+
+    CONFIG = ModelConfig(K=2, m=3, s=2, d=8, T=12, H=2)
+    OPS = ("linear", "kron_linear", "spmm_diff", "layer_norm", "temporal_compress",
+           "concat_features", "add", "add_bias", "relu", "slice_time", "mlp_decode",
+           "mae_loss", "l2_penalty")
+
+    def step(self, model, rng, batch=2):
+        cfg, n = model.config, model.graph.n
+        tape = Tape()
+        loss = mae_l2_loss(tape, forward(tape, model, rng.standard_normal((batch, cfg.T, n, 1))),
+                           rng.standard_normal((batch, cfg.H, n, 1)), model.params(), 1e-4)
+        tape.backward(loss)
+
+    def test_no_embedded_history_and_no_block_copy(self, rng, monkeypatch):
+        n, cfg = 5, self.CONFIG
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
+        shapes, thetas = [], []
+        init, linear = Tensor.__init__, ad.linear
+
+        def logging(tensor, value):
+            init(tensor, value)
+            shapes.append(tensor.value.shape)
+
+        def recording(tape, x, theta):
+            thetas.append(theta)
+            return linear(tape, x, theta)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("slice_time called")
+
+        monkeypatch.setattr(Tensor, "__init__", logging)
+        monkeypatch.setattr(ad, "linear", recording)
+        monkeypatch.setattr(ad, "slice_time", refused)
+        self.step(model, rng)
+        assert shapes and (2, cfg.T, n, cfg.d) not in shapes
+        assert not any(shape[-3:-2] == (cfg.T,) for shape in shapes)
+        assert thetas and not any(theta is model.input_embed for theta in thetas)
+
+    def test_fold_output_read_only_by_its_layer_norm(self, rng, monkeypatch):
+        model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
+        folds, outputs, reads = [], [], []
+
+        def logged(name, op):
+            def wrapper(*args, **kwargs):
+                tensors = [a for a in (*args, *kwargs.values()) if isinstance(a, Tensor)]
+                reads.append((name, tensors))
+                out = op(*args, **kwargs)
+                if name == "kron_linear":
+                    folds.append(out)
+                elif name == "linear" and any(args[2] is f for f in folds):
+                    outputs.append(out)
+                return out
+            return wrapper
+
+        for name in self.OPS:
+            monkeypatch.setattr(ad, name, logged(name, getattr(ad, name)))
+        self.step(model, rng)
+        passes = expected_iterations(self.CONFIG.T, self.CONFIG.m)
+        assert len(folds) == 1 and len(outputs) == passes
+        for y in outputs:
+            readers = [name for name, tensors in reads if any(t is y for t in tensors)]
+            assert readers == ["layer_norm"]
+
+
 class TestDataInputs:
     """The raw window and each folded pass's raw Z are data: they get no gradient."""
 
@@ -389,9 +455,9 @@ class TestDataInputs:
         return [p.grad.copy() for p in model.params()]
 
     def test_no_gradient_is_built_for_data(self, rng, monkeypatch):
-        # the data are the plain arrays ``linear`` receives: the window, and
-        # the raw Z of each of the 3 passes (T=7, m=3); no tensor over one of
-        # them may get a gradient
+        # the data are the plain arrays ``linear`` receives: the raw Z of each
+        # of the 3 passes (T=7, m=3), the window's readings as its hop 0; no
+        # tensor over one of them may get a gradient
         model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
         data, built = [], []
         linear = ad.linear
@@ -409,7 +475,7 @@ class TestDataInputs:
                 return _method(tensor, *args, **kwargs)
             monkeypatch.setattr(Tensor, method, logging)
         self.step(model, rng)
-        assert len(data) == 4 and built
+        assert len(data) == 3 and built
         assert not any(value is x for value in built for x in data)
 
     def test_parameter_gradients_bit_identical_to_tensor_inputs(self, rng, monkeypatch):
@@ -553,19 +619,23 @@ class TestForward:
             return slice_time(tape, x, t0, t1, carry=carry)
 
         monkeypatch.setattr(ad, "slice_time", counting)
+        passes = expected_iterations(cfg.T, cfg.m)
+        # the generic path cuts each pass's block from the embedded history;
+        # only the first pass has no carry
+        encode(Tape(), model, Tensor(rng.standard_normal((cfg.T, 3, cfg.d))))
+        assert slices == [False] + [True] * (passes - 1)
+        slices.clear()
         tape = Tape()
         forward(tape, model, rng.standard_normal((cfg.T, 3, 1)))
-        passes = expected_iterations(cfg.T, cfg.m)
-        # only the first pass has no carry
-        assert slices == [False] + [True] * (passes - 1)
-        # per pass, whatever K and s are: slice_time, the linear of the raw
-        # window's diffusion against theta_fold, then layer_norm,
-        # temporal_compress and the mix linear for all s channels; a carried
-        # pass adds the carry's spmm_diff and its linear.  Once per forward,
-        # one kron_linear folds the bank's weight; around them the input
-        # linear and the 6 decoder records:
-        # 1 + 5 * passes + 2 * (passes - 1) + 1 + 6
-        assert len(tape) == 1 + 5 * passes + 2 * (passes - 1) + 1 + 6 == 27
+        # the folded path assembles no block.  Per pass, whatever K and s
+        # are: the linear of the raw window's diffusion against theta_fold,
+        # then layer_norm, temporal_compress and the mix linear for all s
+        # channels; a carried pass adds the carry's spmm_diff and its linear.
+        # Once per forward, one kron_linear folds E and the bank's weight;
+        # after the passes, the 6 decoder records:
+        # 1 + 4 * passes + 2 * (passes - 1) + 6
+        assert slices == []
+        assert len(tape) == 1 + 4 * passes + 2 * (passes - 1) + 6 == 23
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 
