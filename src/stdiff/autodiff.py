@@ -15,7 +15,7 @@ Ops accept arbitrary leading batch axes; the documented shapes apply to the
 trailing axes.  All arithmetic is double precision.  Set ``STDIFF_DEBUG=1``
 to trip on any non-finite intermediate.
 
-A backward frees a training step's whole working set at once (22 MB at the
+A backward frees a training step's whole working set at once (15 MB at the
 train-wide benchmark's K1 s1 d128 m4 B32 shape, a step's tracemalloc peak
 above its start), and the next step allocates it again.  glibc's default
 policy moves its mmap and trim thresholds with the allocation history and,
@@ -24,11 +24,12 @@ it in anew: 8,608 minor faults per train-wide step.  Importing this module
 fixes the mmap threshold at 32 MiB, the ceiling glibc's dynamic threshold
 climbs to on 64-bit, and the trim threshold at 128 MiB (``HEAP_POLICY``), so
 up to 128 MiB of freed heap stays mapped for the next step and a train-wide
-step takes no fault.  A paper-shape step (n=207 K5 s8 d256 m2, batch 1) frees
-more than that and still faults about 36,000 times (35,857-37,393 per step
-over nine steps, one BLAS thread).  Where an array lives does not change the
-arithmetic, so results are bit-identical.  It is a no-op where the C library
-has no ``mallopt`` (off glibc).
+step takes no fault.  A paper-shape step (n=207 K5 s8 d256 m2, batch 1,
+``scripts/paper_step.py``) takes 63-167 minor faults (nine steps, one BLAS
+thread); it took about 36,000 while each pass still wrote a normalized
+block.  Where an array lives does not change the arithmetic, so results are
+bit-identical.  It is a no-op where the C library has no ``mallopt`` (off
+glibc).
 """
 from __future__ import annotations
 
@@ -173,11 +174,10 @@ def linear(tape: Tape, x: Tensor | np.ndarray, theta: Tensor) -> Tensor:
     out = Tensor(xv @ theta.value)
 
     def backward():
-        g = out.grad
+        g = out.grad.reshape(-1, theta.value.shape[1])  # a strided gradient is copied once
         if xv is not x:  # one 2-D GEMM, not one per leading index
-            x.add_grad((g.reshape(-1, theta.value.shape[1]) @ theta.value.T).reshape(xv.shape))
-        theta.add_grad(xv.reshape(-1, theta.value.shape[0]).T @ g.reshape(
-            -1, theta.value.shape[1]))
+            x.add_grad((g @ theta.value.T).reshape(xv.shape))
+        theta.add_grad(xv.reshape(-1, theta.value.shape[0]).T @ g)
 
     tape.record(backward)
     return out
@@ -295,7 +295,8 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 
 
 def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Tensor,
-               eps: float = 1e-5, y0: Tensor | None = None) -> Tensor:
+               eps: float = 1e-5, y0: Tensor | None = None,
+               kernel: Tensor | None = None) -> Tensor:
     """Layer norm of the residual sum X + Y per channel, population variance.
 
     Y is (..., s*d): channel c normalizes its d features [c*d, (c+1)*d) of
@@ -310,19 +311,37 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
     then the (..., n, d) carry, which joins snapshot 0 of every channel of a
     (..., m, n, s*d) Y, or the channel width d alone where there is none.
 
+    Given the (m', s*d) compression ``kernel`` (m' >= m), the op also
+    compresses the snapshot axis, as ``temporal_compress`` of its output
+    would, and returns the (..., n, s*d) snapshot
+    sum_t xhat_t * (scale * k_t) + shift * sum_t k_t: the scaled and shifted
+    block is never written.  Only the kernel's first m rows take part and
+    get gradient.
+
     The sum is centred and scaled as (rows, d) channel rows; the row moments
-    and the scale and shift gradients are BLAS matrix-vector products.
-    Backward keeps only that normalized sum and the per-row inverse std.
+    are BLAS matrix-vector products.  Backward keeps only that normalized
+    sum and the per-row inverse std.  Without a kernel, the scale and shift
+    gradients are matrix-vector products too.  With one, backward writes
+    g * (scale * k_t) once into the buffer that becomes Y's gradient and
+    finishes it there, and y0's gradient is a view of it: neither Y nor y0
+    may have another reader.  One reduction, R[t] = the rows' sum of
+    g * xhat_t, gives the kernel's, the scale's and the shift's gradients,
+    and the normalized sum is used up.
     """
     shape, width = y.value.shape, y.value.shape[-1]
     d = x.value.shape[-1] if isinstance(x, Tensor) else x
     full = isinstance(x, Tensor) and x.value.shape[:-1] == shape[:-1]
     carry = isinstance(x, Tensor) and not full
+    m = shape[-3] if len(shape) >= 3 else 0
     if (d < 1 or width % d or scale.value.shape != (width,) or shift.value.shape != (width,)
             or carry and (len(shape) < 3 or x.value.shape[:-1] != shape[:-3] + shape[-2:-1])
-            or y0 is not None and y0.value.shape != shape[:-3] + shape[-2:]):
+            or y0 is not None and y0.value.shape != shape[:-3] + shape[-2:]
+            or kernel is not None and (not m or kernel.value.ndim != 2
+                                       or kernel.value.shape[0] < m
+                                       or kernel.value.shape[1] != width)):
         raise ShapeError(f"layer_norm cannot group {getattr(x, 'shape', x)} {y.shape} "
-                         f"{scale.shape} {shift.shape}")
+                         f"{scale.shape} {shift.shape}"
+                         + ("" if kernel is None else f" with kernel {kernel.shape}"))
     s = width // d
     avg = np.full(d, 1.0 / d)
     if full:
@@ -338,19 +357,43 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
     buf = np.square(xhat)
     inv = 1.0 / np.sqrt(buf @ avg + eps)
     xhat *= inv[:, None]
-    out_value = np.multiply(xhat.reshape(-1, width), scale.value, out=buf.reshape(-1, width))
-    out_value += shift.value
-    out = Tensor(out_value.reshape(shape))
+    if kernel is None:
+        out_value = np.multiply(xhat.reshape(-1, width), scale.value, out=buf.reshape(-1, width))
+        out_value += shift.value
+        out = Tensor(out_value.reshape(shape))
+    else:
+        del buf
+        k = kernel.value[:m]
+        sk = scale.value * k  # the scale folded into the kernel
+        out_value = np.einsum("...tnf,tf->...nf", xhat.reshape(shape), sk)
+        out_value += shift.value * k.sum(axis=0)
+        out = Tensor(out_value)
 
     def backward():
-        g = out.grad.reshape(-1, width)
-        ones = np.ones(g.shape[0])
-        shift.add_grad(ones @ g)
-        tmp = g * xhat.reshape(-1, width)
-        scale.add_grad(ones @ tmp)
-        dacc = (g * scale.value).reshape(-1, d)    # dxhat, then dacc in place
-        tmp = np.multiply(dacc, xhat, out=tmp.reshape(-1, d))
-        proj = (tmp @ avg)[:, None]
+        if kernel is None:
+            g = out.grad.reshape(-1, width)
+            ones = np.ones(g.shape[0])
+            shift.add_grad(ones @ g)
+            tmp = g * xhat.reshape(-1, width)
+            scale.add_grad(ones @ tmp)
+            dacc = (g * scale.value).reshape(-1, d)    # dxhat, then dacc in place
+            tmp = np.multiply(dacc, xhat, out=tmp.reshape(-1, d))
+            proj = (tmp @ avg)[:, None]
+        else:
+            g = out.grad
+            rows = np.ones(g.size // width)
+            gsum = rows @ g.reshape(-1, width)
+            # R[t], the rows' sum of g * xhat_t
+            r = np.einsum("btnf,bnf->tf", xhat.reshape((-1,) + shape[-3:]),
+                          g.reshape((-1,) + shape[-2:]))
+            kernel.ensure_grad()
+            kernel.grad[:m] += scale.value * r + shift.value * gsum
+            scale.add_grad((k * r).sum(axis=0))
+            shift.add_grad(gsum * k.sum(axis=0))
+            # dxhat, written once into the buffer that becomes Y's gradient
+            dacc = np.multiply(g[..., None, :, :], sk[:, None, :]).reshape(-1, d)
+            proj = (np.einsum("rd,rd->r", dacc, xhat) / d)[:, None]
+            tmp = xhat  # used up: it takes xhat * proj
         dacc -= (dacc @ avg)[:, None]
         dacc -= np.multiply(xhat, proj, out=tmp)
         dacc *= inv[:, None]
@@ -359,8 +402,8 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
             x.add_grad(dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape))
         elif carry:
             x.add_grad(dy[..., 0, :, :].reshape(x.value.shape[:-1] + (s, d)).sum(axis=-2))
-        if y0 is not None:
-            y0.add_grad(dy[..., 0, :, :], owned=False)
+        if y0 is not None:  # this op is y0's only reader: a view of Y's gradient
+            y0.add_grad(dy[..., 0, :, :], owned=kernel is not None)
         y.add_grad(dy)
 
     tape.record(backward)
@@ -372,7 +415,8 @@ def temporal_compress(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
 
     X is (..., m, n, d).  ``kernel`` may have more rows than m (shared kernel
     across iteration tails); only its first m rows participate, and only
-    those rows receive gradient.
+    those rows receive gradient.  The model compresses inside ``layer_norm``,
+    given the kernel; this op is that form's reference.
     """
     if x.value.ndim < 3:
         raise ShapeError("temporal_compress expects (..., m, n, d)")

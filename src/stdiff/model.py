@@ -26,8 +26,11 @@ channel c in columns [c*d, (c+1)*d), in one ``ChannelBank``; each named
 channel parameter is a view into it, so no forward stacks weights and no
 backward splits their gradient.  The terms an ablation drops (``no_hstg``
 the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
-Whatever K and s are, a pass is then one channel term Y = Z Theta, one
-channel-grouped layer norm of X + Y, one temporal compression and the mix GEMM.
+Whatever K and s are, a pass is then the channel GEMM Y = Z Theta (the
+fold GEMM on raw snapshots), one op that normalizes X + Y per channel and
+compresses it over time, and the mix GEMM.  That op folds the layer norm's
+scale and shift into the compression kernel, sum_t xhat_t (scale k_t) +
+shift sum_t k_t, so no pass writes a normalized block.
 
 Y is folded, and so is the residual.  A raw snapshot is the embedding
 w ⊗ E of its n readings, one speed per sensor, so its share of Y is
@@ -245,10 +248,11 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
                  ln_eps: float = ModelConfig.ln_eps) -> Tensor:
     """One channel's convolution block on (..., m, n, d) or (..., m*n, d) input.
 
-    A ``multi_channel_forward`` pass with s = 1, up to the layer norm, on
-    separate parameters, which it stacks per call; the output has the
-    input's shape.  X feeds the hops of both graphs; a family whose theta
-    list is empty is a dropped term, and K is the longer list's length.
+    A ``multi_channel_forward`` pass with s = 1, up to the layer norm and
+    before the temporal compression, on separate parameters, which it stacks
+    per call; the output has the input's shape.  X feeds the hops of both
+    graphs; a family whose theta list is empty is a dropped term, and K is
+    the longer list's length.
     """
     families = {name: g for name, g in _kept_families("full").items() if getattr(params, name)}
     k_hops = max(len(params.theta_nh), len(params.theta_h))
@@ -264,8 +268,10 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
                           theta_fold: Tensor | None = None) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
-    Given a Tensor block X, the channel term is Z(X) Theta, and the layer
-    norm adds X.  Given the raw (..., m', n, 1) snapshots as a plain array,
+    The layer norm is given the bank's compression kernel, so it returns the
+    compressed (..., n, s*d) snapshot the mix GEMM reads.  Given a Tensor
+    block X, the channel term is Z(X) Theta, and the layer norm adds X.
+    Given the raw (..., m', n, 1) snapshots as a plain array,
     the block is ``carry`` (if any) then their embeddings, and the pass is
     folded against ``theta_fold`` (module docstring): hop 0 of the raw Z is
     the readings themselves, so the fold GEMM forms the raw snapshots'
@@ -281,7 +287,8 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     ops = [getattr(block, graph) for graph in graphs]
     if not folded:
         y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
-        h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps)
+        h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
+                          kernel=bank.compress_kernel)
     else:
         y0 = None
         if carry is not None:
@@ -290,8 +297,8 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
         z = np.concatenate([x, ad.diffuse(ops, x, cfg.K)], axis=-1)  # hop 0: the readings
         y = ad.linear(tape, z, theta_fold)
         h = ad.layer_norm(tape, cfg.d if carry is None else carry, y, bank.ln_scale,
-                          bank.ln_shift, eps=cfg.ln_eps, y0=y0)
-    return ad.linear(tape, ad.temporal_compress(tape, h, bank.compress_kernel), model.mix)
+                          bank.ln_shift, eps=cfg.ln_eps, y0=y0, kernel=bank.compress_kernel)
+    return ad.linear(tape, h, model.mix)
 
 
 def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> CompressedSnapshot:

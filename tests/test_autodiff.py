@@ -549,6 +549,112 @@ class TestLayerNormResidualInY:
             ad.layer_norm(Tape(), x, Tensor(rng.random(y_shape)), scale, shift)
 
 
+class TestLayerNormCompressed:
+    """Given the compression kernel, the layer norm returns the compressed snapshot."""
+
+    M, N = 3, 4
+
+    def make(self, rng, width, rows=None):
+        return (ParamArray("scale", rng.standard_normal(width) + 1.0),
+                ParamArray("shift", rng.standard_normal(width)),
+                ParamArray("kernel", rng.standard_normal((rows or self.M, width))))
+
+    def inputs(self, rng, form, lead, s, d):
+        """(X, y0) for each form of X: full width, the carry with or without y0, the width d."""
+        m, n = self.M, self.N
+        y0 = ParamArray("y0", rng.standard_normal(lead + (n, s * d))) if form == "carry_y0" else None
+        if form == "full":
+            return ParamArray("x", rng.standard_normal(lead + (m, n, d))), y0
+        if form.startswith("carry"):
+            return ParamArray("carry", rng.standard_normal(lead + (n, d))), y0
+        return d, y0
+
+    @staticmethod
+    def run(x, y, y0, scale, shift, kernel, g, compressed):
+        """Output and gradients of the kernel form or of its two-op reference, on a fresh Y."""
+        params = [p for p in (x, y, y0, scale, shift, kernel) if isinstance(p, Tensor)]
+        for p in params:
+            p.zero_grad()
+        tape = Tape()
+        y_in = ad.add(tape, y, Tensor(np.zeros(y.value.shape)))  # the op consumes its Y
+        if compressed:
+            out = ad.layer_norm(tape, x, y_in, scale, shift, y0=y0, kernel=kernel)
+        else:
+            out = ad.temporal_compress(tape, ad.layer_norm(tape, x, y_in, scale, shift, y0=y0),
+                                       kernel)
+        tape.backward(project(tape, out, g))
+        return out.value, {p.name: p.grad.copy() for p in params}
+
+    FORMS = ["full", "carry", "carry_y0", "width"]
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("s,d", [(1, 4), (3, 2)])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_equals_layer_norm_then_temporal_compress(self, rng, form, s, d, lead):
+        x, y0 = self.inputs(rng, form, lead, s, d)
+        y = ParamArray("y", rng.standard_normal(lead + (self.M, self.N, s * d)) * 2 + 1)
+        scale, shift, kernel = self.make(rng, s * d)
+        g = rng.standard_normal(lead + (self.N, s * d))
+        got, got_grads = self.run(x, y, y0, scale, shift, kernel, g, compressed=True)
+        want, want_grads = self.run(x, y, y0, scale, shift, kernel, g, compressed=False)
+        assert got.shape == lead + (self.N, s * d)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert got_grads.keys() == want_grads.keys() >= {"y", "scale", "shift", "kernel"}
+        for name, grad in got_grads.items():
+            assert np.max(np.abs(grad - want_grads[name])) < 1e-12, name
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_finite_differences(self, rng, form):
+        for s, d in ((1, 3), (2, 2)):
+            x, y0 = self.inputs(rng, form, (2,), s, d)
+            y = ParamArray("y", rng.standard_normal((2, self.M, self.N, s * d)))
+            scale, shift, kernel = self.make(rng, s * d)
+            zero = Tensor(np.zeros(y.value.shape))
+            params = [p for p in (x, y, y0, scale, shift, kernel) if isinstance(p, Tensor)]
+            # a fresh Y per call: the op consumes the one it is given
+            check_op(params, lambda tape: ad.layer_norm(
+                tape, x, ad.add(tape, y, zero), scale, shift, y0=y0, kernel=kernel), rng)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_kernel_rows_past_the_block_get_no_gradient(self, rng, form):
+        s, d = 2, 3
+        x, y0 = self.inputs(rng, form, (2,), s, d)
+        y = ParamArray("y", rng.standard_normal((2, self.M, self.N, s * d)))
+        scale, shift, kernel = self.make(rng, s * d, rows=self.M + 2)  # a tail block's extent
+        g = rng.standard_normal((2, self.N, s * d))
+        got, grads = self.run(x, y, y0, scale, shift, kernel, g, compressed=True)
+        want, want_grads = self.run(x, y, y0, scale, shift, kernel, g, compressed=False)
+        assert got.shape == (2, self.N, s * d)
+        assert np.all(grads["kernel"][self.M:] == 0.0)
+        assert np.max(np.abs(grads["kernel"] - want_grads["kernel"])) < 1e-12
+        assert np.any(grads["kernel"][:self.M] != 0.0)
+
+    def test_y0_gradient_is_a_view_of_y_gradient(self, rng):
+        # the op is y0's only reader, so its share is not copied
+        s, d = 2, 2
+        carry = Tensor(rng.standard_normal((2, self.N, d)))
+        y = Tensor(rng.standard_normal((2, self.M, self.N, s * d)))
+        y0 = Tensor(rng.standard_normal((2, self.N, s * d)))
+        scale, shift, kernel = self.make(rng, s * d)
+        tape = Tape()
+        out = ad.layer_norm(tape, carry, y, scale, shift, y0=y0, kernel=kernel)
+        tape.backward(project(tape, out, rng.standard_normal(out.value.shape)))
+        assert np.shares_memory(y0.grad, y.grad)
+        assert np.array_equal(y0.grad, y.grad[:, 0])
+
+    @pytest.mark.parametrize("y_shape,k_shape", [
+        ((3, 4, 6), (2, 6)),    # fewer kernel rows than snapshots
+        ((3, 4, 6), (3, 4)),    # kernel sized for another width
+        ((3, 4, 6), (6,)),      # one kernel row, no snapshot axis
+        ((4, 6), (3, 6)),       # no snapshot axis to compress
+    ])
+    def test_shape_errors(self, rng, y_shape, k_shape):
+        scale, shift, _ = self.make(rng, y_shape[-1])
+        with pytest.raises(ShapeError):
+            ad.layer_norm(Tape(), 2, Tensor(rng.random(y_shape)), scale, shift,
+                          kernel=Tensor(rng.random(k_shape)))
+
+
 class TestTemporalCompress:
     def test_single_snapshot_ones_kernel(self, rng):
         x = Tensor(rng.random((1, 4, 3)))

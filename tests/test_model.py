@@ -436,8 +436,53 @@ class TestResidualInTheFold:
         passes = expected_iterations(self.CONFIG.T, self.CONFIG.m)
         assert len(folds) == 1 and len(outputs) == passes
         for y in outputs:
-            readers = [name for name, tensors in reads if any(t is y for t in tensors)]
-            assert readers == ["layer_norm"]
+            readers = [(name, tensors) for name, tensors in reads if any(t is y for t in tensors)]
+            # the one reader normalizes and compresses Y with the bank's kernel
+            assert [name for name, _ in readers] == ["layer_norm"]
+            assert any(t is model.bank.compress_kernel for t in readers[0][1])
+        assert not any(name == "temporal_compress" for name, _ in reads)
+
+
+class TestNoNormalizedBlock:
+    """The layer norm compresses as it normalizes: no pass writes a normalized block."""
+
+    CONFIG = ModelConfig(K=2, m=3, s=2, d=8, T=12, H=2)  # s*d differs from d and 2K*d
+
+    @pytest.mark.parametrize("run", [forward, generic_forward])
+    def test_only_the_channel_gemm_outputs_have_a_block_shape(self, rng, monkeypatch, run):
+        n, batch, cfg = 5, 2, self.CONFIG
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
+        created, gemms = [], []
+        init, linear, kron_linear = Tensor.__init__, ad.linear, ad.kron_linear
+        channel_weights = [model.bank.theta]
+
+        def logging(tensor, value):
+            init(tensor, value)
+            created.append(tensor)
+
+        def folding(*args, **kwargs):
+            out = kron_linear(*args, **kwargs)
+            channel_weights.append(out)
+            return out
+
+        def recording(tape, x, theta):
+            out = linear(tape, x, theta)
+            if any(theta is w for w in channel_weights):
+                gemms.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "__init__", logging)
+        monkeypatch.setattr(ad, "linear", recording)
+        monkeypatch.setattr(ad, "kron_linear", folding)
+        tape = Tape()
+        loss = mae_l2_loss(tape, run(tape, model, rng.standard_normal((batch, cfg.T, n, 1))),
+                           rng.standard_normal((batch, cfg.H, n, 1)), model.params(), 1e-4)
+        tape.backward(loss)
+        blocks = [t for t in created if t.value.ndim == 4 and t.value.shape[0] == batch
+                  and t.value.shape[2:] == (n, cfg.s * cfg.d)]
+        passes = expected_iterations(cfg.T, cfg.m)
+        assert len(blocks) == passes
+        assert all(any(t is y for y in gemms) for t in blocks)
 
 
 class TestDataInputs:
@@ -629,13 +674,13 @@ class TestForward:
         forward(tape, model, rng.standard_normal((cfg.T, 3, 1)))
         # the folded path assembles no block.  Per pass, whatever K and s
         # are: the linear of the raw window's diffusion against theta_fold,
-        # then layer_norm, temporal_compress and the mix linear for all s
-        # channels; a carried pass adds the carry's spmm_diff and its linear.
-        # Once per forward, one kron_linear folds E and the bank's weight;
-        # after the passes, the 6 decoder records:
-        # 1 + 4 * passes + 2 * (passes - 1) + 6
+        # then layer_norm, which also compresses the snapshots, and the mix
+        # linear for all s channels; a carried pass adds the carry's
+        # spmm_diff and its linear.  Once per forward, one kron_linear folds
+        # E and the bank's weight; after the passes, the 6 decoder records:
+        # 1 + 3 * passes + 2 * (passes - 1) + 6
         assert slices == []
-        assert len(tape) == 1 + 4 * passes + 2 * (passes - 1) + 6 == 23
+        assert len(tape) == 1 + 3 * passes + 2 * (passes - 1) + 6 == 20
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 
