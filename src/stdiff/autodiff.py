@@ -25,11 +25,15 @@ fixes the mmap threshold at 32 MiB, the ceiling glibc's dynamic threshold
 climbs to on 64-bit, and the trim threshold at 128 MiB (``HEAP_POLICY``), so
 up to 128 MiB of freed heap stays mapped for the next step and a train-wide
 step takes no fault.  A paper-shape step (n=207 K5 s8 d256 m2, batch 1,
-``scripts/paper_step.py``) takes 63-167 minor faults (nine steps, one BLAS
-thread); it took about 36,000 while each pass still wrote a normalized
-block.  Where an array lives does not change the arithmetic, so results are
-bit-identical.  It is a no-op where the C library has no ``mallopt`` (off
-glibc).
+``scripts/paper_step.py``, one BLAS thread) falls in one of two modes, which
+the allocation history picks: 63-547 minor faults, or 22,473-23,495.  Three
+runs each of the script with no arguments and with its defaults spelled out
+(``--steps 3 --warmup 2``) put one spelling in each mode, and a change to
+what a forward allocates, with the same training step, swapped the two; the
+modes do not differ in step time.  It took about 36,000 faults while each
+pass still wrote a normalized block.  Where an array lives does not change
+the arithmetic, so results are bit-identical.  It is a no-op where the C
+library has no ``mallopt`` (off glibc).
 """
 from __future__ import annotations
 
@@ -529,6 +533,27 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
             carry.add_grad(g[..., 0, :, :], owned=False)
         x.ensure_grad()
         x.grad[..., t0:t1, :, :] += g[..., c:, :, :]
+
+    tape.record(backward)
+    return out
+
+
+def take_rows(tape: Tape, x: Tensor, rows: slice, lead: tuple | None = None,
+              copy: bool = False) -> Tensor:
+    """Rows ``rows`` of X's leading axis, laid out over the ``lead`` axes if given.
+
+    The output is a view of X unless ``copy``; an op that consumes its input
+    in place needs the copy.  Backward adds the gradient into those rows.
+    """
+    part = x.value[rows]
+    if lead is not None:
+        if int(np.prod(lead)) != len(part):
+            raise ShapeError(f"rows {rows} of {x.shape} do not fill the lead axes {lead}")
+        part = part.reshape(lead + part.shape[1:])
+    out = Tensor(part.copy() if copy else part)
+
+    def backward():
+        x.ensure_grad()[rows] += out.grad.reshape(x.grad[rows].shape)
 
     tape.record(backward)
     return out

@@ -54,6 +54,24 @@ assembles each such block, in a single ``autodiff.slice_time`` copy.  When
 the remaining history is shorter than m-1, a smaller block graph is built
 for the tail and the shared compression kernel is sliced to its extent.
 One parameter set is reused at every iteration.
+
+Eval, predict and validation walk windows one snapshot apart.  Such a batch
+is a run: B >= 2 windows, window b+1 being window b one snapshot on, which
+one comparison of the raw batch decides.  A run is one series of B+T-1
+snapshots, and window b's carried pass [lo, hi) reads its snapshots
+[b+lo, b+hi), so the windows' passes share their raw blocks.  ``encode``
+then handles each distinct raw block of a carried pass once, per raw length
+m', through the (m'+1)-snapshot block graph with the carry slot zeroed: one
+diffusion, the fold GEMM, and one layer norm over its snapshots 1..m',
+compressed with kernel rows 1..m'.  The split is exact.  Those snapshots
+never read the carry (t reads t+1, and the layer norm is per row), and Z is
+linear, so snapshot 0's raw share is the block's row 0 with the carry slot
+zeroed.  A carried pass then diffuses its carry, normalizes snapshot 0
+alone with kernel row 0, and adds its windows' rows of the compressed
+rest.  Any other batch, a shuffled training batch among them, takes the
+per-pass loop.  The two paths sum a pass's compressed rows in different
+orders, so a window's prediction can differ in its last bits with the batch
+it is in.
 """
 from __future__ import annotations
 
@@ -263,9 +281,33 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
                          params.ln_shift, eps=ln_eps)
 
 
-def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray,
-                          carry: Tensor | None = None,
-                          theta_fold: Tensor | None = None) -> Tensor:
+@dataclass(frozen=True)
+class RawTables:
+    """The raw blocks of m' snapshots that a run's carried passes read, each folded once.
+
+    Row u is the block of series snapshots [start + u, start + u + m') behind
+    a zeroed carry slot.  ``p0`` (U, 1, n, s*d) is its term in snapshot 0,
+    the carry slot: the raw share of a carried pass's snapshot 0, since Z is
+    linear.  ``rest`` (U, n, s*d) is its snapshots 1..m', normalized and
+    compressed with kernel rows 1..m', which no carry reaches.
+    """
+
+    m: int
+    start: int
+    p0: Tensor
+    rest: Tensor
+
+
+def _carry_term(tape: Tape, model: IstdGcnModel, m: int, carry: Tensor) -> Tensor:
+    """The carry's hops, through the full Theta, in snapshot 0 of an m-snapshot block."""
+    cfg, block = model.config, model.block_graph(m)
+    row0 = [getattr(block, f"{graph}_row0") for graph in _kept_families(cfg.ablation).values()]
+    return ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), model.bank.theta)
+
+
+def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray | RawTables,
+                          carry: Tensor | None = None, theta_fold: Tensor | None = None,
+                          rows: slice | None = None) -> Tensor:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
     The layer norm is given the bank's compression kernel, so it returns the
@@ -276,9 +318,21 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     folded against ``theta_fold`` (module docstring): hop 0 of the raw Z is
     the readings themselves, so the fold GEMM forms the raw snapshots'
     residual too, and the carry joins snapshot 0 inside the layer norm, which
-    consumes the GEMM's output.
+    consumes the GEMM's output.  Given a run's ``RawTables``, the raw
+    snapshots' terms are its ``rows``, already folded (``encode``): the pass
+    normalizes snapshot 0 alone, with kernel row 0, and adds the rest's
+    compressed rows.
     """
     cfg, bank = model.config, model.bank
+    if isinstance(x, RawTables):
+        lead = carry.value.shape[:-2]
+        y0 = _carry_term(tape, model, x.m + 1, carry)
+        # the layer norm consumes its Y, and other windows' passes read the same rows
+        p0 = ad.take_rows(tape, x.p0, rows, lead, copy=True)
+        h = ad.layer_norm(tape, carry, p0, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
+                          y0=y0, kernel=bank.compress_kernel)
+        del y0, p0  # a forward-only pass frees them before the mix
+        return ad.linear(tape, ad.add(tape, h, ad.take_rows(tape, x.rest, rows, lead)), model.mix)
     graphs = _kept_families(cfg.ablation).values()
     folded = not isinstance(x, Tensor)
     if folded and carry is not None:
@@ -290,15 +344,46 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
         h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
                           kernel=bank.compress_kernel)
     else:
-        y0 = None
-        if carry is not None:
-            row0 = [getattr(block, f"{graph}_row0") for graph in graphs]
-            y0 = ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), bank.theta)
+        y0 = None if carry is None else _carry_term(tape, model, x.shape[-3], carry)
         z = np.concatenate([x, ad.diffuse(ops, x, cfg.K)], axis=-1)  # hop 0: the readings
         y = ad.linear(tape, z, theta_fold)
         h = ad.layer_norm(tape, cfg.d if carry is None else carry, y, bank.ln_scale,
                           bank.ln_shift, eps=cfg.ln_eps, y0=y0, kernel=bank.compress_kernel)
     return ad.linear(tape, h, model.mix)
+
+
+def _run_tables(tape: Tape, model: IstdGcnModel, history: np.ndarray,
+                carried: list[tuple[int, int]], theta_fold: Tensor) -> dict[int, RawTables]:
+    """Per raw length m', the ``RawTables`` of a run's ``carried`` passes; none otherwise.
+
+    The flattened (B, T, n, 1) batch is a run when B >= 2 and window b+1 is
+    window b one snapshot on.  It is then one series of B+T-1 snapshots, and
+    window b's pass [lo, hi) reads series snapshots [b+lo, b+hi), so the
+    passes of one length share their blocks: each is diffused, folded and
+    normalized once, through the block graph of m'+1 snapshots.
+    """
+    cfg, bank = model.config, model.bank
+    windows = history.reshape((-1,) + history.shape[-3:])
+    b = len(windows)
+    if not carried or b < 2 or not np.array_equal(windows[1:, :-1], windows[:-1, 1:]):
+        return {}
+    series = np.concatenate([windows[0], windows[1:, -1]])
+    graphs = _kept_families(cfg.ablation).values()
+    kernel = ad.take_rows(tape, bank.compress_kernel, slice(1, None))  # rows 1..m'
+    tables = {}
+    for width in sorted({hi - lo for lo, hi in carried}):
+        los = [lo for lo, hi in carried if hi - lo == width]
+        start, count = min(los), max(los) - min(los) + b
+        blocks = np.zeros((count, width + 1) + series.shape[1:])  # slot 0: the carry's
+        for t in range(width):
+            blocks[:, t + 1] = series[start + t:start + t + count]
+        block = model.block_graph(width + 1)
+        z = np.concatenate(
+            [blocks, ad.diffuse([getattr(block, g) for g in graphs], blocks, cfg.K)], axis=-1)
+        rest = ad.layer_norm(tape, cfg.d, ad.linear(tape, z[:, 1:], theta_fold), bank.ln_scale,
+                             bank.ln_shift, eps=cfg.ln_eps, kernel=kernel)
+        tables[width] = RawTables(width, start, ad.linear(tape, z[:, :1], theta_fold), rest)
+    return tables
 
 
 def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> CompressedSnapshot:
@@ -307,25 +392,37 @@ def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> Com
     Given as a (..., T, n, d) Tensor, the history is embedded, and each pass's block is cut
     from it with one ``slice_time`` copy.  Given as the raw (..., T, n, 1)
     window, a plain array, every pass folds E (module docstring), and no
-    embedded snapshot or block is built.
+    embedded snapshot or block is built.  When that batch is a run
+    (``_run_tables``), each carried pass reads its raw terms from the run's
+    tables, so each raw block is diffused, folded and normalized once, not
+    once per window that holds it.
     """
     t_total = history.shape[-3]
     m = model.config.effective_m
     if t_total < m:
         raise ArgumentError(f"history length {t_total} shorter than block size {m}")
+    passes = [(0, m)]
+    while passes[-1][1] < t_total:
+        lo = passes[-1][1]
+        passes.append((lo, min(lo + m - 1, t_total)))
     folded = not isinstance(history, Tensor)
     theta_fold = (ad.kron_linear(tape, model.input_embed, model.bank.theta, residual=True)
                   if folded else None)
-    com, idx, iterations = None, 0, 0
-    while idx < t_total:
-        end = idx + (m if com is None else min(m - 1, t_total - idx))
-        if folded:
-            com = multi_channel_forward(tape, model, history[..., idx:end, :, :], com, theta_fold)
+    batch = math.prod(history.shape[:-3])
+    com, tables = None, {}
+    for lo, hi in passes:
+        if folded and lo == m:  # after pass 0, which reads none: its temporaries are freed
+            tables = _run_tables(tape, model, history, passes[1:], theta_fold)
+        if tables:
+            table = tables[hi - lo]
+            com = multi_channel_forward(tape, model, table, com,
+                                        rows=slice(lo - table.start, lo - table.start + batch))
+        elif folded:
+            com = multi_channel_forward(tape, model, history[..., lo:hi, :, :], com, theta_fold)
         else:
-            block = ad.slice_time(tape, history, idx, end, carry=com)
+            block = ad.slice_time(tape, history, lo, hi, carry=com)
             com = multi_channel_forward(tape, model, block)
-        idx, iterations = end, iterations + 1
-    return CompressedSnapshot(features=com, iterations=iterations)
+    return CompressedSnapshot(features=com, iterations=len(passes))
 
 
 def forward(tape: Tape, model: IstdGcnModel, window: np.ndarray) -> Tensor:

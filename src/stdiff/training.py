@@ -174,7 +174,7 @@ class TrainReport:
 
 
 def predict_batch(model: IstdGcnModel, history: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Denormalized model predictions for a (B, T, n, d_in) history block.
+    """Denormalized model predictions for a (B, T, n, 1) history block.
 
     The pass runs on a non-recording tape: nothing is kept for a backward.
     """

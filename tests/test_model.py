@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import stdiff.autodiff as ad
+import stdiff.model as model_module
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.checkpoint import restore_params, save_params
 from stdiff.errors import ArgumentError
 from stdiff.graph import SensorGraph
 from stdiff.model import (ABLATIONS, IstdGcnModel, ModelConfig, StscChannelParams, encode,
                           expected_iterations, forward, multi_channel_forward, stsc_forward)
-from stdiff.sparse import sparsify
+from stdiff.sparse import SparseMatrix, sparsify
 from stdiff.stgraph import build_hstg
 from stdiff.training import AdamState, TrainConfig, mae_l2_loss, optimizer_step
 
@@ -750,6 +751,131 @@ class TestForward:
 
         reports = grad_check(loss_fn, params, tol=1e-4, rng=rng)
         assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
+def run_of_windows(rng, batch, t, n):
+    """``batch`` consecutive (t, n, 1) windows of one series, one snapshot apart."""
+    series = rng.standard_normal((batch + t - 1, n, 1))
+    return np.stack([series[b:b + t] for b in range(batch)])
+
+
+def carried_widths(cfg):
+    """Raw snapshots per carried pass, in pass order."""
+    widths, lo = [], cfg.m
+    while lo < cfg.T:
+        widths.append(min(cfg.m - 1, cfg.T - lo))
+        lo += widths[-1]
+    return widths
+
+
+class TestRunPath:
+    """A batch of consecutive windows folds each raw block once, for every window that holds it."""
+
+    CONFIGS = [dict(K=1, m=2, s=1), dict(K=3, m=2, s=2),
+               dict(K=2, m=4, s=2),  # tail passes of 3 and 2 raw snapshots: two length groups
+               dict(K=3, m=3, s=1), dict(K=2, m=4, s=1, ablation="no_hstg"),
+               dict(K=2, m=3, s=2, ablation="no_two_step")]
+
+    @staticmethod
+    def model(rng, n, **config):
+        cfg = ModelConfig(**{"d": 4, "T": 12, "H": 3, **config})
+        model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=1)
+        for p in model.params():  # at init beta = 0 and the kernel is uniform: ordering hides
+            p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
+        return model
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_run_equals_each_window_alone(self, rng, config):
+        model = self.model(rng, 4, **config)
+        windows = run_of_windows(rng, 30, model.config.T, 4)
+        got = forward(Tape(record=False), model, windows).value
+        want = np.stack([forward(Tape(record=False), model, w).value for w in windows])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_gradients_equal_the_per_pass_path(self, rng, config):
+        # reversed, the same windows are no run: the per-pass path, and the same mean loss
+        model = self.model(rng, 4, **config)
+        windows = run_of_windows(rng, 6, model.config.T, 4)
+        target = rng.standard_normal((6, model.config.H, 4, 1))
+        grads = []
+        for order in (slice(None), slice(None, None, -1)):
+            model.zero_grads()
+            tape = Tape()
+            loss = mae_l2_loss(tape, forward(tape, model, windows[order]), target[order],
+                               model.params(), 1e-4)
+            tape.backward(loss)
+            grads.append([p.grad.copy() for p in model.params()])
+        for p, got, want in zip(model.params(), *grads):
+            assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want))), p.name
+
+    def test_grad_check_through_a_run(self, rng):
+        model = self.model(rng, 3, K=2, m=3, s=2, T=6, H=2)  # carried passes of 2 and 1
+        windows = run_of_windows(rng, 4, model.config.T, 3)
+        target = rng.standard_normal((4, model.config.H, 3, 1))
+        params = model.params()
+
+        def loss_fn(tape):
+            return mae_l2_loss(tape, forward(tape, model, windows), target, params, 1e-4)
+
+        reports = grad_check(loss_fn, params, tol=1e-4, rng=rng)
+        assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_spatial_products_and_layer_norms(self, rng, monkeypatch, config):
+        model = self.model(rng, 4, **config)
+        cfg = model.config
+        counts = {"products": 0, "norms": 0}
+        matmul_dense, layer_norm = SparseMatrix.matmul_dense, ad.layer_norm
+
+        def product(self, *args, **kwargs):
+            counts["products"] += 1
+            return matmul_dense(self, *args, **kwargs)
+
+        def norm(*args, **kwargs):
+            counts["norms"] += 1
+            return layer_norm(*args, **kwargs)
+
+        monkeypatch.setattr(SparseMatrix, "matmul_dense", product)
+        monkeypatch.setattr(ad, "layer_norm", norm)
+
+        def count(windows):
+            counts.update(products=0, norms=0)
+            forward(Tape(record=False), model, windows)
+            return counts["products"], counts["norms"]
+
+        passes = expected_iterations(cfg.T, cfg.m)
+        groups = len(set(carried_widths(cfg)))
+        windows = run_of_windows(rng, 8, cfg.T, 4)
+        assert count(windows) == (cfg.K * (passes + groups), passes + groups)
+        assert count(windows[:2]) == (cfg.K * (passes + groups), passes + groups)
+        per_pass = (cfg.K * (2 * passes - 1), passes)
+        assert count(windows[::2]) == per_pass  # two snapshots apart
+        assert count(windows[[0, 2, 1, 3]]) == per_pass  # one swapped
+        assert count(windows[:1]) == count(windows[0]) == per_pass  # one window, no batch axis
+
+    def test_leading_axes_form_one_run(self, rng):
+        model = self.model(rng, 4, K=2, m=4, s=2)
+        windows = run_of_windows(rng, 20, model.config.T, 4)
+        flat = forward(Tape(record=False), model, windows).value
+        got = forward(Tape(record=False), model, windows.reshape((2, 10) + windows.shape[1:]))
+        assert np.max(np.abs(got.value.reshape(flat.shape) - flat)) <= 1e-12 * np.max(np.abs(flat))
+
+    def test_passes_leave_the_tables_as_built(self, rng, monkeypatch):
+        # the snapshot-0 layer norm consumes its Y in place: each pass copies its rows of p0
+        model = self.model(rng, 4, K=2, m=2, s=2)
+        built, run_tables = [], model_module._run_tables
+
+        def recording(*args):
+            tables = run_tables(*args)
+            built.extend((t, t.p0.value.copy(), t.rest.value.copy()) for t in tables.values())
+            return tables
+
+        monkeypatch.setattr(model_module, "_run_tables", recording)
+        forward(Tape(record=False), model, run_of_windows(rng, 8, model.config.T, 4))
+        assert len(built) == 1
+        for table, p0, rest in built:
+            assert np.array_equal(table.p0.value, p0) and np.array_equal(table.rest.value, rest)
 
 
 class TestConfig:
