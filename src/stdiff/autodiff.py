@@ -187,28 +187,25 @@ def linear(tape: Tape, x: Tensor | np.ndarray, theta: Tensor) -> Tensor:
     return out
 
 
-def kron_linear(tape: Tape, e: Tensor, theta: Tensor, residual: bool = False) -> Tensor:
-    """(I_r ⊗ E) Theta, (r*a, c), for E (a, f) and Theta (r*f, c).
+def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
+    """[E repeated; (I_r ⊗ E) Theta], ((1 + r)*a, c), for E (a, f) and Theta (r*f, c).
 
     (Z ⊗ E) Theta = Z (I_r ⊗ E) Theta: a GEMM over r*a columns, not r*f.
-    With ``residual``, the a rows of E repeated over Theta's c/f column blocks
-    lead, ((1 + r)*a, c): Z's leading a columns then add X ⊗ E itself to every
-    block, the residual as a hop 0 with identity weight.
+    The a rows of E repeated over Theta's c/f column blocks lead: a Z that
+    leads with X then adds X ⊗ E itself to every block, the residual as a
+    hop 0 with identity weight.  Every path forms its residual this way.
     """
     if (e.value.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % e.value.shape[1]
-            or residual and theta.value.shape[1] % e.value.shape[1]):
+            or theta.value.shape[1] % e.value.shape[1]):
         raise ShapeError(f"kron_linear shape mismatch {e.shape} ⊗ {theta.shape}")
     (a, f), c = e.value.shape, theta.value.shape[1]
     blocks = theta.value.reshape(-1, f, c)
-    folded = (e.value @ blocks).reshape(-1, c)
-    out = Tensor(np.concatenate([np.tile(e.value, c // f), folded]) if residual else folded)
+    out = Tensor(np.concatenate([np.tile(e.value, c // f), (e.value @ blocks).reshape(-1, c)]))
 
     def backward():
         g = out.grad
-        if residual:
-            e.add_grad(g[:a].reshape(a, c // f, f).sum(axis=1))
-            g = g[a:]
-        g = g.reshape(-1, a, c)
+        e.add_grad(g[:a].reshape(a, c // f, f).sum(axis=1))
+        g = g[a:].reshape(-1, a, c)
         e.add_grad(np.einsum("rac,rfc->af", g, blocks))
         theta.add_grad((e.value.T @ g).reshape(theta.value.shape))
 
@@ -301,19 +298,20 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Tensor,
                eps: float = 1e-5, y0: Tensor | None = None,
                kernel: Tensor | None = None) -> Tensor:
-    """Layer norm of the residual sum X + Y per channel, population variance.
+    """Layer norm of the residual sum per channel, population variance.
 
     Y is (..., s*d): channel c normalizes its d features [c*d, (c+1)*d) of
-    the sum, then applies scale and shift [c*d:(c+1)*d].  A (..., n, s*d)
-    ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d) Y.
+    the sum, then applies scale and shift [c*d:(c+1)*d].  Y already holds
+    the residual: every path forms it as hop 0 of its channel GEMM.  Only a
+    carried snapshot joins here: X is the (..., n, d) carry, which joins
+    snapshot 0 of every channel of a (..., m, n, s*d) Y, or the channel
+    width d alone where there is none.  A (..., n, s*d) ``y0`` joins the sum
+    in snapshot 0 too.
 
-    X is the residual.  A (..., d) X on Y's rows joins every channel, and Y
-    is kept: the sum is formed once, in a new buffer.  Otherwise Y already
-    holds the residual (the fold's hop 0) and the op consumes Y: it forms the
-    sum, centres and scales it in Y's own buffer, which then holds the
-    normalized sum; Y must be an op output that nothing else reads.  X is
-    then the (..., n, d) carry, which joins snapshot 0 of every channel of a
-    (..., m, n, s*d) Y, or the channel width d alone where there is none.
+    The op consumes Y: it forms the sum, centres and scales it in Y's own
+    buffer, which then holds the normalized sum.  Y must be an op output
+    that nothing else reads, and the buffer that becomes Y's gradient holds
+    y0's as a view: y0 may have no other reader either.
 
     Given the (m', s*d) compression ``kernel`` (m' >= m), the op also
     compresses the snapshot axis, as ``temporal_compress`` of its output
@@ -327,15 +325,13 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
     sum and the per-row inverse std.  Without a kernel, the scale and shift
     gradients are matrix-vector products too.  With one, backward writes
     g * (scale * k_t) once into the buffer that becomes Y's gradient and
-    finishes it there, and y0's gradient is a view of it: neither Y nor y0
-    may have another reader.  One reduction, R[t] = the rows' sum of
-    g * xhat_t, gives the kernel's, the scale's and the shift's gradients,
-    and the normalized sum is used up.
+    finishes it there.  One reduction, R[t] = the rows' sum of g * xhat_t,
+    gives the kernel's, the scale's and the shift's gradients, and the
+    normalized sum is used up.
     """
     shape, width = y.value.shape, y.value.shape[-1]
-    d = x.value.shape[-1] if isinstance(x, Tensor) else x
-    full = isinstance(x, Tensor) and x.value.shape[:-1] == shape[:-1]
-    carry = isinstance(x, Tensor) and not full
+    carry = isinstance(x, Tensor)
+    d = x.value.shape[-1] if carry else x
     m = shape[-3] if len(shape) >= 3 else 0
     if (d < 1 or width % d or scale.value.shape != (width,) or shift.value.shape != (width,)
             or carry and (len(shape) < 3 or x.value.shape[:-1] != shape[:-3] + shape[-2:-1])
@@ -348,10 +344,7 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
                          + ("" if kernel is None else f" with kernel {kernel.shape}"))
     s = width // d
     avg = np.full(d, 1.0 / d)
-    if full:
-        xhat = (y.value.reshape(-1, s, d) + x.value.reshape(-1, 1, d)).reshape(-1, d)
-    else:
-        xhat = y.value.reshape(-1, d)
+    xhat = y.value.reshape(-1, d)
     if carry:  # snapshot 0 of every channel, (..., n, s, d)
         snap0 = xhat.reshape(shape)[..., 0, :, :].reshape(shape[:-3] + (shape[-2], s, d))
         snap0 += x.value[..., None, :]
@@ -402,12 +395,10 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
         dacc -= np.multiply(xhat, proj, out=tmp)
         dacc *= inv[:, None]
         dy = dacc.reshape(shape)
-        if full:
-            x.add_grad(dacc.reshape(-1, s, d).sum(axis=1).reshape(x.value.shape))
-        elif carry:
+        if carry:
             x.add_grad(dy[..., 0, :, :].reshape(x.value.shape[:-1] + (s, d)).sum(axis=-2))
         if y0 is not None:  # this op is y0's only reader: a view of Y's gradient
-            y0.add_grad(dy[..., 0, :, :], owned=kernel is not None)
+            y0.add_grad(dy[..., 0, :, :])
         y.add_grad(dy)
 
     tape.record(backward)

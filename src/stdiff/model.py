@@ -26,9 +26,11 @@ channel c in columns [c*d, (c+1)*d), in one ``ChannelBank``; each named
 channel parameter is a view into it, so no forward stacks weights and no
 backward splits their gradient.  The terms an ablation drops (``no_hstg``
 the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
-Whatever K and s are, a pass is then the channel GEMM Y = Z Theta (the
-fold GEMM on raw snapshots), one op that normalizes X + Y per channel and
-compresses it over time, and the mix GEMM.  That op folds the layer norm's
+Whatever K and s are, a pass is then the channel GEMM Y = [X | Z] Theta
+(the fold GEMM on raw snapshots), one op that normalizes Y per channel and
+compresses it over time, and the mix GEMM.  On every path "+ X" is hop 0
+of that GEMM, X against an identity block per channel, and only a carried
+snapshot joins the layer norm's sum itself.  That op folds the layer norm's
 scale and shift into the compression kernel, sum_t xhat_t (scale k_t) +
 shift sum_t k_t, so no pass writes a normalized block.
 
@@ -41,7 +43,7 @@ readings themselves, and Theta_fold with E once per channel, so one GEMM
 forms every raw snapshot's residual and diffusion terms, and no embedded
 snapshot is built.  Snapshot t reads t+1, never t-1, so no hop moves the
 carried snapshot out of snapshot 0: only it pays full width, through the
-row-0 operators its block graph holds, and its term and the carry itself
+row-0 operators the model builds once, and its term and the carry itself
 join the layer norm's sum there (hop 0 of the raw Z is zero in that
 snapshot).  The layer norm centres and scales the sum in Y's own buffer: Y
 is the fold GEMM's output, and nothing else reads it.
@@ -87,7 +89,7 @@ from .autodiff import ParamArray, Tape, Tensor
 from .data import dataclass_from_json
 from .errors import ArgumentError, ShapeError
 from .graph import SensorGraph
-from .stgraph import StBlockGraph, build_hstg
+from .stgraph import StBlockGraph, build_hstg, carry_operators
 
 ABLATIONS = ("full", "no_hstg", "no_two_step", "no_iteration")
 
@@ -175,7 +177,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 class IstdGcnModel:
-    """Holds the static block graphs and every trainable array.
+    """Holds the static block graphs, the carry's row-0 operators and every trainable array.
 
     Read-only during forward; concurrent forwards on separate tapes are
     safe.  Parameter updates require exclusive access.
@@ -185,6 +187,8 @@ class IstdGcnModel:
         self.config = config
         self.graph = graph
         self._blocks: dict[int, StBlockGraph] = {}
+        row0 = carry_operators(self.block_graph(config.effective_m))  # pass 0's block
+        self.carry_ops = [row0[op] for op in _kept_families(config.ablation).values()]
         rng = np.random.default_rng(seed)
         d, s = config.d, config.s
         self.input_embed = ParamArray("input_embed", _glorot(rng, 1, d, (1, d)))
@@ -270,14 +274,17 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
     before the temporal compression, on separate parameters, which it stacks
     per call; the output has the input's shape.  X feeds the hops of both
     graphs; a family whose theta list is empty is a dropped term, and K is
-    the longer list's length.
+    the longer list's length.  The residual is hop 0: Z = [X | hops] against
+    Theta = [I_d; Theta_nh1; Theta_h1; ...], so the layer norm adds nothing.
     """
     families = {name: g for name, g in _kept_families("full").items() if getattr(params, name)}
     k_hops = max(len(params.theta_nh), len(params.theta_h))
-    z = ad.spmm_diff(tape, [getattr(block, graph) for graph in families.values()], x, k_hops)
-    theta = ad.concat_features(
-        tape, [getattr(params, name)[k] for k in range(k_hops) for name in families], axis=0)
-    return ad.layer_norm(tape, x, ad.linear(tape, z, theta), params.ln_scale,
+    d = x.value.shape[-1]
+    z = ad.concat_features(tape, [x, ad.spmm_diff(
+        tape, [getattr(block, graph) for graph in families.values()], x, k_hops)])
+    theta = ad.concat_features(tape, [Tensor(np.eye(d))] + [
+        getattr(params, name)[k] for k in range(k_hops) for name in families], axis=0)
+    return ad.layer_norm(tape, d, ad.linear(tape, z, theta), params.ln_scale,
                          params.ln_shift, eps=ln_eps)
 
 
@@ -292,17 +299,15 @@ class RawTables:
     compressed with kernel rows 1..m', which no carry reaches.
     """
 
-    m: int
     start: int
     p0: Tensor
     rest: Tensor
 
 
-def _carry_term(tape: Tape, model: IstdGcnModel, m: int, carry: Tensor) -> Tensor:
-    """The carry's hops, through the full Theta, in snapshot 0 of an m-snapshot block."""
-    cfg, block = model.config, model.block_graph(m)
-    row0 = [getattr(block, f"{graph}_row0") for graph in _kept_families(cfg.ablation).values()]
-    return ad.linear(tape, ad.spmm_diff(tape, row0, carry, cfg.K), model.bank.theta)
+def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
+    """The carry's hops, through the full Theta, in snapshot 0 of a carried block."""
+    return ad.linear(tape, ad.spmm_diff(tape, model.carry_ops, carry, model.config.K),
+                     model.bank.theta)
 
 
 def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray | RawTables,
@@ -312,7 +317,8 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
 
     The layer norm is given the bank's compression kernel, so it returns the
     compressed (..., n, s*d) snapshot the mix GEMM reads.  Given a Tensor
-    block X, the channel term is Z(X) Theta, and the layer norm adds X.
+    block X, the channel term is [X | Z(X)] against Theta led by an identity
+    block per channel, so it holds the residual.
     Given the raw (..., m', n, 1) snapshots as a plain array,
     the block is ``carry`` (if any) then their embeddings, and the pass is
     folded against ``theta_fold`` (module docstring): hop 0 of the raw Z is
@@ -326,7 +332,7 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     cfg, bank = model.config, model.bank
     if isinstance(x, RawTables):
         lead = carry.value.shape[:-2]
-        y0 = _carry_term(tape, model, x.m + 1, carry)
+        y0 = _carry_term(tape, model, carry)
         # the layer norm consumes its Y, and other windows' passes read the same rows
         p0 = ad.take_rows(tape, x.p0, rows, lead, copy=True)
         h = ad.layer_norm(tape, carry, p0, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
@@ -340,11 +346,12 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     block = model.block_graph(x.shape[-3])
     ops = [getattr(block, graph) for graph in graphs]
     if not folded:
-        y = ad.linear(tape, ad.spmm_diff(tape, ops, x, cfg.K), bank.theta)
-        h = ad.layer_norm(tape, x, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
+        z = ad.concat_features(tape, [x, ad.spmm_diff(tape, ops, x, cfg.K)])
+        y = ad.linear(tape, z, ad.kron_linear(tape, Tensor(np.eye(cfg.d)), bank.theta))
+        h = ad.layer_norm(tape, cfg.d, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
                           kernel=bank.compress_kernel)
     else:
-        y0 = None if carry is None else _carry_term(tape, model, x.shape[-3], carry)
+        y0 = None if carry is None else _carry_term(tape, model, carry)
         z = np.concatenate([x, ad.diffuse(ops, x, cfg.K)], axis=-1)  # hop 0: the readings
         y = ad.linear(tape, z, theta_fold)
         h = ad.layer_norm(tape, cfg.d if carry is None else carry, y, bank.ln_scale,
@@ -382,7 +389,7 @@ def _run_tables(tape: Tape, model: IstdGcnModel, history: np.ndarray,
             [blocks, ad.diffuse([getattr(block, g) for g in graphs], blocks, cfg.K)], axis=-1)
         rest = ad.layer_norm(tape, cfg.d, ad.linear(tape, z[:, 1:], theta_fold), bank.ln_scale,
                              bank.ln_shift, eps=cfg.ln_eps, kernel=kernel)
-        tables[width] = RawTables(width, start, ad.linear(tape, z[:, :1], theta_fold), rest)
+        tables[width] = RawTables(start, ad.linear(tape, z[:, :1], theta_fold), rest)
     return tables
 
 
@@ -406,8 +413,7 @@ def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> Com
         lo = passes[-1][1]
         passes.append((lo, min(lo + m - 1, t_total)))
     folded = not isinstance(history, Tensor)
-    theta_fold = (ad.kron_linear(tape, model.input_embed, model.bank.theta, residual=True)
-                  if folded else None)
+    theta_fold = ad.kron_linear(tape, model.input_embed, model.bank.theta) if folded else None
     batch = math.prod(history.shape[:-3])
     com, tables = None, {}
     for lo, hi in passes:

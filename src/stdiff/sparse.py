@@ -49,10 +49,6 @@ class SparseMatrix:
         np.add.at(dense, (r, c), v)
         return SparseMatrix(dense)
 
-    @staticmethod
-    def from_dense(dense) -> "SparseMatrix":
-        return SparseMatrix(dense)
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -114,7 +110,7 @@ class SparseMatrix:
 
 
 def sparsify(dense) -> SparseMatrix:
-    return SparseMatrix.from_dense(dense)
+    return SparseMatrix(dense)
 
 
 def inverse_degrees(deg: np.ndarray) -> np.ndarray:

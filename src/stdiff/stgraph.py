@@ -121,13 +121,9 @@ def _spatial(g: SensorGraph) -> SparseMatrix:
 class StBlockGraph:
     """The coupled and decoupled diffusion operators of one block size m.
 
-    Both share one spatial matrix A + I.  ``coupled_row0`` and
-    ``decoupled_row0`` are their block row 0 alone, unshifted: the hops of a
-    carried snapshot, which no hop moves out of snapshot 0.
-
-    The six assembled matrices below are the specification, built on first
-    access (the hop powers as dense matrix powers) for tests and oracles
-    only.
+    Both share one spatial matrix A + I.  The six assembled matrices below
+    are the specification, built on first access (the hop powers as dense
+    matrix powers) for tests and oracles only.
     """
 
     graph: SensorGraph
@@ -135,8 +131,6 @@ class StBlockGraph:
     num_hops: int
     coupled: BlockDiffusion
     decoupled: BlockDiffusion
-    coupled_row0: BlockDiffusion
-    decoupled_row0: BlockDiffusion
 
     @property
     def n(self) -> int:
@@ -175,7 +169,7 @@ def build_nhstg_adjacency(g: SensorGraph, m: int) -> SparseMatrix:
     """The decoupled block adjacency kron(I_m, A + I): A + I on every diagonal block."""
     if m < 1:
         raise ArgumentError("need at least one snapshot")
-    return SparseMatrix.from_dense(np.kron(np.eye(m), _spatial(g).dense))
+    return SparseMatrix(np.kron(np.eye(m), _spatial(g).dense))
 
 
 def build_hstg_adjacency(g: SensorGraph, m: int) -> SparseMatrix:
@@ -185,7 +179,7 @@ def build_hstg_adjacency(g: SensorGraph, m: int) -> SparseMatrix:
     """
     if m < 2:
         raise ArgumentError("coupled graph needs at least two snapshots")
-    return SparseMatrix.from_dense(
+    return SparseMatrix(
         np.kron(np.eye(m), _spatial(g).dense) + np.kron(np.eye(m, k=1), np.eye(g.n)))
 
 
@@ -201,5 +195,16 @@ def build_hstg(g: SensorGraph, m: int, *, num_hops: int = 1) -> StBlockGraph:
     spatial = _spatial(g)
     # a single snapshot has no couplings: both graphs are the spatial one
     coupled, decoupled = _block_diffusion(spatial, m, int(m >= 2)), _block_diffusion(spatial, m, 0)
-    return StBlockGraph(g, m, num_hops, coupled, decoupled,
-                        *(BlockDiffusion(spatial, op.inv_deg[:1], 0) for op in (coupled, decoupled)))
+    return StBlockGraph(g, m, num_hops, coupled, decoupled)
+
+
+def carry_operators(block: StBlockGraph) -> dict[str, BlockDiffusion]:
+    """Block row 0 of the coupled and decoupled operators, unshifted: a carried snapshot's hops.
+
+    No hop moves the carry out of snapshot 0, and row 0 is the same in every
+    block of two or more snapshots, so one pair serves every carried block.
+    """
+    if block.m < 2:
+        raise ArgumentError("a carried block has at least two snapshots")
+    return {name: BlockDiffusion(op.spatial, op.inv_deg[:1], 0)
+            for name, op in (("coupled", block.coupled), ("decoupled", block.decoupled))}

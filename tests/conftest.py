@@ -42,14 +42,14 @@ def random_sparse(rng, rows, cols, density=0.4, nonneg=False):
     dense = np.where(mask, dense, 0.0)
     if not nonneg:
         dense *= np.where(rng.random((rows, cols)) < 0.5, 1.0, -1.0)
-    return SparseMatrix.from_dense(dense)
+    return SparseMatrix(dense)
 
 
 def random_sensor_graph(rng, n, density=0.5):
     """Nonnegative weighted graph without self-edges."""
     dense = rng.random((n, n)) * (rng.random((n, n)) < density)
     np.fill_diagonal(dense, 0.0)
-    return SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.from_dense(dense))
+    return SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix(dense))
 
 
 # bytes a mutation inserts: delimiter, comment and quote characters, a bare

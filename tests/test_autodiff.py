@@ -305,6 +305,17 @@ def zeros_like(x):
     return Tensor(np.zeros_like(x.value))
 
 
+def fresh(tape, y):
+    """Y as a new op output, which the layer norm may consume."""
+    return ad.add(tape, y, zeros_like(y))
+
+
+def residual_sum(tape, x, y):
+    """Y with the full-width residual X summed into every channel, as a new op output."""
+    d = x.value.shape[-1]
+    return ad.add(tape, y, ad.linear(tape, x, Tensor(np.tile(np.eye(d), y.value.shape[-1] // d))))
+
+
 class TestLayerNorm:
     def make(self, rng, d):
         return (ParamArray("scale", rng.standard_normal(d) + 1.0),
@@ -313,22 +324,20 @@ class TestLayerNorm:
     def test_constant_row_maps_to_shift(self):
         scale = ParamArray("s", np.ones(4))
         shift = ParamArray("b", np.zeros(4))
-        x = Tensor(np.full((2, 4), 3.0))
-        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift)
+        y = ad.layer_norm(Tape(), 4, Tensor(np.full((2, 4), 3.0)), scale, shift)
         assert np.allclose(y.value, 0.0)
 
     def test_unit_variance_row(self):
         scale = ParamArray("s", np.ones(2))
         shift = ParamArray("b", np.zeros(2))
-        x = Tensor(np.array([[1.0, -1.0]]))
-        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift, eps=1e-300)
+        y = ad.layer_norm(Tape(), 2, Tensor(np.array([[1.0, -1.0]])), scale, shift, eps=1e-300)
         assert np.allclose(y.value, [[1.0, -1.0]], atol=1e-12)
 
     def test_normalized_moments(self, rng):
         x = Tensor(rng.standard_normal((20, 8)) * 3 + 5)
         scale = ParamArray("s", np.ones(8))
         shift = ParamArray("b", np.zeros(8))
-        y = ad.layer_norm(Tape(), x, zeros_like(x), scale, shift, eps=1e-12).value
+        y = ad.layer_norm(Tape(), 8, x, scale, shift, eps=1e-12).value
         assert np.max(np.abs(y.mean(axis=1))) < 1e-10
         assert np.max(np.abs((y ** 2).mean(axis=1) - 1.0)) < 1e-6
 
@@ -338,11 +347,12 @@ class TestLayerNorm:
             x = ParamArray("x", rng.standard_normal((3, d)))
             scale, shift = self.make(rng, d)
             check_op([x, scale, shift],
-                     lambda tape: ad.layer_norm(tape, x, zeros_like(x), scale, shift),
+                     lambda tape: ad.layer_norm(tape, d, fresh(tape, x), scale, shift),
                      rng, tol=1e-4)
 
     def test_grouped_finite_differences(self, rng):
-        # three channels share the residual x; each normalizes x + its slice of y
+        # three channels share the residual x, summed into Y beforehand; each
+        # normalizes x + its slice of y
         for trial in range(30):
             d = int(rng.integers(2, 5))
             lead = (2, 3) if trial % 3 == 0 else (3,)
@@ -350,7 +360,8 @@ class TestLayerNorm:
             y = ParamArray("y", rng.standard_normal(lead + (3 * d,)))
             scale, shift = self.make(rng, 3 * d)
             check_op([x, y, scale, shift],
-                     lambda tape: ad.layer_norm(tape, x, y, scale, shift), rng, tol=1e-4)
+                     lambda tape: ad.layer_norm(tape, d, residual_sum(tape, x, y), scale, shift),
+                     rng, tol=1e-4)
 
     def test_grouped_matches_per_channel_numpy(self, rng):
         d, s, eps = 4, 3, 1e-5
@@ -358,7 +369,7 @@ class TestLayerNorm:
         y = rng.standard_normal((2, 5, s * d)) * 2 + 1
         scale = rng.standard_normal(s * d) + 1.0
         shift = rng.standard_normal(s * d)
-        got = ad.layer_norm(Tape(), Tensor(x), Tensor(y), Tensor(scale), Tensor(shift),
+        got = ad.layer_norm(Tape(), d, Tensor(y + np.tile(x, s)), Tensor(scale), Tensor(shift),
                             eps=eps).value
         for c in range(s):
             cols = slice(c * d, (c + 1) * d)
@@ -373,17 +384,16 @@ class TestLayerNorm:
     def test_matches_per_channel_formula(self, rng, s, d):
         # forward and backward against the textbook per-channel numpy formulas
         eps = 1e-5
-        x = ParamArray("x", rng.standard_normal((2, 5, d)) * 3 + 1)
+        x = rng.standard_normal((2, 5, d)) * 3 + 1
         y = ParamArray("y", rng.standard_normal((2, 5, s * d)))
         scale, shift = self.make(rng, s * d)
         g = rng.standard_normal((2, 5, s * d))
         tape = Tape()
-        out = ad.layer_norm(tape, x, y, scale, shift, eps=eps)
+        out = ad.layer_norm(tape, d, ad.add(tape, y, Tensor(np.tile(x, s))), scale, shift, eps=eps)
         tape.backward(project(tape, out, g))
-        want_dx = np.zeros_like(x.value)
         for c in range(s):
             cols = slice(c * d, (c + 1) * d)
-            acc = x.value + y.value[..., cols]
+            acc = x + y.value[..., cols]
             mu = acc.mean(axis=-1, keepdims=True)
             var = ((acc - mu) ** 2).mean(axis=-1, keepdims=True)
             inv = 1.0 / np.sqrt(var + eps)
@@ -393,16 +403,14 @@ class TestLayerNorm:
             dxhat = g[..., cols] * scale.value[cols]
             dacc = (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
-            want_dx += dacc
             assert np.max(np.abs(y.grad[..., cols] - dacc)) < 1e-12
             assert np.max(np.abs(scale.grad[cols] - (g[..., cols] * xhat).sum(axis=(0, 1)))) < 1e-12
             assert np.max(np.abs(shift.grad[cols] - g[..., cols].sum(axis=(0, 1)))) < 1e-12
-        assert np.max(np.abs(x.grad - want_dx)) < 1e-12
 
     def test_snapshot_term_joins_sum_in_snapshot_zero(self, rng):
-        # LN(X + Y, y0) equals LN(X + Y') with y0 added into Y's snapshot 0
+        # LN(carry, Y, y0) equals LN(carry, Y') with y0 added into Y's snapshot 0
         d, s = 3, 2
-        x = ParamArray("x", rng.standard_normal((2, 3, 4, d)))
+        x = ParamArray("x", rng.standard_normal((2, 4, d)))
         y = ParamArray("y", rng.standard_normal((2, 3, 4, s * d)))
         y0 = ParamArray("y0", rng.standard_normal((2, 4, s * d)))
         scale, shift = self.make(rng, s * d)
@@ -414,7 +422,7 @@ class TestLayerNorm:
                 p.zero_grad()
             tape = Tape()
             if joined:
-                out = ad.layer_norm(tape, x, y, scale, shift, y0=y0)
+                out = ad.layer_norm(tape, x, fresh(tape, y), scale, shift, y0=y0)
             else:
                 padded = ParamArray("padded", y.value.copy())
                 padded.value[:, 0] += y0.value
@@ -423,39 +431,36 @@ class TestLayerNorm:
             grads = [p.grad.copy() for p in params]
             runs.append((out.value, grads, y0.grad.copy() if joined else padded.grad[:, 0]))
         (got, got_grads, got_dy0), (want, want_grads, want_dy0) = runs
+        want_grads[1] = padded.grad  # Y' stands in for Y
         assert np.max(np.abs(got - want)) < 1e-12
-        for p, a, b in zip(params[:1] + params[2:], got_grads[:1] + got_grads[2:],
-                           want_grads[:1] + want_grads[2:]):
+        for p, a, b in zip(params, got_grads, want_grads):
             assert np.max(np.abs(a - b)) < 1e-12, p.name
         assert np.max(np.abs(got_dy0 - want_dy0)) < 1e-12
 
     def test_snapshot_term_finite_differences(self, rng):
-        x = ParamArray("x", rng.standard_normal((3, 2, 2)))
+        x = ParamArray("x", rng.standard_normal((2, 2)))
         y = ParamArray("y", rng.standard_normal((3, 2, 4)))
         y0 = ParamArray("y0", rng.standard_normal((2, 4)))
         scale, shift = self.make(rng, 4)
         check_op([x, y, y0, scale, shift],
-                 lambda tape: ad.layer_norm(tape, x, y, scale, shift, y0=y0), rng)
+                 lambda tape: ad.layer_norm(tape, x, fresh(tape, y), scale, shift, y0=y0), rng)
 
     @pytest.mark.parametrize("y_shape,y0_shape", [((3, 2, 4), (3, 4)), ((2, 4), (4,)),
                                                   ((3, 2, 4), (1, 2, 4))])
     def test_snapshot_term_shape_errors(self, rng, y_shape, y0_shape):
         scale, shift = self.make(rng, 4)
-        x = Tensor(rng.random(y_shape[:-1] + (2,)))
         with pytest.raises(ShapeError):
-            ad.layer_norm(Tape(), x, Tensor(rng.random(y_shape)), scale, shift,
+            ad.layer_norm(Tape(), 2, Tensor(rng.random(y_shape)), scale, shift,
                           y0=Tensor(rng.random(y0_shape)))
 
-    @pytest.mark.parametrize("x_shape,y_shape,width", [
-        ((3, 4), (3, 10), 10),   # y width not a multiple of d
-        ((3, 4), (2, 12), 12),   # rows disagree
-        ((3, 4), (3, 12), 4),    # scale/shift sized for one channel
+    @pytest.mark.parametrize("d,y_shape,width", [
+        (4, (3, 10), 10),   # y width not a multiple of d
+        (4, (3, 12), 4),    # scale/shift sized for one channel
     ])
-    def test_grouped_shape_errors(self, rng, x_shape, y_shape, width):
+    def test_grouped_shape_errors(self, rng, d, y_shape, width):
         scale, shift = self.make(rng, width)
         with pytest.raises(ShapeError):
-            ad.layer_norm(Tape(), Tensor(rng.random(x_shape)), Tensor(rng.random(y_shape)),
-                          scale, shift)
+            ad.layer_norm(Tape(), d, Tensor(rng.random(y_shape)), scale, shift)
 
 
 class TestLayerNormResidualInY:
@@ -472,39 +477,47 @@ class TestLayerNormResidualInY:
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("s,d", [(1, 4), (3, 2)])
-    def test_carry_join_equals_the_full_width_residual(self, rng, s, d, lead):
+    def test_carry_join_equals_summing_the_carry_into_y(self, rng, s, d, lead):
         m, n = 3, 4
-        full = ParamArray("x", rng.standard_normal(lead + (m, n, d)))
-        carry = ParamArray("carry", full.value[..., 0, :, :].copy())
+        carry = ParamArray("carry", rng.standard_normal(lead + (n, d)))
         y = ParamArray("y", rng.standard_normal(lead + (m, n, s * d)))
         y0 = ParamArray("y0", rng.standard_normal(lead + (n, s * d)))
         scale, shift = self.make(rng, s * d)
         g = rng.standard_normal(y.value.shape)
-        holds = y.value.copy()  # the raw snapshots' residual, already in Y
-        holds[..., 1:, :, :] += self.spread(full.value[..., 1:, :, :], s)
+        summed = Tensor(y.value.copy())  # the carry summed into snapshot 0 beforehand
+        summed.value[..., 0, :, :] += self.spread(carry.value, s)
         runs = []
-        for x, y_in in ((full, y.value), (carry, holds)):
-            for p in (x, y, y0, scale, shift):
+        for x, y_in in ((carry, None), (d, summed)):
+            for p in (carry, y, y0, scale, shift):
                 p.zero_grad()
             tape = Tape()
-            y_t = ad.add(tape, y, Tensor(y_in - y.value)) if x is carry else y
-            out = ad.layer_norm(tape, x, y_t, scale, shift, y0=y0)
+            out = ad.layer_norm(tape, x, fresh(tape, y) if y_in is None else y_in, scale, shift,
+                                y0=y0)
             tape.backward(project(tape, out, g))
-            runs.append((out.value, x.grad.copy(), [p.grad.copy() for p in (y, y0, scale, shift)]))
-        (want, dx, want_grads), (got, dcarry, got_grads) = runs
+            dy = y.grad.copy() if y_in is None else y_in.grad
+            dcarry = (carry.grad.copy() if y_in is None
+                      else dy[..., 0, :, :].reshape(lead + (n, s, d)).sum(axis=-2))
+            runs.append((out.value, dcarry, [dy] + [p.grad.copy() for p in (y0, scale, shift)]))
+        (got, got_dcarry, got_grads), (want, want_dcarry, want_grads) = runs
         assert np.max(np.abs(got - want)) < 1e-12
-        assert np.max(np.abs(dcarry - dx[..., 0, :, :])) < 1e-12
+        assert np.max(np.abs(got_dcarry - want_dcarry)) < 1e-12
         for a, b in zip(got_grads, want_grads):
             assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_width_alone_equals_the_full_width_residual(self, rng):
-        s, d = 3, 2
+    def test_width_alone_equals_the_residual_sum(self, rng):
+        # Y holds X + Y' per channel: the width form normalizes that sum
+        s, d, eps = 3, 2, 1e-5
         x = rng.standard_normal((2, 3, 4, d))
         y = rng.standard_normal((2, 3, 4, s * d))
         scale, shift = self.make(rng, s * d)
-        want = ad.layer_norm(Tape(), Tensor(x), Tensor(y), scale, shift).value
-        got = ad.layer_norm(Tape(), d, Tensor(y + self.spread(x, s)), scale, shift).value
-        assert np.max(np.abs(got - want)) < 1e-12
+        got = ad.layer_norm(Tape(), d, Tensor(y + self.spread(x, s)), scale, shift, eps=eps).value
+        for c in range(s):
+            cols = slice(c * d, (c + 1) * d)
+            acc = x + y[..., cols]
+            mu = acc.mean(axis=-1, keepdims=True)
+            xhat = (acc - mu) / np.sqrt(((acc - mu) ** 2).mean(axis=-1, keepdims=True) + eps)
+            want = xhat * scale.value[cols] + shift.value[cols]
+            assert np.max(np.abs(got[..., cols] - want)) < 1e-12
 
     def test_carry_join_finite_differences(self, rng):
         for s, d in ((1, 3), (2, 2)):
@@ -548,6 +561,17 @@ class TestLayerNormResidualInY:
         with pytest.raises(ShapeError):
             ad.layer_norm(Tape(), x, Tensor(rng.random(y_shape)), scale, shift)
 
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_full_width_x_rejected(self, rng, kernel):
+        # the residual is Y's hop 0: an X on every row of Y is no form of the op
+        s, d = 2, 3
+        x = Tensor(rng.random((2, 3, 4, d)))
+        y = Tensor(rng.random((2, 3, 4, s * d)))
+        scale, shift = self.make(rng, s * d)
+        with pytest.raises(ShapeError):
+            ad.layer_norm(Tape(), x, y, scale, shift,
+                          kernel=Tensor(rng.random((3, s * d))) if kernel else None)
+
 
 class TestLayerNormCompressed:
     """Given the compression kernel, the layer norm returns the compressed snapshot."""
@@ -560,7 +584,8 @@ class TestLayerNormCompressed:
                 ParamArray("kernel", rng.standard_normal((rows or self.M, width))))
 
     def inputs(self, rng, form, lead, s, d):
-        """(X, y0) for each form of X: full width, the carry with or without y0, the width d."""
+        """(X, y0) for each form of X: a full-width residual summed into Y beforehand, the
+        carry with or without y0, the width d."""
         m, n = self.M, self.N
         y0 = ParamArray("y0", rng.standard_normal(lead + (n, s * d))) if form == "carry_y0" else None
         if form == "full":
@@ -570,13 +595,19 @@ class TestLayerNormCompressed:
         return d, y0
 
     @staticmethod
-    def run(x, y, y0, scale, shift, kernel, g, compressed):
-        """Output and gradients of the kernel form or of its two-op reference, on a fresh Y."""
+    def operands(tape, x, y):
+        """The op's X and a fresh Y, which it consumes; a full-width X is summed into Y."""
+        if isinstance(x, Tensor) and x.value.ndim == y.value.ndim:
+            return x.value.shape[-1], residual_sum(tape, x, y)
+        return x, fresh(tape, y)
+
+    def run(self, x, y, y0, scale, shift, kernel, g, compressed):
+        """Output and gradients of the kernel form or of its two-op reference."""
         params = [p for p in (x, y, y0, scale, shift, kernel) if isinstance(p, Tensor)]
         for p in params:
             p.zero_grad()
         tape = Tape()
-        y_in = ad.add(tape, y, Tensor(np.zeros(y.value.shape)))  # the op consumes its Y
+        x, y_in = self.operands(tape, x, y)
         if compressed:
             out = ad.layer_norm(tape, x, y_in, scale, shift, y0=y0, kernel=kernel)
         else:
@@ -609,11 +640,9 @@ class TestLayerNormCompressed:
             x, y0 = self.inputs(rng, form, (2,), s, d)
             y = ParamArray("y", rng.standard_normal((2, self.M, self.N, s * d)))
             scale, shift, kernel = self.make(rng, s * d)
-            zero = Tensor(np.zeros(y.value.shape))
             params = [p for p in (x, y, y0, scale, shift, kernel) if isinstance(p, Tensor)]
-            # a fresh Y per call: the op consumes the one it is given
             check_op(params, lambda tape: ad.layer_norm(
-                tape, x, ad.add(tape, y, zero), scale, shift, y0=y0, kernel=kernel), rng)
+                tape, *self.operands(tape, x, y), scale, shift, y0=y0, kernel=kernel), rng)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_kernel_rows_past_the_block_get_no_gradient(self, rng, form):
@@ -732,27 +761,27 @@ class TestConcatFeatures:
 
 
 class TestKronLinear:
-    @pytest.mark.parametrize("r,a,f,c", [(1, 1, 3, 2), (2, 1, 4, 6), (3, 2, 3, 5)])
+    @pytest.mark.parametrize("r,a,f,c", [(1, 1, 3, 3), (2, 1, 4, 8), (3, 2, 3, 6)])
     def test_forward_equals_kron_product(self, rng, r, a, f, c):
         e, theta = rng.standard_normal((a, f)), rng.standard_normal((r * f, c))
         got = ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
         want = np.kron(np.eye(r), e) @ theta
-        assert got.shape == (r * a, c)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert got.shape == ((1 + r) * a, c)
+        assert np.max(np.abs(got[a:] - want)) < 1e-12
 
     def test_folds_the_gemm_of_kron_features(self, rng):
         # (Z ⊗ E) Theta = Z (I ⊗ E) Theta, Z with r blocks of a features
-        r, a, f, c = 3, 2, 4, 5
+        r, a, f, c = 3, 2, 4, 8
         z, e = rng.standard_normal((7, r * a)), rng.standard_normal((a, f))
         theta = rng.standard_normal((r * f, c))
         wide = (z.reshape(7, r, a) @ e).reshape(7, r * f)
-        got = z @ ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
+        got = z @ ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value[a:]
         assert np.max(np.abs(got - wide @ theta)) < 1e-12
 
     def test_finite_differences(self, rng):
         for r, a in ((1, 1), (2, 1), (3, 2)):
             e = ParamArray("e", rng.standard_normal((a, 3)))
-            theta = ParamArray("theta", rng.standard_normal((r * 3, 4)))
+            theta = ParamArray("theta", rng.standard_normal((r * 3, 6)))
             check_op([e, theta], lambda tape: ad.kron_linear(tape, e, theta), rng)
 
     @pytest.mark.parametrize("e_shape,theta_shape", [((1, 3), (4, 2)), ((3,), (3, 2)),
@@ -763,22 +792,22 @@ class TestKronLinear:
 
 
 class TestKronLinearResidual:
-    """A leading row block of E repeated over Theta's column blocks: the fold's hop 0."""
+    """A leading row block of E repeated over Theta's column blocks: the residual as hop 0."""
 
     @pytest.mark.parametrize("r,a,f,s", [(1, 1, 3, 1), (2, 1, 4, 3), (3, 2, 3, 2)])
     def test_forward_leads_with_e_repeated(self, rng, r, a, f, s):
         e, theta = rng.standard_normal((a, f)), rng.standard_normal((r * f, s * f))
-        got = ad.kron_linear(Tape(), Tensor(e), Tensor(theta), residual=True).value
+        got = ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
         assert got.shape == ((1 + r) * a, s * f)
         assert np.array_equal(got[:a], np.tile(e, s))
-        assert np.array_equal(got[a:], ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value)
+        assert np.array_equal(got[a:], (e @ theta.reshape(r, f, s * f)).reshape(r * a, s * f))
 
     def test_folds_the_residual_into_the_gemm(self, rng):
         # [X | Z] (residual rows; fold) = X ⊗ E repeated per channel + (Z ⊗ E) Theta
         r, f, s = 2, 4, 3
         x, z = rng.standard_normal((7, 1)), rng.standard_normal((7, r))
         e, theta = rng.standard_normal((1, f)), rng.standard_normal((r * f, s * f))
-        fold = ad.kron_linear(Tape(), Tensor(e), Tensor(theta), residual=True).value
+        fold = ad.kron_linear(Tape(), Tensor(e), Tensor(theta)).value
         want = np.tile(x @ e, s) + (z[:, :, None] * e).reshape(7, r * f) @ theta
         assert np.max(np.abs(np.concatenate([x, z], axis=1) @ fold - want)) < 1e-12
 
@@ -786,12 +815,11 @@ class TestKronLinearResidual:
         for r, a, s in ((1, 1, 1), (2, 1, 3), (3, 2, 2)):
             e = ParamArray("e", rng.standard_normal((a, 3)))
             theta = ParamArray("theta", rng.standard_normal((r * 3, s * 3)))
-            check_op([e, theta], lambda tape: ad.kron_linear(tape, e, theta, residual=True), rng)
+            check_op([e, theta], lambda tape: ad.kron_linear(tape, e, theta), rng)
 
     def test_columns_not_whole_blocks_rejected(self, rng):
         with pytest.raises(ShapeError):
-            ad.kron_linear(Tape(), Tensor(rng.random((1, 3))), Tensor(rng.random((6, 4))),
-                           residual=True)
+            ad.kron_linear(Tape(), Tensor(rng.random((1, 3))), Tensor(rng.random((6, 4))))
 
 
 def test_diffuse_is_spmm_diff_forward_without_a_record(rng):

@@ -55,8 +55,7 @@ class TestStscForward:
         ch = zero_channel(block, 4, 2, 2)
         x = Tensor(rng.standard_normal((6, 4)))
         out = stsc_forward(Tape(), ch, block, x)
-        zeros = Tensor(np.zeros_like(x.value))
-        expected = ad.layer_norm(Tape(), x, zeros, ch.ln_scale, ch.ln_shift).value
+        expected = ad.layer_norm(Tape(), 4, Tensor(x.value.copy()), ch.ln_scale, ch.ln_shift).value
         assert np.array_equal(out.value, expected)
 
     def test_dense_term_by_term_oracle(self, rng):
@@ -791,6 +790,29 @@ class TestRunPath:
         got = forward(Tape(record=False), model, windows).value
         want = np.stack([forward(Tape(record=False), model, w).value for w in windows])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("config", [dict(K=2, m=4, s=2), dict(K=1, m=2, s=1)])
+    def test_run_equals_the_reference_path(self, rng, config):
+        # the generic path diffuses each pass at full width, with the carry in
+        # its block, and folds nothing: it shares neither the fold nor the
+        # carry split with a run
+        model = self.model(rng, 4, **config)
+        cfg = model.config
+        windows = run_of_windows(rng, 8, cfg.T, 4)
+        got = forward(Tape(record=False), model, windows).value
+        want = np.stack([generic_forward(Tape(record=False), model, w).value for w in windows])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        target = rng.standard_normal((8, cfg.H, 4, 1))
+        grads = []
+        for run in (forward, generic_forward):
+            model.zero_grads()
+            tape = Tape()
+            tape.backward(mae_l2_loss(tape, run(tape, model, windows), target, model.params(),
+                                      1e-4))
+            grads.append([p.grad.copy() for p in model.params()])
+        for p, got_grad, want_grad in zip(model.params(), *grads):
+            assert (np.max(np.abs(got_grad - want_grad))
+                    <= 1e-10 * max(1.0, np.max(np.abs(want_grad)))), p.name
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_gradients_equal_the_per_pass_path(self, rng, config):

@@ -6,7 +6,8 @@ from stdiff.autodiff import Tape, Tensor
 from stdiff.errors import ArgumentError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.sparse import sparsify
-from stdiff.stgraph import _block_diffusion, build_hstg, build_hstg_adjacency, build_nhstg_adjacency
+from stdiff.stgraph import (_block_diffusion, build_hstg, build_hstg_adjacency,
+                            build_nhstg_adjacency, carry_operators)
 
 from conftest import random_sensor_graph
 
@@ -247,14 +248,20 @@ class TestBlockDiffusion:
         assert build_hstg(g, 1).coupled.shift == 0
 
     def test_row0_operators_are_block_row_0_of_a_carried_snapshot(self, rng):
-        block = build_hstg(random_sensor_graph(rng, 4), 3)
-        x = np.zeros((2, 3, 4, 3))
-        x[:, 0] = rng.standard_normal((2, 4, 3))  # the carry, with the later snapshots zero
-        for op, row0 in ((block.coupled, block.coupled_row0),
-                         (block.decoupled, block.decoupled_row0)):
-            assert row0.spatial is op.spatial and row0.shift == 0
-            assert np.array_equal(row0.inv_deg, op.inv_deg[:1])
-            assert np.array_equal(row0.apply(x[:, :1]), op.apply(x)[:, :1])
+        # one pair of carry operators serves every block of two or more snapshots
+        g = random_sensor_graph(rng, 4)
+        carry_ops = carry_operators(build_hstg(g, 2))
+        for m in (2, 3, 5):
+            block = build_hstg(g, m)
+            x = np.zeros((2, m, 4, 3))
+            x[:, 0] = rng.standard_normal((2, 4, 3))  # the carry, with the later snapshots zero
+            for name in ("coupled", "decoupled"):
+                op, row0 = getattr(block, name), carry_ops[name]
+                assert row0.spatial is op.spatial and row0.shift == 0
+                assert np.array_equal(row0.inv_deg, op.inv_deg[:1])
+                assert np.array_equal(row0.apply(x[:, :1]), op.apply(x)[:, :1])
+        with pytest.raises(ArgumentError):
+            carry_operators(build_hstg(g, 1))
 
     def test_shape_mismatch(self, rng):
         op = build_hstg(random_sensor_graph(rng, 3), 2).coupled

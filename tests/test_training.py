@@ -362,7 +362,7 @@ def faults_per_step(seed, n=12, batch=32, warm_up=3, counted=5):
     rng = np.random.default_rng(seed)
     dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     np.fill_diagonal(dense, 0.0)
-    graph = SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix.from_dense(dense))
+    graph = SensorGraph(n, tuple(f"v{i}" for i in range(n)), SparseMatrix(dense))
     cfg = ModelConfig(K=1, s=1, d=128, m=4, T=12, H=12)
     model = IstdGcnModel(cfg, graph, seed=seed)
     params, state, config = model.params(), AdamState(), TrainConfig()
