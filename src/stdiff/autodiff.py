@@ -187,27 +187,30 @@ def linear(tape: Tape, x: Tensor | np.ndarray, theta: Tensor) -> Tensor:
     return out
 
 
-def kron_linear(tape: Tape, e: Tensor, theta: Tensor) -> Tensor:
+def kron_linear(tape: Tape, e: Tensor | np.ndarray, theta: Tensor) -> Tensor:
     """[E repeated; (I_r ⊗ E) Theta], ((1 + r)*a, c), for E (a, f) and Theta (r*f, c).
 
     (Z ⊗ E) Theta = Z (I_r ⊗ E) Theta: a GEMM over r*a columns, not r*f.
     The a rows of E repeated over Theta's c/f column blocks lead: a Z that
     leads with X then adds X ⊗ E itself to every block, the residual as a
     hop 0 with identity weight.  Every path forms its residual this way.
+    An E given as a plain array (the generic path's identity) is data: it
+    gets no gradient.
     """
-    if (e.value.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % e.value.shape[1]
-            or theta.value.shape[1] % e.value.shape[1]):
-        raise ShapeError(f"kron_linear shape mismatch {e.shape} ⊗ {theta.shape}")
-    (a, f), c = e.value.shape, theta.value.shape[1]
+    ev = e if isinstance(e, np.ndarray) else e.value
+    if (ev.ndim != 2 or theta.value.ndim != 2 or theta.value.shape[0] % ev.shape[1]
+            or theta.value.shape[1] % ev.shape[1]):
+        raise ShapeError(f"kron_linear shape mismatch {ev.shape} ⊗ {theta.shape}")
+    (a, f), c = ev.shape, theta.value.shape[1]
     blocks = theta.value.reshape(-1, f, c)
-    out = Tensor(np.concatenate([np.tile(e.value, c // f), (e.value @ blocks).reshape(-1, c)]))
+    out = Tensor(np.concatenate([np.tile(ev, c // f), (ev @ blocks).reshape(-1, c)]))
 
     def backward():
-        g = out.grad
-        e.add_grad(g[:a].reshape(a, c // f, f).sum(axis=1))
-        g = g[a:].reshape(-1, a, c)
-        e.add_grad(np.einsum("rac,rfc->af", g, blocks))
-        theta.add_grad((e.value.T @ g).reshape(theta.value.shape))
+        g = out.grad[a:].reshape(-1, a, c)
+        if ev is not e:
+            e.add_grad(out.grad[:a].reshape(a, c // f, f).sum(axis=1))
+            e.add_grad(np.einsum("rac,rfc->af", g, blocks))
+        theta.add_grad((ev.T @ g).reshape(theta.value.shape))
 
     tape.record(backward)
     return out
@@ -290,6 +293,69 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
             acc, h = _transposed_hop(ops, acc, out=h), acc
         for i in reversed(range(r)):
             x.add_grad(acc[..., i, :].reshape(x.value.shape), owned=False)
+
+    tape.record(backward)
+    return out
+
+
+def carry_term(tape: Tape, ops: list[BlockDiffusion], carry: Tensor, k_hops: int,
+               theta: Tensor, inv: np.ndarray) -> Tensor:
+    """sum_k sum_i (P_i^k C) Theta_{k,i}: a carried snapshot's hops through the channel GEMM.
+
+    C is the (..., n, d) carry and the operators are a block graph's
+    unshifted row 0 (``stgraph.carry_operators``): no shift and no snapshot
+    axis, so no hop leaves C's snapshot.  Theta is (k_hops*r*d, w), block
+    (k, i) in rows [(k*r + i)*d, (k*r + i + 1)*d): the value is
+    ``linear(spmm_diff(ops, C, k_hops), theta)``.  ``inv`` (r, n, d) holds
+    each operator's inverse row degrees repeated over the d features.
+
+    Hop k of every operator is one (r, ..., n, d) array, operator i's hop a
+    contiguous slab of it, so each row scaling is one contiguous pass: hop 1
+    is inv * (A + I) C, and hop k > 1 is (A + I) times every slab of hop k-1,
+    one spatial product per hop, scaled in place.  Each slab meets its Theta
+    block in its own GEMM, and the GEMMs accumulate into the output.
+    Backward runs the transposed recursion gC = sum_i P_i^T(G_1 + P_i^T(G_2
+    + ...)) on the slabs, in two buffers, and writes Theta's gradient block
+    by block; the output's gradient is left as it is.  P carries no gradient.
+    """
+    spatial = _spatial_of(ops, k_hops)
+    if any(op.shift or op.m != 1 for op in ops):
+        raise ArgumentError("carry_term takes unshifted one-snapshot operators")
+    cv, tv, r, n = carry.value, theta.value, len(ops), spatial.cols
+    if (cv.ndim < 2 or cv.shape[-2] != n or tv.ndim != 2
+            or tv.shape[0] != k_hops * r * cv.shape[-1] or inv.shape != (r,) + cv.shape[-2:]):
+        raise ShapeError(f"carry_term cannot diffuse {carry.shape} through {r} operators "
+                         f"and {k_hops} hops into {theta.shape} with inverse degrees {inv.shape}")
+    d, w, lead = cv.shape[-1], tv.shape[1], cv.shape[:-2]
+    scale = inv.reshape((r,) + (1,) * len(lead) + (n, d))
+    hops = np.empty((k_hops, r) + cv.shape)
+    np.multiply(spatial.matmul_dense(cv), scale, out=hops[0])
+    for k in range(1, k_hops):
+        spatial.matmul_dense(hops[k - 1], out=hops[k])
+        hops[k] *= scale
+    slabs, blocks = hops.reshape(k_hops, r, -1, d), tv.reshape(k_hops, r, d, w)
+    terms = (slabs[k, i] @ blocks[k, i] for k in range(k_hops) for i in range(r))
+    out_value = next(terms)
+    for term in terms:
+        out_value += term
+    out = Tensor(out_value.reshape(lead + (n, w)))
+
+    def backward():
+        g = out.grad.reshape(-1, w)  # a strided gradient is copied once
+        grad = theta.ensure_grad()
+        for k in range(k_hops):
+            for i in range(r):
+                grad[(k * r + i) * d:(k * r + i + 1) * d] += slabs[k, i].T @ g
+        acc, buf = np.empty_like(hops[0]), np.empty_like(hops[0])
+        for k in reversed(range(k_hops)):
+            for i in range(r):  # G_k of every operator, into its slab
+                np.matmul(g, blocks[k, i].T, out=buf[i].reshape(-1, d))
+            if k < k_hops - 1:
+                buf += acc
+            buf *= scale
+            np.matmul(spatial.dense.T, buf, out=acc)
+        for i in reversed(range(r)):
+            carry.add_grad(acc[i], owned=False)
 
     tape.record(backward)
     return out

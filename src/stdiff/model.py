@@ -45,8 +45,12 @@ snapshot is built.  Snapshot t reads t+1, never t-1, so no hop moves the
 carried snapshot out of snapshot 0: only it pays full width, through the
 row-0 operators the model builds once, and its term and the carry itself
 join the layer norm's sum there (hop 0 of the raw Z is zero in that
-snapshot).  The layer norm centres and scales the sum in Y's own buffer: Y
-is the fold GEMM's output, and nothing else reads it.
+snapshot).  The term is one ``autodiff.carry_term`` op, on every path that
+folds: each operator's hop of the carry is a contiguous slab, scaled by
+the (r, n, d) inverse degrees the model builds next to the operators, and
+each slab meets its Theta block in its own GEMM, so no hop is written into
+a strided column block of a Z.  The layer norm centres and scales the sum
+in Y's own buffer: Y is the fold GEMM's output, and nothing else reads it.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one compresses the running
@@ -177,7 +181,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 class IstdGcnModel:
-    """Holds the static block graphs, the carry's row-0 operators and every trainable array.
+    """Holds the block graphs, the carry's row-0 operators and inverse degrees, and every parameter.
 
     Read-only during forward; concurrent forwards on separate tapes are
     safe.  Parameter updates require exclusive access.
@@ -189,6 +193,10 @@ class IstdGcnModel:
         self._blocks: dict[int, StBlockGraph] = {}
         row0 = carry_operators(self.block_graph(config.effective_m))  # pass 0's block
         self.carry_ops = [row0[op] for op in _kept_families(config.ablation).values()]
+        # each operator's row scaling over the carry's d features, for ``carry_term``
+        self.carry_inv = np.stack([np.repeat(op.inv_deg.T, config.d, axis=1)
+                                   for op in self.carry_ops])
+        self.carry_inv.flags.writeable = False
         rng = np.random.default_rng(seed)
         d, s = config.d, config.s
         self.input_embed = ParamArray("input_embed", _glorot(rng, 1, d, (1, d)))
@@ -305,9 +313,15 @@ class RawTables:
 
 
 def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
-    """The carry's hops, through the full Theta, in snapshot 0 of a carried block."""
-    return ad.linear(tape, ad.spmm_diff(tape, model.carry_ops, carry, model.config.K),
-                     model.bank.theta)
+    """The carry's hops through the full Theta, in snapshot 0 of a carried block: one op.
+
+    ``autodiff.carry_term`` diffuses the carry through the row-0 operators,
+    each operator's hop a contiguous slab scaled by ``model.carry_inv``, and
+    meets each slab with its Theta block, so no hop is written into a strided
+    column block of a Z.
+    """
+    return ad.carry_term(tape, model.carry_ops, carry, model.config.K, model.bank.theta,
+                         model.carry_inv)
 
 
 def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray | RawTables,
@@ -347,7 +361,7 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     ops = [getattr(block, graph) for graph in graphs]
     if not folded:
         z = ad.concat_features(tape, [x, ad.spmm_diff(tape, ops, x, cfg.K)])
-        y = ad.linear(tape, z, ad.kron_linear(tape, Tensor(np.eye(cfg.d)), bank.theta))
+        y = ad.linear(tape, z, ad.kron_linear(tape, np.eye(cfg.d), bank.theta))
         h = ad.layer_norm(tape, cfg.d, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
                           kernel=bank.compress_kernel)
     else:

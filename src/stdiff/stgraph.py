@@ -103,8 +103,10 @@ class BlockDiffusion:
         return y.reshape(g.shape)
 
 
-def _block_diffusion(spatial: SparseMatrix, m: int, shift: int) -> BlockDiffusion:
-    deg = np.tile(spatial.row_degrees(), (m, 1))
+def _block_diffusion(spatial: SparseMatrix, m: int, shift: int,
+                     row_degrees: np.ndarray | None = None) -> BlockDiffusion:
+    """The operator of an m-snapshot block; ``row_degrees`` are the spatial matrix's, if known."""
+    deg = np.tile(spatial.row_degrees() if row_degrees is None else row_degrees, (m, 1))
     deg[:-1] += shift  # the coupling to the next snapshot
     inv = inverse_degrees(deg)
     inv.flags.writeable = False
@@ -193,8 +195,10 @@ def build_hstg(g: SensorGraph, m: int, *, num_hops: int = 1) -> StBlockGraph:
     if m < 1:
         raise ArgumentError("need at least one snapshot")
     spatial = _spatial(g)
+    deg = spatial.row_degrees()  # summed once for both operators
     # a single snapshot has no couplings: both graphs are the spatial one
-    coupled, decoupled = _block_diffusion(spatial, m, int(m >= 2)), _block_diffusion(spatial, m, 0)
+    coupled = _block_diffusion(spatial, m, int(m >= 2), deg)
+    decoupled = _block_diffusion(spatial, m, 0, deg)
     return StBlockGraph(g, m, num_hops, coupled, decoupled)
 
 

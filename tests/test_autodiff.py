@@ -10,7 +10,7 @@ from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.sparse import SparseMatrix, sparsify
-from stdiff.stgraph import _block_diffusion, build_hstg
+from stdiff.stgraph import BlockDiffusion, _block_diffusion, build_hstg, carry_operators
 from stdiff.training import mae_l2_loss
 
 from conftest import random_sensor_graph
@@ -299,6 +299,94 @@ class TestOneSpatialProductPerHop:
                 ad.diffuse(ops, x, 1)
             with pytest.raises(ArgumentError):
                 ad.spmm_diff(Tape(), ops, Tensor(x), 2)
+
+
+def carry_inputs(rng, n_ops, k_hops, lead, d=3, width=5):
+    """Row-0 operators of a random block graph, their (r, n, d) inverse degrees,
+    a carry and a theta, both parameters."""
+    row0 = carry_operators(build_hstg(random_sensor_graph(rng, int(rng.integers(1, 6))), 2))
+    ops = [row0["decoupled"], row0["coupled"]][:n_ops]
+    inv = np.stack([np.repeat(op.inv_deg.T, d, axis=1) for op in ops])
+    x = ParamArray("x", rng.standard_normal(lead + (ops[0].n, d)))
+    theta = ParamArray("theta", rng.standard_normal((k_hops * n_ops * d, width)))
+    return ops, inv, x, theta
+
+
+class TestCarryTerm:
+    """A carried snapshot's hops through the channel weights, each hop in contiguous slabs."""
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    @pytest.mark.parametrize("n_ops", [1, 2])
+    def test_equals_linear_of_spmm_diff(self, rng, n_ops, k_hops, lead):
+        ops, inv, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
+        w = rng.standard_normal(lead + (ops[0].n, theta.value.shape[1]))
+        results = []
+        for build in (lambda tape: ad.carry_term(tape, ops, x, k_hops, theta, inv),
+                      lambda tape: ad.linear(tape, ad.spmm_diff(tape, ops, x, k_hops), theta)):
+            x.zero_grad()
+            theta.zero_grad()
+            tape = Tape()
+            out = build(tape)
+            tape.backward(project(tape, out, w))
+            results.append((out.value, x.grad.copy(), theta.grad.copy()))
+        (got, *got_grads), (want, *want_grads) = results
+        assert got.shape == want.shape == lead + (ops[0].n, theta.value.shape[1])
+        assert np.max(np.abs(got - want)) < 1e-12
+        for a, b in zip(got_grads, want_grads):
+            assert np.max(np.abs(a - b)) < 1e-10
+
+    @pytest.mark.parametrize("k_hops", [1, 3])
+    @pytest.mark.parametrize("n_ops", [1, 2])
+    def test_finite_differences(self, rng, n_ops, k_hops):
+        for lead in ((), (2,)):
+            ops, inv, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
+            check_op([x, theta], lambda tape: ad.carry_term(tape, ops, x, k_hops, theta, inv),
+                     rng)
+
+    @pytest.mark.parametrize("k_hops", [1, 2, 3])
+    def test_one_spatial_product_per_hop(self, rng, monkeypatch, k_hops):
+        calls = []
+        matmul_dense = SparseMatrix.matmul_dense
+
+        def counting(self, x, out=None):
+            calls.append(x.shape)
+            return matmul_dense(self, x, out=out)
+
+        monkeypatch.setattr(SparseMatrix, "matmul_dense", counting)
+        ops, inv, x, theta = carry_inputs(rng, 2, k_hops, (3,))
+        tape = Tape()
+        out = ad.carry_term(tape, ops, x, k_hops, theta, inv)
+        tape.backward(project(tape, out, np.ones(out.value.shape)))
+        assert len(calls) == k_hops
+
+    def test_backward_leaves_output_gradient_untouched(self, rng):
+        ops, inv, x, theta = carry_inputs(rng, 2, 3, (2,))
+        tape = Tape()
+        out = ad.carry_term(tape, ops, x, 3, theta, inv)
+        w = rng.standard_normal(out.value.shape)
+        tape.backward(project(tape, out, w))
+        assert np.array_equal(out.grad, w)
+
+    def test_shifted_or_multi_snapshot_operators_rejected(self, rng):
+        block = build_hstg(random_sensor_graph(rng, 3), 2)
+        row0 = carry_operators(block)["coupled"]
+        shifted = BlockDiffusion(row0.spatial, row0.inv_deg, 1)
+        x, theta = Tensor(rng.random((3, 2))), Tensor(rng.random((2, 2)))
+        inv = np.ones((1, 3, 2))
+        for op in (block.coupled, block.decoupled, shifted):
+            with pytest.raises(ArgumentError):
+                ad.carry_term(Tape(), [op], x, 1, theta, inv)
+
+    @pytest.mark.parametrize("x_shape,theta_rows,inv_shape",
+                             [((4, 2), 4, (2, 3, 2)), ((3, 2), 6, (2, 3, 2)),
+                              ((3, 2), 4, (1, 3, 2)), ((3, 2), 4, (2, 3, 1)),
+                              ((3,), 4, (2, 3, 2))])
+    def test_shape_errors(self, rng, x_shape, theta_rows, inv_shape):
+        ops = list(carry_operators(build_hstg(random_sensor_graph(rng, 3), 2)).values())
+        with pytest.raises(ShapeError):
+            ad.carry_term(Tape(), ops, Tensor(rng.random(x_shape)), 1,
+                          Tensor(rng.random((theta_rows, 2))), np.ones(inv_shape))
 
 
 def zeros_like(x):
@@ -789,6 +877,24 @@ class TestKronLinear:
     def test_shape_mismatch(self, rng, e_shape, theta_shape):
         with pytest.raises(ShapeError):
             ad.kron_linear(Tape(), Tensor(rng.random(e_shape)), Tensor(rng.random(theta_shape)))
+
+    def test_plain_array_e_is_data(self, rng):
+        # the same output and a bit-identical theta gradient, and no E gradient
+        e = rng.standard_normal((2, 3))
+        theta = ParamArray("theta", rng.standard_normal((6, 6)))
+        w = rng.standard_normal((6, 6))
+        results = []
+        for given in (Tensor(e), e):
+            theta.zero_grad()
+            tape = Tape()
+            out = ad.kron_linear(tape, given, theta)
+            tape.backward(project(tape, out, w))
+            results.append((out.value, theta.grad.copy(), getattr(given, "grad", None)))
+        (tensor_out, tensor_grad, e_grad), (plain_out, plain_grad, _) = results
+        assert e_grad is not None
+        assert np.array_equal(tensor_out, plain_out)
+        assert np.array_equal(tensor_grad, plain_grad)
+        check_op([theta], lambda tape: ad.kron_linear(tape, e, theta), rng)
 
 
 class TestKronLinearResidual:

@@ -356,22 +356,71 @@ class TestEmbeddingFold:
                     assert np.max(np.abs(a - b)) < 1e-10, (p.name, case)
 
     def test_full_width_work_only_on_the_carry(self, rng, monkeypatch):
-        # the GEMMs against the full theta see one snapshot per carried pass:
-        # T=12, m=4 makes 3 carried passes
+        # the GEMMs against the full theta see one snapshot per carried pass,
+        # all of them in carry_term: T=12, m=4 makes 3 carried passes
         n = 3
         cfg = ModelConfig(K=1, m=4, s=1, d=8, T=12, H=1)
         model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
         widths = []
-        linear = ad.linear
+        linear, carry_term = ad.linear, ad.carry_term
 
         def counting(tape, x, theta):  # x is a Tensor, or a plain array of data
-            widths.append((getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
+            widths.append(("linear", getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
             return linear(tape, x, theta)
 
+        def counting_carry(tape, ops, carry, k_hops, theta, inv):
+            widths.append(("carry_term", carry.value.shape[:-1], theta.value.shape[0]))
+            return carry_term(tape, ops, carry, k_hops, theta, inv)
+
         monkeypatch.setattr(ad, "linear", counting)
+        monkeypatch.setattr(ad, "carry_term", counting_carry)
         forward(Tape(), model, rng.standard_normal((2, cfg.T, n, 1)))
-        full = [lead for lead, width in widths if width == 2 * cfg.d]
-        assert sum(np.prod(lead) for lead in full) == 3 * 2 * n
+        full = [(op, lead) for op, lead, width in widths if width == 2 * cfg.d]
+        assert {op for op, _ in full} == {"carry_term"}
+        assert sum(np.prod(lead) for _, lead in full) == 3 * 2 * n
+
+
+class TestCarryTerm:
+    """A carried pass diffuses its carry in one carry_term; production calls no spmm_diff."""
+
+    CONFIG = ModelConfig(K=2, m=3, s=2, d=4, T=7, H=2)
+
+    def batches(self, rng, n):
+        cfg = self.CONFIG
+        return rng.standard_normal((3, cfg.T, n, 1)), run_of_windows(rng, 5, cfg.T, n)
+
+    def test_production_calls_no_spmm_diff(self, rng, monkeypatch):
+        model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("spmm_diff called")
+
+        monkeypatch.setattr(ad, "spmm_diff", refused)
+        for windows in self.batches(rng, 4):  # the per-pass path, then a run
+            target = rng.standard_normal((len(windows), self.CONFIG.H, 4, 1))
+            tape = Tape()
+            tape.backward(mae_l2_loss(tape, forward(tape, model, windows), target,
+                                      model.params(), 1e-4))
+
+    def test_inverse_degrees_built_once_per_model(self, rng, monkeypatch):
+        model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
+        seen = []
+        carry_term = ad.carry_term
+
+        def recording(tape, ops, carry, k_hops, theta, inv):
+            seen.append((ops, inv))
+            return carry_term(tape, ops, carry, k_hops, theta, inv)
+
+        monkeypatch.setattr(ad, "carry_term", recording)
+        for windows in self.batches(rng, 4):
+            forward(Tape(record=False), model, windows)
+        carried = expected_iterations(self.CONFIG.T, self.CONFIG.m) - 1
+        assert len(seen) == 2 * carried
+        assert all(ops is model.carry_ops and inv is model.carry_inv for ops, inv in seen)
+        assert not model.carry_inv.flags.writeable
+        assert model.carry_inv.shape == (2, 4, self.CONFIG.d)
+        for op, inv in zip(model.carry_ops, model.carry_inv):
+            assert np.array_equal(inv, np.broadcast_to(op.inv_deg[0][:, None], inv.shape))
 
 
 class TestResidualInTheFold:
@@ -630,18 +679,24 @@ class TestForward:
 
     def test_diffusion_shared_across_channels(self, rng, monkeypatch):
         # whatever s and K are, each diffusion writes all K hops of both
-        # graphs: per carried pass one of the carry, at d width through the
-        # row-0 operators, and per encoder pass one of the raw window, at
-        # width 1 over the m-snapshot block; calls = 2 * passes - 1
+        # graphs: per carried pass one carry_term of the carry, at d width
+        # through the row-0 operators, and per encoder pass one diffuse of
+        # the raw window, at width 1 over the m-snapshot block;
+        # calls = 2 * passes - 1
         g = random_sensor_graph(rng, 3)
         calls = []
-        diffuse = ad.diffuse
+        diffuse, carry_term = ad.diffuse, ad.carry_term
 
         def counting(ops, x, k_hops):
             calls.append((len(ops), k_hops, ops[0].m, x.shape[-1]))
             return diffuse(ops, x, k_hops)
 
+        def counting_carry(tape, ops, carry, k_hops, theta, inv):
+            calls.append((len(ops), k_hops, ops[0].m, carry.value.shape[-1]))
+            return carry_term(tape, ops, carry, k_hops, theta, inv)
+
         monkeypatch.setattr(ad, "diffuse", counting)
+        monkeypatch.setattr(ad, "carry_term", counting_carry)
         for s in (1, 3):
             for k_hops in (1, 3):
                 cfg = tiny_config(s=s, K=k_hops)
@@ -675,12 +730,12 @@ class TestForward:
         # the folded path assembles no block.  Per pass, whatever K and s
         # are: the linear of the raw window's diffusion against theta_fold,
         # then layer_norm, which also compresses the snapshots, and the mix
-        # linear for all s channels; a carried pass adds the carry's
-        # spmm_diff and its linear.  Once per forward, one kron_linear folds
-        # E and the bank's weight; after the passes, the 6 decoder records:
-        # 1 + 3 * passes + 2 * (passes - 1) + 6
+        # linear for all s channels; a carried pass adds the carry's one
+        # carry_term.  Once per forward, one kron_linear folds E and the
+        # bank's weight; after the passes, the 6 decoder records:
+        # 1 + 3 * passes + (passes - 1) + 6
         assert slices == []
-        assert len(tape) == 1 + 3 * passes + 2 * (passes - 1) + 6 == 20
+        assert len(tape) == 1 + 3 * passes + (passes - 1) + 6 == 18
         for name in ("stack_snapshots", "concat_time", "merge_time", "split_time"):
             assert not hasattr(ad, name)
 

@@ -5,7 +5,7 @@ import stdiff.autodiff as ad
 from stdiff.autodiff import Tape, Tensor
 from stdiff.errors import ArgumentError, ShapeError
 from stdiff.graph import SensorGraph
-from stdiff.sparse import sparsify
+from stdiff.sparse import SparseMatrix, sparsify
 from stdiff.stgraph import (_block_diffusion, build_hstg, build_hstg_adjacency,
                             build_nhstg_adjacency, carry_operators)
 
@@ -262,6 +262,24 @@ class TestBlockDiffusion:
                 assert np.array_equal(row0.apply(x[:, :1]), op.apply(x)[:, :1])
         with pytest.raises(ArgumentError):
             carry_operators(build_hstg(g, 1))
+
+    def test_rows_summed_once_per_block_graph(self, rng, monkeypatch):
+        # both operators share the degrees of A + I; each bit as if summed alone
+        calls = []
+        row_degrees = SparseMatrix.row_degrees
+
+        def counting(self):
+            calls.append(self)
+            return row_degrees(self)
+
+        g = random_sensor_graph(rng, 5)
+        monkeypatch.setattr(SparseMatrix, "row_degrees", counting)
+        for m in (1, 2, 4):
+            calls.clear()
+            block = build_hstg(g, m)
+            assert calls == [g.self_looped]
+            for op in (block.coupled, block.decoupled):
+                assert np.array_equal(op.inv_deg, _block_diffusion(op.spatial, m, op.shift).inv_deg)
 
     def test_shape_mismatch(self, rng):
         op = build_hstg(random_sensor_graph(rng, 3), 2).coupled
