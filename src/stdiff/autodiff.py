@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ArgumentError, NumericError, ShapeError
 
 if TYPE_CHECKING:
-    from .stgraph import BlockDiffusion
+    from .stgraph import BlockDiffusion, CarryDiffusion
 
 _DEBUG = os.environ.get("STDIFF_DEBUG", "") not in ("", "0")
 
@@ -298,36 +298,33 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
     return out
 
 
-def carry_term(tape: Tape, ops: list[BlockDiffusion], carry: Tensor, k_hops: int,
-               theta: Tensor, inv: np.ndarray) -> Tensor:
+def carry_term(tape: Tape, row0: CarryDiffusion, carry: Tensor, k_hops: int,
+               theta: Tensor) -> Tensor:
     """sum_k sum_i (P_i^k C) Theta_{k,i}: a carried snapshot's hops through the channel GEMM.
 
-    C is the (..., n, d) carry and the operators are a block graph's
+    C is the (..., n, d) carry and ``row0`` its r operators, a block graph's
     unshifted row 0 (``stgraph.carry_operators``): no shift and no snapshot
     axis, so no hop leaves C's snapshot.  Theta is (k_hops*r*d, w), block
     (k, i) in rows [(k*r + i)*d, (k*r + i + 1)*d): the value is
-    ``linear(spmm_diff(ops, C, k_hops), theta)``.  ``inv`` (r, n, d) holds
-    each operator's inverse row degrees repeated over the d features.
+    ``linear(spmm_diff(row0.ops, C, k_hops), theta)``.
 
     Hop k of every operator is one (r, ..., n, d) array, operator i's hop a
-    contiguous slab of it, so each row scaling is one contiguous pass: hop 1
-    is inv * (A + I) C, and hop k > 1 is (A + I) times every slab of hop k-1,
-    one spatial product per hop, scaled in place.  Each slab meets its Theta
-    block in its own GEMM, and the GEMMs accumulate into the output.
-    Backward runs the transposed recursion gC = sum_i P_i^T(G_1 + P_i^T(G_2
-    + ...)) on the slabs, in two buffers, and writes Theta's gradient block
-    by block; the output's gradient is left as it is.  P carries no gradient.
+    contiguous slab of it, so each row scaling is one contiguous pass, by
+    ``row0.inv``: hop 1 is inv * (A + I) C, and hop k > 1 is (A + I) times
+    every slab of hop k-1, one spatial product per hop, scaled in place.
+    Each slab meets its Theta block in its own GEMM, and the GEMMs
+    accumulate into the output.  Backward runs the transposed recursion
+    gC = sum_i P_i^T(G_1 + P_i^T(G_2 + ...)) on the slabs, in two buffers,
+    and writes Theta's gradient block by block; the output's gradient is
+    left as it is.  P carries no gradient.
     """
-    spatial = _spatial_of(ops, k_hops)
-    if any(op.shift or op.m != 1 for op in ops):
-        raise ArgumentError("carry_term takes unshifted one-snapshot operators")
-    cv, tv, r, n = carry.value, theta.value, len(ops), spatial.cols
-    if (cv.ndim < 2 or cv.shape[-2] != n or tv.ndim != 2
-            or tv.shape[0] != k_hops * r * cv.shape[-1] or inv.shape != (r,) + cv.shape[-2:]):
-        raise ShapeError(f"carry_term cannot diffuse {carry.shape} through {r} operators "
-                         f"and {k_hops} hops into {theta.shape} with inverse degrees {inv.shape}")
-    d, w, lead = cv.shape[-1], tv.shape[1], cv.shape[:-2]
-    scale = inv.reshape((r,) + (1,) * len(lead) + (n, d))
+    spatial = _spatial_of(row0.ops, k_hops)
+    cv, tv, r, n, d = carry.value, theta.value, len(row0.ops), spatial.cols, row0.d
+    if cv.shape[-2:] != (n, d) or tv.ndim != 2 or tv.shape[0] != k_hops * r * d:
+        raise ShapeError(f"carry_term cannot diffuse {carry.shape} through {k_hops} hops of "
+                         f"{r} operators on (n={n}, d={d}) into {theta.shape}")
+    w, lead = tv.shape[1], cv.shape[:-2]
+    scale = row0.inv.reshape((r,) + (1,) * len(lead) + (n, d))
     hops = np.empty((k_hops, r) + cv.shape)
     np.multiply(spatial.matmul_dense(cv), scale, out=hops[0])
     for k in range(1, k_hops):

@@ -47,7 +47,7 @@ row-0 operators the model builds once, and its term and the carry itself
 join the layer norm's sum there (hop 0 of the raw Z is zero in that
 snapshot).  The term is one ``autodiff.carry_term`` op, on every path that
 folds: each operator's hop of the carry is a contiguous slab, scaled by
-the (r, n, d) inverse degrees the model builds next to the operators, and
+the (r, n, d) inverse degrees built once with the operators, and
 each slab meets its Theta block in its own GEMM, so no hop is written into
 a strided column block of a Z.  The layer norm centres and scales the sum
 in Y's own buffer: Y is the fold GEMM's output, and nothing else reads it.
@@ -181,7 +181,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 
 class IstdGcnModel:
-    """Holds the block graphs, the carry's row-0 operators and inverse degrees, and every parameter.
+    """Holds the block graphs, the carry's row-0 operators, and every parameter.
 
     Read-only during forward; concurrent forwards on separate tapes are
     safe.  Parameter updates require exclusive access.
@@ -191,12 +191,8 @@ class IstdGcnModel:
         self.config = config
         self.graph = graph
         self._blocks: dict[int, StBlockGraph] = {}
-        row0 = carry_operators(self.block_graph(config.effective_m))  # pass 0's block
-        self.carry_ops = [row0[op] for op in _kept_families(config.ablation).values()]
-        # each operator's row scaling over the carry's d features, for ``carry_term``
-        self.carry_inv = np.stack([np.repeat(op.inv_deg.T, config.d, axis=1)
-                                   for op in self.carry_ops])
-        self.carry_inv.flags.writeable = False
+        self.carry_ops = carry_operators(self.block_graph(config.effective_m),  # pass 0's block
+                                         _kept_families(config.ablation).values(), config.d)
         rng = np.random.default_rng(seed)
         d, s = config.d, config.s
         self.input_embed = ParamArray("input_embed", _glorot(rng, 1, d, (1, d)))
@@ -316,12 +312,11 @@ def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
     """The carry's hops through the full Theta, in snapshot 0 of a carried block: one op.
 
     ``autodiff.carry_term`` diffuses the carry through the row-0 operators,
-    each operator's hop a contiguous slab scaled by ``model.carry_inv``, and
-    meets each slab with its Theta block, so no hop is written into a strided
-    column block of a Z.
+    each operator's hop a contiguous slab scaled by the inverse degrees
+    ``model.carry_ops`` holds, and meets each slab with its Theta block, so no
+    hop is written into a strided column block of a Z.
     """
-    return ad.carry_term(tape, model.carry_ops, carry, model.config.K, model.bank.theta,
-                         model.carry_inv)
+    return ad.carry_term(tape, model.carry_ops, carry, model.config.K, model.bank.theta)
 
 
 def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray | RawTables,

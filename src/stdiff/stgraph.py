@@ -33,7 +33,8 @@ reads them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -104,9 +105,9 @@ class BlockDiffusion:
 
 
 def _block_diffusion(spatial: SparseMatrix, m: int, shift: int,
-                     row_degrees: np.ndarray | None = None) -> BlockDiffusion:
-    """The operator of an m-snapshot block; ``row_degrees`` are the spatial matrix's, if known."""
-    deg = np.tile(spatial.row_degrees() if row_degrees is None else row_degrees, (m, 1))
+                     row_degrees: np.ndarray) -> BlockDiffusion:
+    """The operator of an m-snapshot block, given the spatial matrix's ``row_degrees``."""
+    deg = np.tile(row_degrees, (m, 1))
     deg[:-1] += shift  # the coupling to the next snapshot
     inv = inverse_degrees(deg)
     inv.flags.writeable = False
@@ -202,13 +203,37 @@ def build_hstg(g: SensorGraph, m: int, *, num_hops: int = 1) -> StBlockGraph:
     return StBlockGraph(g, m, num_hops, coupled, decoupled)
 
 
-def carry_operators(block: StBlockGraph) -> dict[str, BlockDiffusion]:
-    """Block row 0 of the coupled and decoupled operators, unshifted: a carried snapshot's hops.
+@dataclass(frozen=True, eq=False)
+class CarryDiffusion:
+    """The operators a d-feature carried snapshot diffuses through, with their row scaling.
+
+    ``ops`` act on the (..., n, d) carry: one snapshot and no shift, so no
+    hop leaves it.  ``inv`` (r, n, d), built from them once, holds each
+    operator's inverse row degrees repeated over the d features, so a hop's
+    row scaling is one contiguous pass over every operator's slab
+    (``autodiff.carry_term``).
+    """
+
+    ops: tuple[BlockDiffusion, ...]
+    d: int
+    inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.ops or any(op.shift or op.inv_deg.shape != (1, self.ops[0].n)
+                               for op in self.ops):
+            raise ArgumentError("a carry's operators are unshifted, over one n-vertex snapshot")
+        inv = np.stack([np.repeat(op.inv_deg.T, self.d, axis=1) for op in self.ops])
+        inv.flags.writeable = False
+        object.__setattr__(self, "inv", inv)
+
+
+def carry_operators(block: StBlockGraph, graphs: Iterable[str], d: int) -> CarryDiffusion:
+    """Block row 0 of the named ``graphs``' operators, unshifted, for a d-feature carry.
 
     No hop moves the carry out of snapshot 0, and row 0 is the same in every
-    block of two or more snapshots, so one pair serves every carried block.
+    block of two or more snapshots, so one set serves every carried block.
     """
     if block.m < 2:
         raise ArgumentError("a carried block has at least two snapshots")
-    return {name: BlockDiffusion(op.spatial, op.inv_deg[:1], 0)
-            for name, op in (("coupled", block.coupled), ("decoupled", block.decoupled))}
+    ops = (getattr(block, graph) for graph in graphs)
+    return CarryDiffusion(tuple(BlockDiffusion(op.spatial, op.inv_deg[:1], 0) for op in ops), d)

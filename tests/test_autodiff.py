@@ -10,7 +10,8 @@ from stdiff.errors import ArgumentError, NumericError, ShapeError
 from stdiff.graph import SensorGraph
 from stdiff.model import IstdGcnModel, ModelConfig, forward
 from stdiff.sparse import SparseMatrix, sparsify
-from stdiff.stgraph import BlockDiffusion, _block_diffusion, build_hstg, carry_operators
+from stdiff.stgraph import (BlockDiffusion, CarryDiffusion, _block_diffusion, build_hstg,
+                            carry_operators)
 from stdiff.training import mae_l2_loss
 
 from conftest import random_sensor_graph
@@ -113,7 +114,8 @@ class TestSpmmDiff:
     def test_shift_semantics(self, rng):
         # one edgeless vertex without a self-loop: the coupled graph is a pure
         # shift, and the last snapshot's row has degree zero
-        op = _block_diffusion(sparsify(np.zeros((1, 1))), 3, 1)
+        spatial = sparsify(np.zeros((1, 1)))
+        op = _block_diffusion(spatial, 3, 1, spatial.row_degrees())
         x = Tensor(rng.random((3, 2)))
         y = ad.spmm_diff(Tape(), [op], x, 1)
         assert np.array_equal(y.value[:2], x.value[1:])
@@ -302,14 +304,12 @@ class TestOneSpatialProductPerHop:
 
 
 def carry_inputs(rng, n_ops, k_hops, lead, d=3, width=5):
-    """Row-0 operators of a random block graph, their (r, n, d) inverse degrees,
-    a carry and a theta, both parameters."""
-    row0 = carry_operators(build_hstg(random_sensor_graph(rng, int(rng.integers(1, 6))), 2))
-    ops = [row0["decoupled"], row0["coupled"]][:n_ops]
-    inv = np.stack([np.repeat(op.inv_deg.T, d, axis=1) for op in ops])
-    x = ParamArray("x", rng.standard_normal(lead + (ops[0].n, d)))
+    """Row-0 operators of a random block graph, a carry and a theta, both parameters."""
+    block = build_hstg(random_sensor_graph(rng, int(rng.integers(1, 6))), 2)
+    row0 = carry_operators(block, ("decoupled", "coupled")[:n_ops], d)
+    x = ParamArray("x", rng.standard_normal(lead + (block.n, d)))
     theta = ParamArray("theta", rng.standard_normal((k_hops * n_ops * d, width)))
-    return ops, inv, x, theta
+    return row0, x, theta
 
 
 class TestCarryTerm:
@@ -319,11 +319,13 @@ class TestCarryTerm:
     @pytest.mark.parametrize("k_hops", [1, 2, 3])
     @pytest.mark.parametrize("n_ops", [1, 2])
     def test_equals_linear_of_spmm_diff(self, rng, n_ops, k_hops, lead):
-        ops, inv, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
-        w = rng.standard_normal(lead + (ops[0].n, theta.value.shape[1]))
+        row0, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
+        n = x.value.shape[-2]
+        w = rng.standard_normal(lead + (n, theta.value.shape[1]))
         results = []
-        for build in (lambda tape: ad.carry_term(tape, ops, x, k_hops, theta, inv),
-                      lambda tape: ad.linear(tape, ad.spmm_diff(tape, ops, x, k_hops), theta)):
+        for build in (lambda tape: ad.carry_term(tape, row0, x, k_hops, theta),
+                      lambda tape: ad.linear(tape, ad.spmm_diff(tape, list(row0.ops), x, k_hops),
+                                             theta)):
             x.zero_grad()
             theta.zero_grad()
             tape = Tape()
@@ -331,7 +333,7 @@ class TestCarryTerm:
             tape.backward(project(tape, out, w))
             results.append((out.value, x.grad.copy(), theta.grad.copy()))
         (got, *got_grads), (want, *want_grads) = results
-        assert got.shape == want.shape == lead + (ops[0].n, theta.value.shape[1])
+        assert got.shape == want.shape == lead + (n, theta.value.shape[1])
         assert np.max(np.abs(got - want)) < 1e-12
         for a, b in zip(got_grads, want_grads):
             assert np.max(np.abs(a - b)) < 1e-10
@@ -340,9 +342,8 @@ class TestCarryTerm:
     @pytest.mark.parametrize("n_ops", [1, 2])
     def test_finite_differences(self, rng, n_ops, k_hops):
         for lead in ((), (2,)):
-            ops, inv, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
-            check_op([x, theta], lambda tape: ad.carry_term(tape, ops, x, k_hops, theta, inv),
-                     rng)
+            row0, x, theta = carry_inputs(rng, n_ops, k_hops, lead)
+            check_op([x, theta], lambda tape: ad.carry_term(tape, row0, x, k_hops, theta), rng)
 
     @pytest.mark.parametrize("k_hops", [1, 2, 3])
     def test_one_spatial_product_per_hop(self, rng, monkeypatch, k_hops):
@@ -354,39 +355,38 @@ class TestCarryTerm:
             return matmul_dense(self, x, out=out)
 
         monkeypatch.setattr(SparseMatrix, "matmul_dense", counting)
-        ops, inv, x, theta = carry_inputs(rng, 2, k_hops, (3,))
+        row0, x, theta = carry_inputs(rng, 2, k_hops, (3,))
         tape = Tape()
-        out = ad.carry_term(tape, ops, x, k_hops, theta, inv)
+        out = ad.carry_term(tape, row0, x, k_hops, theta)
         tape.backward(project(tape, out, np.ones(out.value.shape)))
         assert len(calls) == k_hops
 
     def test_backward_leaves_output_gradient_untouched(self, rng):
-        ops, inv, x, theta = carry_inputs(rng, 2, 3, (2,))
+        row0, x, theta = carry_inputs(rng, 2, 3, (2,))
         tape = Tape()
-        out = ad.carry_term(tape, ops, x, 3, theta, inv)
+        out = ad.carry_term(tape, row0, x, 3, theta)
         w = rng.standard_normal(out.value.shape)
         tape.backward(project(tape, out, w))
         assert np.array_equal(out.grad, w)
 
     def test_shifted_or_multi_snapshot_operators_rejected(self, rng):
+        # a carry's operator set refuses them, so carry_term never sees one
         block = build_hstg(random_sensor_graph(rng, 3), 2)
-        row0 = carry_operators(block)["coupled"]
+        row0 = carry_operators(block, ("coupled",), 2).ops[0]
         shifted = BlockDiffusion(row0.spatial, row0.inv_deg, 1)
-        x, theta = Tensor(rng.random((3, 2))), Tensor(rng.random((2, 2)))
-        inv = np.ones((1, 3, 2))
-        for op in (block.coupled, block.decoupled, shifted):
+        other = carry_operators(build_hstg(random_sensor_graph(rng, 4), 2), ("coupled",), 2)
+        for ops in ((block.coupled,), (block.decoupled,), (shifted,), (row0, other.ops[0]), ()):
             with pytest.raises(ArgumentError):
-                ad.carry_term(Tape(), [op], x, 1, theta, inv)
+                CarryDiffusion(ops, 2)
 
-    @pytest.mark.parametrize("x_shape,theta_rows,inv_shape",
-                             [((4, 2), 4, (2, 3, 2)), ((3, 2), 6, (2, 3, 2)),
-                              ((3, 2), 4, (1, 3, 2)), ((3, 2), 4, (2, 3, 1)),
-                              ((3,), 4, (2, 3, 2))])
-    def test_shape_errors(self, rng, x_shape, theta_rows, inv_shape):
-        ops = list(carry_operators(build_hstg(random_sensor_graph(rng, 3), 2)).values())
+    @pytest.mark.parametrize("x_shape,theta_rows",
+                             [((4, 2), 4), ((3, 2), 6), ((3, 3), 6), ((3,), 4)])
+    def test_shape_errors(self, rng, x_shape, theta_rows):
+        row0 = carry_operators(build_hstg(random_sensor_graph(rng, 3), 2),
+                               ("coupled", "decoupled"), 2)
         with pytest.raises(ShapeError):
-            ad.carry_term(Tape(), ops, Tensor(rng.random(x_shape)), 1,
-                          Tensor(rng.random((theta_rows, 2))), np.ones(inv_shape))
+            ad.carry_term(Tape(), row0, Tensor(rng.random(x_shape)), 1,
+                          Tensor(rng.random((theta_rows, 2))))
 
 
 def zeros_like(x):

@@ -368,9 +368,9 @@ class TestEmbeddingFold:
             widths.append(("linear", getattr(x, "value", x).shape[:-1], theta.value.shape[0]))
             return linear(tape, x, theta)
 
-        def counting_carry(tape, ops, carry, k_hops, theta, inv):
+        def counting_carry(tape, row0, carry, k_hops, theta):
             widths.append(("carry_term", carry.value.shape[:-1], theta.value.shape[0]))
-            return carry_term(tape, ops, carry, k_hops, theta, inv)
+            return carry_term(tape, row0, carry, k_hops, theta)
 
         monkeypatch.setattr(ad, "linear", counting)
         monkeypatch.setattr(ad, "carry_term", counting_carry)
@@ -403,24 +403,23 @@ class TestCarryTerm:
                                       model.params(), 1e-4))
 
     def test_inverse_degrees_built_once_per_model(self, rng, monkeypatch):
+        # every carried pass gets the operators, and so the (r, n, d) inverse
+        # degrees, that the model built once
         model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
         seen = []
         carry_term = ad.carry_term
 
-        def recording(tape, ops, carry, k_hops, theta, inv):
-            seen.append((ops, inv))
-            return carry_term(tape, ops, carry, k_hops, theta, inv)
+        def recording(tape, row0, carry, k_hops, theta):
+            seen.append(row0)
+            return carry_term(tape, row0, carry, k_hops, theta)
 
         monkeypatch.setattr(ad, "carry_term", recording)
         for windows in self.batches(rng, 4):
             forward(Tape(record=False), model, windows)
         carried = expected_iterations(self.CONFIG.T, self.CONFIG.m) - 1
         assert len(seen) == 2 * carried
-        assert all(ops is model.carry_ops and inv is model.carry_inv for ops, inv in seen)
-        assert not model.carry_inv.flags.writeable
-        assert model.carry_inv.shape == (2, 4, self.CONFIG.d)
-        for op, inv in zip(model.carry_ops, model.carry_inv):
-            assert np.array_equal(inv, np.broadcast_to(op.inv_deg[0][:, None], inv.shape))
+        assert all(row0 is model.carry_ops for row0 in seen)
+        assert model.carry_ops.inv.shape == (2, 4, self.CONFIG.d)
 
 
 class TestResidualInTheFold:
@@ -691,9 +690,9 @@ class TestForward:
             calls.append((len(ops), k_hops, ops[0].m, x.shape[-1]))
             return diffuse(ops, x, k_hops)
 
-        def counting_carry(tape, ops, carry, k_hops, theta, inv):
-            calls.append((len(ops), k_hops, ops[0].m, carry.value.shape[-1]))
-            return carry_term(tape, ops, carry, k_hops, theta, inv)
+        def counting_carry(tape, row0, carry, k_hops, theta):
+            calls.append((len(row0.ops), k_hops, row0.ops[0].m, carry.value.shape[-1]))
+            return carry_term(tape, row0, carry, k_hops, theta)
 
         monkeypatch.setattr(ad, "diffuse", counting)
         monkeypatch.setattr(ad, "carry_term", counting_carry)

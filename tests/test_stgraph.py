@@ -134,7 +134,8 @@ class TestHopPowers:
     def test_nilpotent_shift(self):
         # one edgeless vertex without a self-loop: each hop is a pure shift,
         # and the last snapshot's row has degree zero
-        op = _block_diffusion(sparsify(np.zeros((1, 1))), 3, 1)
+        spatial = sparsify(np.zeros((1, 1)))
+        op = _block_diffusion(spatial, 3, 1, spatial.row_degrees())
         hop = np.eye(3)  # flat (m*n, d): P @ I is P
         for want in ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
                      np.zeros((3, 3))):
@@ -222,12 +223,12 @@ class TestBlockDiffusion:
             block = build_hstg(g, m)
             x = rng.standard_normal(lead + (m * n, d))
             # the same operators over A alone, whose zero-degree rows must stay zero
-            w = g.adjacency.to_dense()
+            w, deg = g.adjacency.to_dense(), g.adjacency.row_degrees()
             bare_h = dense_block_oracle(w, m) if m > 1 else w
             cases = ((block.coupled, block.hstg_transition.to_dense()),
                      (block.decoupled, block.nhstg_transition.to_dense()),
-                     (_block_diffusion(g.adjacency, m, int(m > 1)), row_normalize(bare_h)),
-                     (_block_diffusion(g.adjacency, m, 0),
+                     (_block_diffusion(g.adjacency, m, int(m > 1), deg), row_normalize(bare_h)),
+                     (_block_diffusion(g.adjacency, m, 0, deg),
                       row_normalize(np.kron(np.eye(m), w))))
             for op, dense in cases:
                 got, got_t = op.apply(x), op.apply_transpose(x)
@@ -248,20 +249,29 @@ class TestBlockDiffusion:
         assert build_hstg(g, 1).coupled.shift == 0
 
     def test_row0_operators_are_block_row_0_of_a_carried_snapshot(self, rng):
-        # one pair of carry operators serves every block of two or more snapshots
+        # one set of carry operators serves every block of two or more snapshots
         g = random_sensor_graph(rng, 4)
-        carry_ops = carry_operators(build_hstg(g, 2))
+        names = ("decoupled", "coupled")
+        carry_ops = carry_operators(build_hstg(g, 2), names, 3)
         for m in (2, 3, 5):
             block = build_hstg(g, m)
             x = np.zeros((2, m, 4, 3))
             x[:, 0] = rng.standard_normal((2, 4, 3))  # the carry, with the later snapshots zero
-            for name in ("coupled", "decoupled"):
-                op, row0 = getattr(block, name), carry_ops[name]
+            for name, row0 in zip(names, carry_ops.ops, strict=True):
+                op = getattr(block, name)
                 assert row0.spatial is op.spatial and row0.shift == 0
                 assert np.array_equal(row0.inv_deg, op.inv_deg[:1])
                 assert np.array_equal(row0.apply(x[:, :1]), op.apply(x)[:, :1])
         with pytest.raises(ArgumentError):
-            carry_operators(build_hstg(g, 1))
+            carry_operators(build_hstg(g, 1), names, 3)
+
+    def test_carry_inverse_degrees_are_the_operators_over_d_features(self, rng):
+        carry_ops = carry_operators(build_hstg(random_sensor_graph(rng, 4), 3),
+                                    ("coupled", "decoupled"), 5)
+        assert carry_ops.d == 5 and carry_ops.inv.shape == (2, 4, 5)
+        assert not carry_ops.inv.flags.writeable
+        for op, inv in zip(carry_ops.ops, carry_ops.inv, strict=True):
+            assert np.array_equal(inv, np.broadcast_to(op.inv_deg[0][:, None], inv.shape))
 
     def test_rows_summed_once_per_block_graph(self, rng, monkeypatch):
         # both operators share the degrees of A + I; each bit as if summed alone
@@ -279,7 +289,8 @@ class TestBlockDiffusion:
             block = build_hstg(g, m)
             assert calls == [g.self_looped]
             for op in (block.coupled, block.decoupled):
-                assert np.array_equal(op.inv_deg, _block_diffusion(op.spatial, m, op.shift).inv_deg)
+                alone = _block_diffusion(op.spatial, m, op.shift, op.spatial.row_degrees())
+                assert np.array_equal(op.inv_deg, alone.inv_deg)
 
     def test_shape_mismatch(self, rng):
         op = build_hstg(random_sensor_graph(rng, 3), 2).coupled
