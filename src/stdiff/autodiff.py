@@ -300,30 +300,37 @@ def spmm_diff(tape: Tape, ops: list[BlockDiffusion], x: Tensor, k_hops: int) -> 
 
 def carry_term(tape: Tape, row0: CarryDiffusion, carry: Tensor, k_hops: int,
                theta: Tensor) -> Tensor:
-    """sum_k sum_i (P_i^k C) Theta_{k,i}: a carried snapshot's hops through the channel GEMM.
+    """A carried snapshot's whole term: sum_k sum_i (P_i^k C) Theta_{k,i} + C per channel.
 
     C is the (..., n, d) carry and ``row0`` its r operators, a block graph's
     unshifted row 0 (``stgraph.carry_operators``): no shift and no snapshot
-    axis, so no hop leaves C's snapshot.  Theta is (k_hops*r*d, w), block
-    (k, i) in rows [(k*r + i)*d, (k*r + i + 1)*d): the value is
-    ``linear(spmm_diff(row0.ops, C, k_hops), theta)``.
+    axis, so no hop leaves C's snapshot.  Theta is (k_hops*r*d, s*d), block
+    (k, i) in rows [(k*r + i)*d, (k*r + i + 1)*d).  The output is snapshot 0
+    of a (..., 1, n, s*d) block, the value of
+    ``linear(concat_features([C, spmm_diff(row0.ops, C, k_hops)]), kron_linear(I_d, Theta))``:
+    Theta led by an identity block per channel, so C is hop 0, the residual,
+    as the raw snapshots' readings are in the fold GEMM.
 
     Hop k of every operator is one (r, ..., n, d) array, operator i's hop a
     contiguous slab of it, so each row scaling is one contiguous pass, by
     ``row0.inv``: hop 1 is inv * (A + I) C, and hop k > 1 is (A + I) times
     every slab of hop k-1, one spatial product per hop, scaled in place.
     Each slab meets its Theta block in its own GEMM, and the GEMMs
-    accumulate into the output.  Backward runs the transposed recursion
+    accumulate into the output, to which C is then added once per channel.
+    Backward runs the transposed recursion
     gC = sum_i P_i^T(G_1 + P_i^T(G_2 + ...)) on the slabs, in two buffers,
-    and writes Theta's gradient block by block; the output's gradient is
-    left as it is.  P carries no gradient.
+    after the channel sum of G, hop 0's share, and writes Theta's gradient
+    block by block; the output's gradient is left as it is.  P carries no
+    gradient.
     """
     spatial = _spatial_of(row0.ops, k_hops)
     cv, tv, r, n, d = carry.value, theta.value, len(row0.ops), spatial.cols, row0.d
-    if cv.shape[-2:] != (n, d) or tv.ndim != 2 or tv.shape[0] != k_hops * r * d:
+    if (cv.shape[-2:] != (n, d) or tv.ndim != 2 or tv.shape[0] != k_hops * r * d
+            or tv.shape[1] % d):
         raise ShapeError(f"carry_term cannot diffuse {carry.shape} through {k_hops} hops of "
                          f"{r} operators on (n={n}, d={d}) into {theta.shape}")
     w, lead = tv.shape[1], cv.shape[:-2]
+    s = w // d
     scale = row0.inv.reshape((r,) + (1,) * len(lead) + (n, d))
     hops = np.empty((k_hops, r) + cv.shape)
     np.multiply(spatial.matmul_dense(cv), scale, out=hops[0])
@@ -335,7 +342,9 @@ def carry_term(tape: Tape, row0: CarryDiffusion, carry: Tensor, k_hops: int,
     out_value = next(terms)
     for term in terms:
         out_value += term
-    out = Tensor(out_value.reshape(lead + (n, w)))
+    channels = out_value.reshape(-1, s, d)
+    channels += cv.reshape(-1, 1, d)  # hop 0, the residual, in every channel
+    out = Tensor(out_value.reshape(lead + (1, n, w)))
 
     def backward():
         g = out.grad.reshape(-1, w)  # a strided gradient is copied once
@@ -351,6 +360,7 @@ def carry_term(tape: Tape, row0: CarryDiffusion, carry: Tensor, k_hops: int,
                 buf += acc
             buf *= scale
             np.matmul(spatial.dense.T, buf, out=acc)
+        carry.add_grad(g.reshape(-1, s, d).sum(axis=1).reshape(cv.shape))
         for i in reversed(range(r)):
             carry.add_grad(acc[i], owned=False)
 
@@ -358,18 +368,17 @@ def carry_term(tape: Tape, row0: CarryDiffusion, carry: Tensor, k_hops: int,
     return out
 
 
-def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Tensor,
+def layer_norm(tape: Tape, d: int, y: Tensor, scale: Tensor, shift: Tensor, *,
                eps: float = 1e-5, y0: Tensor | None = None,
                kernel: Tensor | None = None) -> Tensor:
     """Layer norm of the residual sum per channel, population variance.
 
     Y is (..., s*d): channel c normalizes its d features [c*d, (c+1)*d) of
     the sum, then applies scale and shift [c*d:(c+1)*d].  Y already holds
-    the residual: every path forms it as hop 0 of its channel GEMM.  Only a
-    carried snapshot joins here: X is the (..., n, d) carry, which joins
-    snapshot 0 of every channel of a (..., m, n, s*d) Y, or the channel
-    width d alone where there is none.  A (..., n, s*d) ``y0`` joins the sum
-    in snapshot 0 too.
+    the residual: every path forms it as hop 0 of a channel GEMM.  A
+    (..., 1, n, s*d) ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d)
+    Y: the carried snapshot's term on the per-pass path, a run's raw term on
+    the run path.  The op only reads y0.
 
     The op consumes Y: it forms the sum, centres and scales it in Y's own
     buffer, which then holds the normalized sum.  Y must be an op output
@@ -393,26 +402,19 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
     normalized sum is used up.
     """
     shape, width = y.value.shape, y.value.shape[-1]
-    carry = isinstance(x, Tensor)
-    d = x.value.shape[-1] if carry else x
     m = shape[-3] if len(shape) >= 3 else 0
     if (d < 1 or width % d or scale.value.shape != (width,) or shift.value.shape != (width,)
-            or carry and (len(shape) < 3 or x.value.shape[:-1] != shape[:-3] + shape[-2:-1])
-            or y0 is not None and y0.value.shape != shape[:-3] + shape[-2:]
+            or y0 is not None and (not m or y0.value.shape != shape[:-3] + (1,) + shape[-2:])
             or kernel is not None and (not m or kernel.value.ndim != 2
                                        or kernel.value.shape[0] < m
                                        or kernel.value.shape[1] != width)):
-        raise ShapeError(f"layer_norm cannot group {getattr(x, 'shape', x)} {y.shape} "
-                         f"{scale.shape} {shift.shape}"
-                         + ("" if kernel is None else f" with kernel {kernel.shape}"))
-    s = width // d
+        raise ShapeError(f"layer_norm cannot group {y.shape} by {d} with {scale.shape} "
+                         f"{shift.shape}" + ("" if y0 is None else f", y0 {y0.shape}")
+                         + ("" if kernel is None else f", kernel {kernel.shape}"))
     avg = np.full(d, 1.0 / d)
     xhat = y.value.reshape(-1, d)
-    if carry:  # snapshot 0 of every channel, (..., n, s, d)
-        snap0 = xhat.reshape(shape)[..., 0, :, :].reshape(shape[:-3] + (shape[-2], s, d))
-        snap0 += x.value[..., None, :]
     if y0 is not None:
-        xhat.reshape(shape)[..., 0, :, :] += y0.value
+        xhat.reshape(shape)[..., :1, :, :] += y0.value
     xhat -= (xhat @ avg)[:, None]
     buf = np.square(xhat)
     inv = 1.0 / np.sqrt(buf @ avg + eps)
@@ -458,10 +460,8 @@ def layer_norm(tape: Tape, x: Tensor | int, y: Tensor, scale: Tensor, shift: Ten
         dacc -= np.multiply(xhat, proj, out=tmp)
         dacc *= inv[:, None]
         dy = dacc.reshape(shape)
-        if carry:
-            x.add_grad(dy[..., 0, :, :].reshape(x.value.shape[:-1] + (s, d)).sum(axis=-2))
         if y0 is not None:  # this op is y0's only reader: a view of Y's gradient
-            y0.add_grad(dy[..., 0, :, :])
+            y0.add_grad(dy[..., :1, :, :])
         y.add_grad(dy)
 
     tape.record(backward)
@@ -592,19 +592,18 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
     return out
 
 
-def take_rows(tape: Tape, x: Tensor, rows: slice, lead: tuple | None = None,
-              copy: bool = False) -> Tensor:
+def take_rows(tape: Tape, x: Tensor, rows: slice, lead: tuple | None = None) -> Tensor:
     """Rows ``rows`` of X's leading axis, laid out over the ``lead`` axes if given.
 
-    The output is a view of X unless ``copy``; an op that consumes its input
-    in place needs the copy.  Backward adds the gradient into those rows.
+    The output is a view of X, so no op may consume it in place.  Backward
+    adds the gradient into those rows.
     """
     part = x.value[rows]
     if lead is not None:
         if int(np.prod(lead)) != len(part):
             raise ShapeError(f"rows {rows} of {x.shape} do not fill the lead axes {lead}")
         part = part.reshape(lead + part.shape[1:])
-    out = Tensor(part.copy() if copy else part)
+    out = Tensor(part)
 
     def backward():
         x.ensure_grad()[rows] += out.grad.reshape(x.grad[rows].shape)

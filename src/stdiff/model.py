@@ -29,10 +29,12 @@ the coupled, ``no_two_step`` the decoupled) leave both Z and the bank.
 Whatever K and s are, a pass is then the channel GEMM Y = [X | Z] Theta
 (the fold GEMM on raw snapshots), one op that normalizes Y per channel and
 compresses it over time, and the mix GEMM.  On every path "+ X" is hop 0
-of that GEMM, X against an identity block per channel, and only a carried
-snapshot joins the layer norm's sum itself.  That op folds the layer norm's
-scale and shift into the compression kernel, sum_t xhat_t (scale k_t) +
-shift sum_t k_t, so no pass writes a normalized block.
+of a channel GEMM, X against an identity block per channel, and a carried
+snapshot's too (``autodiff.carry_term``), so the layer norm has one form:
+it only sums a snapshot-0 term into Y and normalizes.  That op folds the
+layer norm's scale and shift into the compression kernel,
+sum_t xhat_t (scale k_t) + shift sum_t k_t, so no pass writes a normalized
+block.
 
 Y is folded, and so is the residual.  A raw snapshot is the embedding
 w ⊗ E of its n readings, one speed per sensor, so its share of Y is
@@ -43,14 +45,16 @@ readings themselves, and Theta_fold with E once per channel, so one GEMM
 forms every raw snapshot's residual and diffusion terms, and no embedded
 snapshot is built.  Snapshot t reads t+1, never t-1, so no hop moves the
 carried snapshot out of snapshot 0: only it pays full width, through the
-row-0 operators the model builds once, and its term and the carry itself
-join the layer norm's sum there (hop 0 of the raw Z is zero in that
-snapshot).  The term is one ``autodiff.carry_term`` op, on every path that
-folds: each operator's hop of the carry is a contiguous slab, scaled by
-the (r, n, d) inverse degrees built once with the operators, and
-each slab meets its Theta block in its own GEMM, so no hop is written into
-a strided column block of a Z.  The layer norm centres and scales the sum
-in Y's own buffer: Y is the fold GEMM's output, and nothing else reads it.
+row-0 operators the model builds once.  Its whole term, the carry itself
+as hop 0 included, is one ``autodiff.carry_term`` op on every path that
+folds, a one-snapshot block that joins the layer norm's sum in snapshot 0
+(hop 0 of the raw Z is zero in that snapshot).  Each operator's hop of
+the carry is a contiguous slab, scaled by the (r, n, d) inverse degrees
+built once with the operators, and each slab meets its Theta block in its
+own GEMM, so no hop is written into a strided column block of a Z; the
+carry is then added into every channel of the op's own output.  The layer
+norm centres and scales the sum in Y's own buffer: Y is the fold GEMM's
+output, and nothing else reads it.  The carry's term is only read.
 
 The encoder consumes the T-step history iteratively: the first iteration
 compresses snapshots [0, m); each later one compresses the running
@@ -72,12 +76,13 @@ diffusion, the fold GEMM, and one layer norm over its snapshots 1..m',
 compressed with kernel rows 1..m'.  The split is exact.  Those snapshots
 never read the carry (t reads t+1, and the layer norm is per row), and Z is
 linear, so snapshot 0's raw share is the block's row 0 with the carry slot
-zeroed.  A carried pass then diffuses its carry, normalizes snapshot 0
-alone with kernel row 0, and adds its windows' rows of the compressed
-rest.  Any other batch, a shuffled training batch among them, takes the
-per-pass loop.  The two paths sum a pass's compressed rows in different
-orders, so a window's prediction can differ in its last bits with the batch
-it is in.
+zeroed.  A carried pass then forms its carry's term, sums its windows'
+rows of the raw share into it, normalizes that snapshot 0 alone with
+kernel row 0 in the term's own buffer, and adds their rows of the
+compressed rest.  Any other batch, a shuffled training batch among them,
+takes the per-pass loop.  The two paths sum a pass's compressed rows in
+different orders, so a window's prediction can differ in its last bits
+with the batch it is in.
 """
 from __future__ import annotations
 
@@ -309,12 +314,13 @@ class RawTables:
 
 
 def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
-    """The carry's hops through the full Theta, in snapshot 0 of a carried block: one op.
+    """The carry's whole term in snapshot 0 of a carried block, (..., 1, n, s*d): one op.
 
     ``autodiff.carry_term`` diffuses the carry through the row-0 operators,
     each operator's hop a contiguous slab scaled by the inverse degrees
-    ``model.carry_ops`` holds, and meets each slab with its Theta block, so no
-    hop is written into a strided column block of a Z.
+    ``model.carry_ops`` holds, meets each slab with its Theta block, so no
+    hop is written into a strided column block of a Z, and adds the carry
+    into every channel: the residual is hop 0, as in the fold GEMM.
     """
     return ad.carry_term(tape, model.carry_ops, carry, model.config.K, model.bank.theta)
 
@@ -332,21 +338,20 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     the block is ``carry`` (if any) then their embeddings, and the pass is
     folded against ``theta_fold`` (module docstring): hop 0 of the raw Z is
     the readings themselves, so the fold GEMM forms the raw snapshots'
-    residual too, and the carry joins snapshot 0 inside the layer norm, which
-    consumes the GEMM's output.  Given a run's ``RawTables``, the raw
-    snapshots' terms are its ``rows``, already folded (``encode``): the pass
-    normalizes snapshot 0 alone, with kernel row 0, and adds the rest's
-    compressed rows.
+    residual too.  The layer norm consumes the GEMM's output, and the
+    carry's term, hop 0 included, joins its snapshot 0 as ``y0``.  Given a
+    run's ``RawTables``, the raw snapshots' terms are its ``rows``, already
+    folded (``encode``): the layer norm consumes the carry's term, with
+    those rows of the raw share as its ``y0``, so it normalizes snapshot 0
+    alone, with kernel row 0, and the pass adds the rest's compressed rows.
     """
     cfg, bank = model.config, model.bank
     if isinstance(x, RawTables):
         lead = carry.value.shape[:-2]
-        y0 = _carry_term(tape, model, carry)
-        # the layer norm consumes its Y, and other windows' passes read the same rows
-        p0 = ad.take_rows(tape, x.p0, rows, lead, copy=True)
-        h = ad.layer_norm(tape, carry, p0, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps,
-                          y0=y0, kernel=bank.compress_kernel)
-        del y0, p0  # a forward-only pass frees them before the mix
+        # the layer norm consumes the carry's fresh term and only reads the shared rows
+        h = ad.layer_norm(tape, cfg.d, _carry_term(tape, model, carry), bank.ln_scale,
+                          bank.ln_shift, eps=cfg.ln_eps, y0=ad.take_rows(tape, x.p0, rows, lead),
+                          kernel=bank.compress_kernel)
         return ad.linear(tape, ad.add(tape, h, ad.take_rows(tape, x.rest, rows, lead)), model.mix)
     graphs = _kept_families(cfg.ablation).values()
     folded = not isinstance(x, Tensor)
@@ -363,8 +368,8 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
         y0 = None if carry is None else _carry_term(tape, model, carry)
         z = np.concatenate([x, ad.diffuse(ops, x, cfg.K)], axis=-1)  # hop 0: the readings
         y = ad.linear(tape, z, theta_fold)
-        h = ad.layer_norm(tape, cfg.d if carry is None else carry, y, bank.ln_scale,
-                          bank.ln_shift, eps=cfg.ln_eps, y0=y0, kernel=bank.compress_kernel)
+        h = ad.layer_norm(tape, cfg.d, y, bank.ln_scale, bank.ln_shift, eps=cfg.ln_eps, y0=y0,
+                          kernel=bank.compress_kernel)
     return ad.linear(tape, h, model.mix)
 
 

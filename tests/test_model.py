@@ -502,6 +502,7 @@ class TestNoNormalizedBlock:
         model = IstdGcnModel(cfg, random_sensor_graph(rng, n), seed=0)
         created, gemms = [], []
         init, linear, kron_linear = Tensor.__init__, ad.linear, ad.kron_linear
+        carry_term = ad.carry_term
         channel_weights = [model.bank.theta]
 
         def logging(tensor, value):
@@ -519,9 +520,15 @@ class TestNoNormalizedBlock:
                 gemms.append(out)
             return out
 
+        def carrying(*args):  # the carry's channel GEMMs, as a one-snapshot block
+            out = carry_term(*args)
+            gemms.append(out)
+            return out
+
         monkeypatch.setattr(Tensor, "__init__", logging)
         monkeypatch.setattr(ad, "linear", recording)
         monkeypatch.setattr(ad, "kron_linear", folding)
+        monkeypatch.setattr(ad, "carry_term", carrying)
         tape = Tape()
         loss = mae_l2_loss(tape, run(tape, model, rng.standard_normal((batch, cfg.T, n, 1))),
                            rng.standard_normal((batch, cfg.H, n, 1)), model.params(), 1e-4)
@@ -529,7 +536,8 @@ class TestNoNormalizedBlock:
         blocks = [t for t in created if t.value.ndim == 4 and t.value.shape[0] == batch
                   and t.value.shape[2:] == (n, cfg.s * cfg.d)]
         passes = expected_iterations(cfg.T, cfg.m)
-        assert len(blocks) == passes
+        # the folding path adds one carry_term per carried pass
+        assert len(blocks) == passes + (passes - 1 if run is forward else 0)
         assert all(any(t is y for y in gemms) for t in blocks)
 
 
@@ -908,9 +916,10 @@ class TestRunPath:
             counts["products"] += 1
             return matmul_dense(self, *args, **kwargs)
 
-        def norm(*args, **kwargs):
+        def norm(tape, d, *args, **kwargs):  # one form: the width, never a carry
+            assert type(d) is int, type(d)
             counts["norms"] += 1
-            return layer_norm(*args, **kwargs)
+            return layer_norm(tape, d, *args, **kwargs)
 
         monkeypatch.setattr(SparseMatrix, "matmul_dense", product)
         monkeypatch.setattr(ad, "layer_norm", norm)
