@@ -26,11 +26,11 @@ climbs to on 64-bit, and the trim threshold at 128 MiB (``HEAP_POLICY``), so
 up to 128 MiB of freed heap stays mapped for the next step and a train-wide
 step takes no fault.  A paper-shape step (n=207 K5 s8 d256 m2, batch 1,
 ``scripts/paper_step.py``, one BLAS thread) falls in one of two modes, which
-the allocation history picks: 63-547 minor faults, or 22,473-23,495.  Three
-runs each of the script with no arguments and with its defaults spelled out
-(``--steps 3 --warmup 2``) put one spelling in each mode, and a change to
-what a forward allocates, with the same training step, swapped the two; the
-modes do not differ in step time.  It took about 36,000 faults while each
+the allocation history picks: 84-105 minor faults, or 15,542-22,336.  Runs
+of the script with no arguments and with its defaults spelled out
+(``--steps 3 --warmup 2``) put the two spellings in different modes, and a
+change to what a forward allocates, with the same training step, has
+swapped them; the modes do not differ in step time.  It took about 36,000 faults while each
 pass still wrote a normalized block.  Where an array lives does not change
 the arithmetic, so results are bit-identical.  It is a no-op where the C
 library has no ``mallopt`` (off glibc).

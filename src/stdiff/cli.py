@@ -196,7 +196,7 @@ def cmd_eval(args) -> int:
                    [str(out)])
     try:
         report = evaluate(model, test_w, stats, interval=series.interval)
-        n_train_steps = train_w[-1].start_index + cfg.T
+        n_train_steps = int(train_w.starts[-1]) + cfg.T
         train_series = type(series)(series.timestamps[:n_train_steps],
                                     series.values[:n_train_steps], series.ids)
         ha_report = evaluate_historical_average(train_series, test_w, interval=series.interval)
@@ -228,13 +228,14 @@ def cmd_predict(args) -> int:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.write("timestamp,vertex_id,horizon_min,pred,actual\n")
             for chunk, preds in predict_windows(model, test_w, stats, EVAL_BATCH):
-                for w, pred in zip(chunk, preds):
+                for stamps, pred, target in zip(chunk.target_timestamps(), preds,
+                                                chunk.target()):
                     for h in range(cfg.H):
-                        ts = int(w.target_timestamps[h])
+                        ts = int(stamps[h])
                         for v, vid in enumerate(series.ids):
                             fh.write(f"{ts},{vid},{minutes[h]},"
                                      f"{float(pred[h, v, 0])!r},"
-                                     f"{float(w.target[h, v, 0])!r}\n")
+                                     f"{float(target[h, v, 0])!r}\n")
         os.replace(tmp, out)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,18 +1,24 @@
-"""Dataset ingestion, sliding-window samples, and a synthetic generator.
+"""Dataset ingestion, sliding windows, and a synthetic generator.
 
 The canonical speed format is CSV: a `timestamp` column of epoch seconds at
 a fixed interval (300 s for the public datasets) followed by one column per
 sensor, in the vertex order of the adjacency sidecar.  A stored value of 0
 means missing and is propagated to metric masks.
+
+A set of sliding windows is a ``Windows``: the series' readings and
+timestamps with an int64 array of window start indices into them.  No
+per-window object exists until one window is read; a batch of histories or
+targets is gathered from the series with one fancy index.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import operator
 import typing
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,6 +72,53 @@ class WindowSample:
     target: np.ndarray             # (H, n, 1)
     start_index: int
     target_timestamps: np.ndarray
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Windows:
+    """Sliding windows over one series, held as their start indices.
+
+    Window ``i`` reads history rows ``starts[i]`` to ``starts[i] + t_hist``
+    of ``values`` and the ``horizon`` target rows after them.  Indexing
+    returns that window's ``WindowSample`` of views; a slice (with any step)
+    returns the ``Windows`` of the sliced starts.  ``history``, ``target``
+    and ``target_timestamps`` gather a batch, in the order of ``idx``: an
+    index array or slice into the starts, all of them by default.
+    """
+    values: np.ndarray       # (time, n, 1)
+    timestamps: np.ndarray   # (time,)
+    t_hist: int
+    horizon: int
+    starts: np.ndarray       # int64 (windows,)
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return replace(self, starts=self.starts[idx])
+        start = int(self.starts[operator.index(idx)])
+        mid, end = start + self.t_hist, start + self.t_hist + self.horizon
+        return WindowSample(self.values[start:mid], self.values[mid:end], start,
+                            self.timestamps[mid:end])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def _rows(self, idx, offset: int, count: int) -> np.ndarray:
+        return self.starts[idx][:, None] + np.arange(offset, offset + count)
+
+    def history(self, idx=slice(None)) -> np.ndarray:
+        """(B, T, n, 1) histories of windows ``idx``, copied."""
+        return self.values[self._rows(idx, 0, self.t_hist)]
+
+    def target(self, idx=slice(None)) -> np.ndarray:
+        """(B, H, n, 1) targets of windows ``idx``, copied."""
+        return self.values[self._rows(idx, self.t_hist, self.horizon)]
+
+    def target_timestamps(self, idx=slice(None)) -> np.ndarray:
+        """(B, H) timestamps of the target snapshots of windows ``idx``."""
+        return self.timestamps[self._rows(idx, self.t_hist, self.horizon)]
 
 
 def load_speed_csv(path, *, graph: SensorGraph | None = None) -> SpeedSeries:
@@ -132,7 +185,7 @@ def save_speed_csv(series: SpeedSeries, path) -> None:
 
 
 def make_windows(series: SpeedSeries, t_hist: int = 12, horizon: int = 12,
-                 stride: int = 1) -> list[WindowSample]:
+                 stride: int = 1) -> Windows:
     """Chronological sliding windows; count = floor((len-T-H)/stride) + 1."""
     if t_hist < 1 or horizon < 1 or stride < 1:
         raise ArgumentError("T, H and stride must be >= 1")
@@ -140,12 +193,8 @@ def make_windows(series: SpeedSeries, t_hist: int = 12, horizon: int = 12,
     if total < t_hist + horizon:
         raise ArgumentError(
             f"series length {total} shorter than one window ({t_hist}+{horizon})")
-    values, ts = series.values[..., None], series.timestamps
-    out = []
-    for start in range(0, total - t_hist - horizon + 1, stride):
-        mid, end = start + t_hist, start + t_hist + horizon
-        out.append(WindowSample(values[start:mid], values[mid:end], start, ts[mid:end]))
-    return out
+    starts = np.arange(0, total - t_hist - horizon + 1, stride, dtype=np.int64)
+    return Windows(series.values[..., None], series.timestamps, t_hist, horizon, starts)
 
 
 @dataclass(frozen=True)

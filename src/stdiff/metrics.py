@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_INTERVAL
+from .data import DEFAULT_INTERVAL, Windows
 from .errors import ArgumentError, DomainError, ShapeError
 from .training import NormStats, predict_windows
 
@@ -138,10 +138,6 @@ def _streamed_report(chunks, horizons, interval: int) -> EvalReport:
                       aggregate=row(h_avail, sums))
 
 
-def _targets(windows: list) -> np.ndarray:
-    return np.stack([w.target for w in windows])
-
-
 def metrics_by_horizon(pred, target, *, horizons=DEFAULT_HORIZONS, mask=None,
                        interval: int = DEFAULT_INTERVAL) -> EvalReport:
     """Slice (B, H, n, ...) predictions at each horizon plus the aggregate.
@@ -198,14 +194,13 @@ class HistoricalAverage:
         return cls(np.where(slot_count > 0, weeks.sum(axis=0) / np.maximum(slot_count, 1),
                             level), interval)
 
-    def predict(self, windows: list) -> np.ndarray:
+    def predict(self, windows: Windows) -> np.ndarray:
         """(windows, H, n, 1) forecasts: each target snapshot's slot mean."""
-        start = np.array([w.target_timestamps[0] for w in windows]) // self.interval
-        steps = start[:, None] + np.arange(windows[0].target.shape[0])
+        steps = windows.target_timestamps() // self.interval
         return self.slot_mean[steps % len(self.slot_mean)][..., None]
 
 
-def historical_average_baseline(train_series, eval_windows: list) -> np.ndarray:
+def historical_average_baseline(train_series, eval_windows: Windows) -> np.ndarray:
     """(windows, H, n, 1) historical-average forecasts from the training stream.
 
     A sensor's forecast for a snapshot is its mean observed (nonzero) reading
@@ -217,7 +212,7 @@ def historical_average_baseline(train_series, eval_windows: list) -> np.ndarray:
 
 def evaluate(
     model,
-    test_windows: list,
+    test_windows: Windows,
     stats: NormStats,
     *,
     horizons=DEFAULT_HORIZONS,
@@ -232,12 +227,12 @@ def evaluate(
     """
     if not test_windows:
         raise ArgumentError("empty test set")
-    chunks = ((pred, _targets(chunk))
+    chunks = ((pred, chunk.target())
               for chunk, pred in predict_windows(model, test_windows, stats, batch_size))
     return _streamed_report(chunks, horizons, interval)
 
 
-def evaluate_historical_average(train_series, test_windows: list, *,
+def evaluate_historical_average(train_series, test_windows: Windows, *,
                                 interval: int = DEFAULT_INTERVAL) -> EvalReport:
     """The historical-average baseline's report, scored chunk by chunk as ``evaluate``.
 
@@ -249,5 +244,5 @@ def evaluate_historical_average(train_series, test_windows: list, *,
     table = HistoricalAverage.fit(train_series)
     chunks = (test_windows[lo:lo + EVAL_BATCH]
               for lo in range(0, len(test_windows), EVAL_BATCH))
-    return _streamed_report(((table.predict(c), _targets(c)) for c in chunks),
+    return _streamed_report(((table.predict(c), c.target()) for c in chunks),
                             DEFAULT_HORIZONS, interval)

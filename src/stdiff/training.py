@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamArray, Tape, Tensor
 from .checkpoint import save_params
+from .data import Windows
 from .errors import ArgumentError, DomainError, NumericError
 from .model import IstdGcnModel, forward
 
@@ -139,8 +140,11 @@ def optimizer_step(params: list[ParamArray], state: AdamState, config: TrainConf
         p.value -= np.divide(num, den, out=num)
 
 
-def split_dataset(samples: list, ratios=(0.6, 0.2, 0.2)) -> tuple[list, list, list]:
-    """Contiguous chronological split; no shuffling across boundaries."""
+def split_dataset(samples: Windows, ratios=(0.6, 0.2, 0.2)) -> tuple[Windows, Windows, Windows]:
+    """Contiguous chronological split; no shuffling across boundaries.
+
+    Each part is a slice of ``samples``: a ``Windows`` of a ``Windows``.
+    """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ArgumentError("split ratios must sum to 1")
     n = len(samples)
@@ -148,11 +152,7 @@ def split_dataset(samples: list, ratios=(0.6, 0.2, 0.2)) -> tuple[list, list, li
     n_val = int(n * ratios[1])
     if n_train == 0 or n_val == 0 or n - n_train - n_val == 0:
         raise ArgumentError(f"too few samples ({n}) for a nonempty split")
-    return (
-        list(samples[:n_train]),
-        list(samples[n_train:n_train + n_val]),
-        list(samples[n_train + n_val:]),
-    )
+    return samples[:n_train], samples[n_train:n_train + n_val], samples[n_train + n_val:]
 
 
 @dataclass(frozen=True)
@@ -182,26 +182,27 @@ def predict_batch(model: IstdGcnModel, history: np.ndarray, stats: NormStats) ->
     return inverse_zscore(pred.value, stats)
 
 
-def predict_windows(model: IstdGcnModel, windows: list, stats: NormStats, batch_size: int):
-    """Yield each run of ``batch_size`` windows with its denormalized predictions.
+def predict_windows(model: IstdGcnModel, windows: Windows, stats: NormStats, batch_size: int):
+    """Yield each run of ``batch_size`` windows (a ``Windows`` slice) with its
+    denormalized predictions.
 
     The one loop that batches windows through ``predict_batch``.  A window
     whose prediction is not finite raises ``NumericError`` naming its start.
     """
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo:lo + batch_size]
-        pred = predict_batch(model, np.stack([w.history for w in chunk]), stats)
+        pred = predict_batch(model, chunk.history(), stats)
         finite = np.isfinite(pred).reshape(len(chunk), -1).all(axis=1)
         if not finite.all():
-            bad = chunk[int(np.argmin(finite))].start_index
+            bad = int(chunk.starts[np.argmin(finite)])
             raise NumericError(f"non-finite prediction for the window starting at {bad}")
         yield chunk, pred
 
 
 def train(
     model: IstdGcnModel,
-    train_windows: list,
-    val_windows: list,
+    train_windows: Windows,
+    val_windows: Windows,
     stats: NormStats,
     config: TrainConfig,
     *,
@@ -233,9 +234,8 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_windows[i] for i in order[lo:lo + config.batch_size]]
-            hist = np.stack([w.history for w in batch])
-            targ = np.stack([w.target for w in batch])
+            batch = order[lo:lo + config.batch_size]
+            hist, targ = train_windows.history(batch), train_windows.target(batch)
             tape = Tape()
             pred = forward(tape, model, zscore(hist, stats))
             loss = mae_l2_loss(tape, pred, zscore(targ, stats), params, config.l2_lambda)

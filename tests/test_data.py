@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import mutate_bytes
-from stdiff.data import (SpeedSeries, SyntheticSpec, generate_synthetic,
-                         load_speed_csv, make_windows, save_speed_csv)
+from stdiff.data import (SpeedSeries, SyntheticSpec, WindowSample, Windows,
+                         generate_synthetic, load_speed_csv, make_windows, save_speed_csv)
 from stdiff.errors import ArgumentError, FormatError, IdentifierError
 from stdiff.graph import SensorGraph
+from stdiff.metrics import evaluate
+from stdiff.model import IstdGcnModel, ModelConfig
 from stdiff.sparse import sparsify
+from stdiff.training import TrainConfig, compute_norm_stats, split_dataset, train
 
 
 def small_series(steps=30, n=3):
@@ -298,6 +301,72 @@ class TestWindows:
     def test_too_short_rejected(self):
         with pytest.raises(ArgumentError):
             make_windows(small_series(steps=10), 8, 8)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_indexed_items_are_the_per_window_samples(self, stride):
+        series = small_series(steps=40)
+        windows = make_windows(series, 5, 3, stride=stride)
+        want = window_samples(series, 5, 3, stride)
+        assert len(windows) == len(want)
+        for got in (list(windows), [windows[i] for i in range(-len(want), 0)]):
+            for g, w in zip(got, want, strict=True):
+                assert g.start_index == w.start_index
+                for field in ("history", "target", "target_timestamps"):
+                    assert np.array_equal(getattr(g, field), getattr(w, field))
+                assert np.shares_memory(g.history, series.values)
+
+    def test_gathers_equal_stacked_slices(self, rng):
+        windows = make_windows(small_series(steps=60), 5, 3, stride=2)
+        n = len(windows)
+        for idx in (rng.permutation(n)[:7], np.arange(1, n, 3), np.array([-1, -4, 0, -n])):
+            picked = [windows[int(i)] for i in idx]
+            for field in ("history", "target", "target_timestamps"):
+                stacked = np.stack([getattr(w, field) for w in picked])
+                assert np.array_equal(getattr(windows, field)(idx), stacked)
+
+    @pytest.mark.parametrize("part", [slice(2, 9), slice(None, None, 3), slice(-5, None),
+                                      slice(None, None, -2), slice(4, 4)])
+    def test_slice_is_windows_of_the_sliced_starts(self, part):
+        windows = make_windows(small_series(steps=40), 5, 3)
+        sub = windows[part]
+        assert isinstance(sub, Windows)
+        assert sub.starts.tolist() == windows.starts.tolist()[part]
+        assert [w.start_index for w in sub] == [w.start_index for w in list(windows)[part]]
+
+    def test_split_slices_windows(self):
+        windows = make_windows(small_series(steps=40), 5, 3)
+        parts = split_dataset(windows)
+        assert all(isinstance(p, Windows) for p in parts)
+        assert np.array_equal(np.concatenate([p.starts for p in parts]), windows.starts)
+
+    def test_set_up_and_training_build_no_window_sample(self, monkeypatch):
+        built = []
+        init = WindowSample.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WindowSample, "__init__", counting_init)
+        cfg = ModelConfig(K=1, m=2, s=1, d=4, T=6, H=2)
+        graph, series = generate_synthetic(SyntheticSpec(n=5, steps=60, seed=2))
+        tr, va, te = split_dataset(make_windows(series, cfg.T, cfg.H))
+        stats = compute_norm_stats(series.values[:len(tr)])
+        model = IstdGcnModel(cfg, graph, seed=2)
+        evaluate(model, te, stats, batch_size=4)
+        train(model, tr, va, stats, TrainConfig(epochs=1, batch_size=4))
+        assert built == []
+        assert tr[0].start_index == 0 and len(built) == 1  # the counter counts
+
+
+def window_samples(series, t_hist, horizon, stride=1):
+    """One ``WindowSample`` per window, built in a loop as a reference."""
+    values, ts = series.values[..., None], series.timestamps
+    out = []
+    for start in range(0, len(series) - t_hist - horizon + 1, stride):
+        mid, end = start + t_hist, start + t_hist + horizon
+        out.append(WindowSample(values[start:mid], values[mid:end], start, ts[mid:end]))
+    return out
 
 
 class TestSynthetic:
