@@ -1,14 +1,18 @@
-"""Time and size training steps at the paper's shape.
+"""Time and size training steps, or forward-only batches, at the paper's shape.
 
     PYTHONPATH=src python3 scripts/paper_step.py [--steps 3] [--warmup 2] [--seed 1]
+                                                 [--run-batch B]
 
 Builds a road-like graph of 207 sensors (about every 0.5 km along 9 parallel
 roads 3 km apart, 8 nearest neighbours, symmetrised, Gaussian weights with
 every record kept) and the K5 s8 d256 m2 T=H=12 model, then runs Adam steps
 on one random window (batch 1), with BLAS on one thread unless the
-environment says otherwise.  Prints one JSON line: each timed step's seconds
-and minor page faults, the loss after the last step and the process's peak
-RSS in MB, data and graph included.
+environment says otherwise.  With ``--run-batch B`` each step is instead one
+forward on a non-recording tape over B consecutive windows of one random
+series, the batch eval and predict make (a run, ``stdiff.model``).  Prints
+one JSON line: each timed step's seconds and minor page faults, the loss
+after the last training step (or the sum of the last batch's absolute
+predictions) and the process's peak RSS in MB, data and graph included.
 """
 from __future__ import annotations
 
@@ -49,28 +53,41 @@ def main() -> None:
     parser.add_argument("--steps", type=int, default=3)
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--run-batch", type=int, default=0, metavar="B",
+                        help="time forward-only batches of B consecutive windows instead")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
     graph = road_graph(rng)
     model = IstdGcnModel(CONFIG, graph, seed=0)
-    window = rng.standard_normal((1, CONFIG.T, graph.n, 1))
+    if args.run_batch:
+        series = rng.standard_normal((args.run_batch + CONFIG.T - 1, graph.n, 1))
+        window = np.stack([series[b:b + CONFIG.T] for b in range(args.run_batch)])
+    else:
+        window = rng.standard_normal((1, CONFIG.T, graph.n, 1))
     target = rng.standard_normal((1, CONFIG.H, graph.n, 1))
     params, state, train = model.params(), AdamState(), TrainConfig()
     seconds, faults = [], []
     for step in range(args.warmup + args.steps):
         start, faulted = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        model.zero_grads()
-        tape = Tape()
-        loss = mae_l2_loss(tape, forward(tape, model, window), target, params, train.l2_lambda)
-        tape.backward(loss)
-        optimizer_step(params, state, train)
+        if args.run_batch:
+            result = np.abs(forward(Tape(record=False), model, window).value).sum()
+        else:
+            model.zero_grads()
+            tape = Tape()
+            loss = mae_l2_loss(tape, forward(tape, model, window), target, params,
+                               train.l2_lambda)
+            tape.backward(loss)
+            optimizer_step(params, state, train)
+            result = loss.value
         if step >= args.warmup:
             seconds.append(time.perf_counter() - start)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faulted)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    batch = f"B={args.run_batch} run, forward only" if args.run_batch else "B=1"
     print(json.dumps({"shape": f"n={graph.n} {NEIGHBOURS}-NN K{CONFIG.K} s{CONFIG.s} "
-                               f"d{CONFIG.d} m{CONFIG.m} T={CONFIG.T} H={CONFIG.H} B=1",
-                      "step_s": seconds, "minor_faults": faults, "loss": float(loss.value),
+                               f"d{CONFIG.d} m{CONFIG.m} T={CONFIG.T} H={CONFIG.H} {batch}",
+                      "step_s": seconds, "minor_faults": faults,
+                      ("abs_prediction_sum" if args.run_batch else "loss"): float(result),
                       "peak_rss_mb": round(peak_mb, 1)}))
 
 

@@ -144,6 +144,11 @@ class Tape:
         self._records = []
         self._replayed = False
 
+    @property
+    def recording(self) -> bool:
+        """Whether ``backward`` can replay this tape: False for a forward-only tape."""
+        return self._recording
+
     def record(self, backward_fn):
         if self._recording:
             self._records.append(backward_fn)
@@ -377,8 +382,7 @@ def layer_norm(tape: Tape, d: int, y: Tensor, scale: Tensor, shift: Tensor, *,
     the sum, then applies scale and shift [c*d:(c+1)*d].  Y already holds
     the residual: every path forms it as hop 0 of a channel GEMM.  A
     (..., 1, n, s*d) ``y0`` joins the sum in snapshot 0 of a (..., m, n, s*d)
-    Y: the carried snapshot's term on the per-pass path, a run's raw term on
-    the run path.  The op only reads y0.
+    Y: the carried snapshot's term.  The op only reads y0.
 
     The op consumes Y: it forms the sum, centres and scales it in Y's own
     buffer, which then holds the normalized sum.  Y must be an op output
@@ -587,26 +591,6 @@ def slice_time(tape: Tape, x: Tensor, t0: int, t1: int, carry: Tensor | None = N
             carry.add_grad(g[..., 0, :, :], owned=False)
         x.ensure_grad()
         x.grad[..., t0:t1, :, :] += g[..., c:, :, :]
-
-    tape.record(backward)
-    return out
-
-
-def take_rows(tape: Tape, x: Tensor, rows: slice, lead: tuple | None = None) -> Tensor:
-    """Rows ``rows`` of X's leading axis, laid out over the ``lead`` axes if given.
-
-    The output is a view of X, so no op may consume it in place.  Backward
-    adds the gradient into those rows.
-    """
-    part = x.value[rows]
-    if lead is not None:
-        if int(np.prod(lead)) != len(part):
-            raise ShapeError(f"rows {rows} of {x.shape} do not fill the lead axes {lead}")
-        part = part.reshape(lead + part.shape[1:])
-    out = Tensor(part)
-
-    def backward():
-        x.ensure_grad()[rows] += out.grad.reshape(x.grad[rows].shape)
 
     tape.record(backward)
     return out

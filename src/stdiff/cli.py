@@ -6,7 +6,8 @@ Every flag can be preset through an environment variable with the
 internal/numeric failure, 2 input or usage error.  Each command writes a
 run manifest (resolved configuration, seed, content hashes of inputs,
 output paths, the numpy version, the BLAS thread variables as set and the
-glibc heap policy ``autodiff`` set) before any long computation.
+glibc heap policy ``autodiff`` set) before any long computation, and
+records the command's wall seconds in it as ``wall_s`` once it succeeds.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,12 +65,23 @@ def write_manifest(out_dir: Path, command: str, resolved: dict, inputs: list,
         "numpy": np.__version__,
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "malloc": HEAP_POLICY,
+        "wall_s": None,  # until finish_manifest
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_manifest_json(path, manifest)
     return path
+
+
+def finish_manifest(path: Path, started: float) -> None:
+    """Record the wall seconds since ``started`` (``time.perf_counter``) as ``wall_s``."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["wall_s"] = time.perf_counter() - started
+    _write_manifest_json(path, manifest)
+
+
+def _write_manifest_json(path: Path, manifest: dict) -> None:
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_json_config(cls, path, what: str):
@@ -88,30 +101,35 @@ def _read_json_config(cls, path, what: str):
 
 
 def cmd_build_adj(args) -> int:
+    started = time.perf_counter()
     records = load_distance_csv(args.distances)
     with open_text(args.ids) as fh:
         ids = fh.read().split()
     graph = build_gaussian_adjacency(records, ids, epsilon=args.epsilon,
                                      weight_quantile=args.quantile)
     out = Path(args.out)
-    write_manifest(out.parent, "build-adj",
-                   {"epsilon": args.epsilon, "quantile": args.quantile, "ids": len(ids)},
-                   [args.distances, args.ids],
-                   [str(out) + ".csv", str(out) + ".json"])
+    manifest = write_manifest(out.parent, "build-adj",
+                              {"epsilon": args.epsilon, "quantile": args.quantile,
+                               "ids": len(ids)},
+                              [args.distances, args.ids],
+                              [str(out) + ".csv", str(out) + ".json"])
     save_adjacency(graph, out)
     print(f"wrote {out}.csv ({graph.adjacency.nnz} edges, n={graph.n})")
+    finish_manifest(manifest, started)
     return 0
 
 
 def cmd_synth(args) -> int:
+    started = time.perf_counter()
     spec = _read_json_config(SyntheticSpec, args.spec, "synthetic spec")
     graph, series = generate_synthetic(spec)
     out = Path(args.out)
-    write_manifest(out.parent, "synth", asdict(spec), [args.spec] if args.spec else [],
-                   [f"{out}_adj.csv", f"{out}_adj.json", f"{out}_speed.csv"])
+    manifest = write_manifest(out.parent, "synth", asdict(spec), [args.spec] if args.spec else [],
+                              [f"{out}_adj.csv", f"{out}_adj.json", f"{out}_speed.csv"])
     save_adjacency(graph, Path(f"{out}_adj"))
     save_speed_csv(series, f"{out}_speed.csv")
     print(f"wrote {out}_speed.csv ({len(series)} snapshots, n={graph.n})")
+    finish_manifest(manifest, started)
     return 0
 
 
@@ -142,6 +160,7 @@ def _load_dataset(args, cfg: ModelConfig, graph=None):
 
 
 def cmd_train(args) -> int:
+    started = time.perf_counter()
     cfg = _read_json_config(ModelConfig, args.config, "model config")
     if args.ablation is not None:
         cfg = ModelConfig(**{**asdict(cfg), "ablation": args.ablation})
@@ -154,11 +173,11 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(cfg.to_json() + "\n", encoding="utf-8")
-    write_manifest(out, "train",
-                   {"model": asdict(cfg), "training": asdict(tcfg),
-                    "norm_mean": stats.mean, "norm_std": stats.std},
-                   _inputs(args, args.config),
-                   [str(out / "best.stdf"), str(out / "log.csv")])
+    manifest = write_manifest(out, "train",
+                              {"model": asdict(cfg), "training": asdict(tcfg),
+                               "norm_mean": stats.mean, "norm_std": stats.std},
+                              _inputs(args, args.config),
+                              [str(out / "best.stdf"), str(out / "log.csv")])
     model = IstdGcnModel(cfg, graph, seed=args.seed)
     try:
         report = train(model, train_w, val_w, stats, tcfg,
@@ -167,6 +186,7 @@ def cmd_train(args) -> int:
         raise FormatError(f"{args.data}: validation range: {exc}") from None
     print(f"best epoch {report.best_epoch}: val MAE {report.best_val_mae:.4f}"
           + (" (early stop)" if report.stopped_early else ""))
+    finish_manifest(manifest, started)
     return 0
 
 
@@ -189,11 +209,12 @@ def _restored_inputs(args) -> list:
 
 
 def cmd_eval(args) -> int:
+    started = time.perf_counter()
     cfg, graph, model = _restore_model(args)
     _graph, series, (train_w, _val_w, test_w), stats = _load_dataset(args, cfg, graph)
     out = Path(args.out)
-    write_manifest(out.parent, "eval", {"model": asdict(cfg)}, _restored_inputs(args),
-                   [str(out)])
+    manifest = write_manifest(out.parent, "eval", {"model": asdict(cfg)},
+                              _restored_inputs(args), [str(out)])
     try:
         report = evaluate(model, test_w, stats, interval=series.interval)
         n_train_steps = int(train_w.starts[-1]) + cfg.T
@@ -211,15 +232,17 @@ def cmd_eval(args) -> int:
     for row in report.per_horizon:
         print(f"{row.horizon_min:>3} min: MAE {row.mae:.4f}  RMSE {row.rmse:.4f}  "
               f"MAPE {row.mape:.2f}%")
+    finish_manifest(manifest, started)
     return 0
 
 
 def cmd_predict(args) -> int:
+    started = time.perf_counter()
     cfg, graph, model = _restore_model(args)
     _graph, series, (_train_w, _val_w, test_w), stats = _load_dataset(args, cfg, graph)
     out = Path(args.out)
-    write_manifest(out.parent, "predict", {"model": asdict(cfg)}, _restored_inputs(args),
-                   [str(out)])
+    manifest = write_manifest(out.parent, "predict", {"model": asdict(cfg)},
+                              _restored_inputs(args), [str(out)])
     minutes = [horizon_minutes(h + 1, series.interval) for h in range(cfg.H)]
     # batches stream into a temporary file that replaces --out only once all
     # are written, so a failed run leaves no partial CSV behind
@@ -240,6 +263,7 @@ def cmd_predict(args) -> int:
     finally:
         tmp.unlink(missing_ok=True)
     print(f"wrote {out} ({len(test_w)} windows)")
+    finish_manifest(manifest, started)
     return 0
 
 

@@ -78,11 +78,23 @@ never read the carry (t reads t+1, and the layer norm is per row), and Z is
 linear, so snapshot 0's raw share is the block's row 0 with the carry slot
 zeroed.  A carried pass then forms its carry's term, sums its windows'
 rows of the raw share into it, normalizes that snapshot 0 alone with
-kernel row 0 in the term's own buffer, and adds their rows of the
-compressed rest.  Any other batch, a shuffled training batch among them,
-takes the per-pass loop.  The two paths sum a pass's compressed rows in
-different orders, so a window's prediction can differ in its last bits
-with the batch it is in.
+kernel row 0, and adds their rows of the compressed rest.
+
+A run is forward-only: ``encode`` takes it only on a non-recording tape,
+as eval, predict and validation use, so it is plain arithmetic on the
+parameters' values and records nothing; a recording tape, and any batch
+that is no run, a shuffled training batch among them, takes the per-pass
+loop.  The run holds its carried snapshot feature-major, one (d, B*n)
+array: features, then windows, then vertices.  Pass 0's output is
+transposed in once and the last carry out once.  In between, each carry
+hop is one spatial product for all windows, the (d*B, n) rows against
+(A + I) transposed; Theta and the mix are left GEMMs; and snapshot 0's
+layer norm, its scale and shift by kernel row 0 and the join of the raw
+rows are passes along the contiguous B*n axis, where the per-pass loop's
+run along the d-wide feature axis.  The tables are (s*d, U, n), folded and
+normalized feature-major.  The two paths sum a pass's terms in different
+orders, so a window's prediction can differ in its last bits with the
+batch it is in.
 """
 from __future__ import annotations
 
@@ -96,7 +108,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamArray, Tape, Tensor
 from .data import dataclass_from_json
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError
 from .graph import SensorGraph
 from .stgraph import StBlockGraph, build_hstg, carry_operators
 
@@ -301,16 +313,32 @@ def stsc_forward(tape: Tape, params: StscChannelParams, block: StBlockGraph, x: 
 class RawTables:
     """The raw blocks of m' snapshots that a run's carried passes read, each folded once.
 
-    Row u is the block of series snapshots [start + u, start + u + m') behind
-    a zeroed carry slot.  ``p0`` (U, 1, n, s*d) is its term in snapshot 0,
-    the carry slot: the raw share of a carried pass's snapshot 0, since Z is
-    linear.  ``rest`` (U, n, s*d) is its snapshots 1..m', normalized and
-    compressed with kernel rows 1..m', which no carry reaches.
+    Plain (s*d, U, n) arrays, feature-major: column (u, i) is vertex i of
+    the block of series snapshots [start + u, start + u + m') behind a
+    zeroed carry slot.  ``p0`` is the block's term in snapshot 0, the carry
+    slot: the raw share of a carried pass's snapshot 0, since Z is linear.
+    ``rest`` is its snapshots 1..m', normalized and compressed with kernel
+    rows 1..m', which no carry reaches, plus the shift times kernel rows
+    0..m': the shifts of the whole compressed block.
     """
 
     start: int
-    p0: Tensor
-    rest: Tensor
+    p0: np.ndarray
+    rest: np.ndarray
+
+
+@dataclass(frozen=True)
+class RunCarry:
+    """A run's carried snapshot, feature-major, with its hops and their row scaling.
+
+    ``hops`` (1 + K*r, d, B*n) holds the carry, features then windows then
+    vertices, in slot 0 and hop k of operator i in slot 1 + (k-1)*r + i;
+    each pass overwrites it and leaves its output in slot 0.  ``inv``
+    (r, B*n) is each operator's inverse degrees, tiled over the windows.
+    """
+
+    hops: np.ndarray
+    inv: np.ndarray
 
 
 def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
@@ -326,8 +354,9 @@ def _carry_term(tape: Tape, model: IstdGcnModel, carry: Tensor) -> Tensor:
 
 
 def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarray | RawTables,
-                          carry: Tensor | None = None, theta_fold: Tensor | None = None,
-                          rows: slice | None = None) -> Tensor:
+                          carry: Tensor | RunCarry | None = None,
+                          theta_fold: Tensor | None = None,
+                          rows: slice | None = None) -> Tensor | np.ndarray:
     """All channels over one (..., m, n, d) block, compressed and mixed to (..., n, d).
 
     The layer norm is given the bank's compression kernel, so it returns the
@@ -340,19 +369,13 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     the readings themselves, so the fold GEMM forms the raw snapshots'
     residual too.  The layer norm consumes the GEMM's output, and the
     carry's term, hop 0 included, joins its snapshot 0 as ``y0``.  Given a
-    run's ``RawTables``, the raw snapshots' terms are its ``rows``, already
-    folded (``encode``): the layer norm consumes the carry's term, with
-    those rows of the raw share as its ``y0``, so it normalizes snapshot 0
-    alone, with kernel row 0, and the pass adds the rest's compressed rows.
+    run's ``RawTables`` and ``RunCarry``, the pass is plain feature-major
+    arithmetic on the tables' ``rows`` (``_run_pass``), and it returns the
+    run's (d, B*n) carry.
     """
-    cfg, bank = model.config, model.bank
     if isinstance(x, RawTables):
-        lead = carry.value.shape[:-2]
-        # the layer norm consumes the carry's fresh term and only reads the shared rows
-        h = ad.layer_norm(tape, cfg.d, _carry_term(tape, model, carry), bank.ln_scale,
-                          bank.ln_shift, eps=cfg.ln_eps, y0=ad.take_rows(tape, x.p0, rows, lead),
-                          kernel=bank.compress_kernel)
-        return ad.linear(tape, ad.add(tape, h, ad.take_rows(tape, x.rest, rows, lead)), model.mix)
+        return _run_pass(model, x, carry, rows)
+    cfg, bank = model.config, model.bank
     graphs = _kept_families(cfg.ablation).values()
     folded = not isinstance(x, Tensor)
     if folded and carry is not None:
@@ -373,24 +396,72 @@ def multi_channel_forward(tape: Tape, model: IstdGcnModel, x: Tensor | np.ndarra
     return ad.linear(tape, h, model.mix)
 
 
-def _run_tables(tape: Tape, model: IstdGcnModel, history: np.ndarray,
-                carried: list[tuple[int, int]], theta_fold: Tensor) -> dict[int, RawTables]:
+def _normalize(y: np.ndarray, d: int, eps: float) -> None:
+    """Layer-norm the feature-major (s*d, ...) ``y`` in place, per channel of d rows.
+
+    Population variance, as ``autodiff.layer_norm``; every reduction and
+    scaling is a pass along the contiguous trailing axes.
+    """
+    ch = y.reshape(-1, d, y[0].size)
+    ch -= (np.full(d, 1.0 / d) @ ch)[:, None, :]  # the mean: a BLAS matrix-vector product
+    var = np.einsum("cfk,cfk->ck", ch, ch)  # no squared copy
+    var *= 1.0 / d
+    var += eps
+    ch *= (1.0 / np.sqrt(var))[:, None, :]
+
+
+def _run_pass(model: IstdGcnModel, table: RawTables, run: RunCarry, rows: slice) -> np.ndarray:
+    """One carried pass of a run, feature-major, on the tables' ``rows``: plain arithmetic.
+
+    Each hop is one spatial product for every window and operator, the
+    (d*B, n) rows of the hop before against (A + I) transposed, scaled in
+    place by the tiled inverse degrees.  The hops meet Theta in one GEMM,
+    the carry (hop 0) and the raw share join that sum, and it is
+    normalized, scaled by kernel row 0, joined by the rest's rows and mixed
+    into ``run.hops[0]``: every pass but the GEMMs runs along the B*n axis.
+    """
+    cfg, bank, h, inv = model.config, model.bank, run.hops, run.inv
+    n, r = model.graph.n, len(inv)
+    spatial = model.carry_ops.ops[0].spatial
+    spatial.matmul_dense(h[0].reshape(-1, n).T, out=h[1].reshape(-1, n).T)
+    for i in reversed(range(r)):  # every operator's hop 1 scales the one product
+        np.multiply(h[1], inv[i], out=h[1 + i])
+    for k in range(1, cfg.K):
+        prev, cur = h[1 + (k - 1) * r:1 + k * r], h[1 + k * r:1 + (k + 1) * r]
+        spatial.matmul_dense(prev.reshape(-1, n).T, out=cur.reshape(-1, n).T)
+        cur *= inv[:, None, :]
+    y = bank.theta.value.T @ h[1:].reshape(-1, h.shape[-1])  # (s*d, B*n)
+    y.reshape(-1, *h[0].shape)[...] += h[0]  # hop 0, the residual, in every channel
+    y.reshape(len(y), -1, n)[...] += table.p0[:, rows]
+    _normalize(y, cfg.d, cfg.ln_eps)
+    y *= (bank.ln_scale.value * bank.compress_kernel.value[0])[:, None]
+    y.reshape(len(y), -1, n)[...] += table.rest[:, rows]
+    return np.matmul(model.mix.value.T, y, out=h[0])
+
+
+def _run_tables(model: IstdGcnModel, history: np.ndarray, carried: list[tuple[int, int]],
+                theta_fold: np.ndarray) -> dict[int, RawTables]:
     """Per raw length m', the ``RawTables`` of a run's ``carried`` passes; none otherwise.
 
     The flattened (B, T, n, 1) batch is a run when B >= 2 and window b+1 is
     window b one snapshot on.  It is then one series of B+T-1 snapshots, and
     window b's pass [lo, hi) reads series snapshots [b+lo, b+hi), so the
-    passes of one length share their blocks: each is diffused, folded and
-    normalized once, through the block graph of m'+1 snapshots.
+    passes of one length share their blocks: each is diffused once, through
+    the block graph of m'+1 snapshots, and folded and normalized once,
+    feature-major.  Everything here is plain arithmetic on the parameters'
+    values: a run is forward-only.
     """
     cfg, bank = model.config, model.bank
     windows = history.reshape((-1,) + history.shape[-3:])
     b = len(windows)
-    if not carried or b < 2 or not np.array_equal(windows[1:, :-1], windows[:-1, 1:]):
+    if (not carried or b < 2
+            or not np.array_equal(windows[1:, :-1], windows[:-1, 1:], equal_nan=True)):
         return {}
     series = np.concatenate([windows[0], windows[1:, -1]])
     graphs = _kept_families(cfg.ablation).values()
-    kernel = ad.take_rows(tape, bank.compress_kernel, slice(1, None))  # rows 1..m'
+    kernel = bank.compress_kernel.value
+    sk = bank.ln_scale.value * kernel  # the scale folded into the kernel
+    fold, w, n = theta_fold.T, theta_fold.shape[1], series.shape[1]
     tables = {}
     for width in sorted({hi - lo for lo, hi in carried}):
         los = [lo for lo, hi in carried if hi - lo == width]
@@ -401,10 +472,49 @@ def _run_tables(tape: Tape, model: IstdGcnModel, history: np.ndarray,
         block = model.block_graph(width + 1)
         z = np.concatenate(
             [blocks, ad.diffuse([getattr(block, g) for g in graphs], blocks, cfg.K)], axis=-1)
-        rest = ad.layer_norm(tape, cfg.d, ad.linear(tape, z[:, 1:], theta_fold), bank.ln_scale,
-                             bank.ln_shift, eps=cfg.ln_eps, kernel=kernel)
-        tables[width] = RawTables(start, ad.linear(tape, z[:, :1], theta_fold), rest)
+        z = np.ascontiguousarray(z.transpose(3, 1, 0, 2))  # features, snapshots, blocks, vertices
+        p0 = fold @ z[:, 0].reshape(len(z), -1)
+        y = fold @ z[:, 1:].reshape(len(z), -1)
+        _normalize(y, cfg.d, cfg.ln_eps)
+        snaps = y.reshape(w, width, -1)
+        snaps *= sk[1:width + 1].T[:, :, None]  # compressed with kernel rows 1..m', in y
+        rest = snaps[:, 0]
+        for t in range(1, width):
+            rest += snaps[:, t]
+        rest += (bank.ln_shift.value * kernel[:width + 1].sum(axis=0))[:, None]
+        tables[width] = RawTables(start, p0.reshape(w, count, n), rest.reshape(w, count, n))
     return tables
+
+
+def _transpose(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = x.T`` for a tall 2-D ``x``, in blocks of its rows of about 256 KiB.
+
+    One strided copy of a tall ``x`` with long rows misses the cache on
+    most elements it writes: at (3200, 128) it took 2.6 ms, against 0.6 ms
+    block by block.  The other way, into a tall ``out``, one copy is fastest.
+    """
+    step = max(1, (1 << 15) // x.shape[1])
+    for i in range(0, len(x), step):
+        out[:, i:i + step] = x[i:i + step].T
+    return out
+
+
+def _run_carry(model: IstdGcnModel, com: Tensor) -> RunCarry:
+    """Pass 0's (..., n, d) output as a run's feature-major carry."""
+    cfg, ops = model.config, model.carry_ops.ops
+    carry = com.value.reshape(-1, cfg.d)  # (B*n, d)
+    hops = np.empty((1 + cfg.K * len(ops), cfg.d, len(carry)))
+    _transpose(carry, out=hops[0])
+    inv = np.stack([op.inv_deg[0] for op in ops])
+    return RunCarry(hops, np.tile(inv, len(carry) // inv.shape[1]))
+
+
+def _check_run_pass(table: RawTables, rows: slice, out: np.ndarray, lo: int, hi: int) -> None:
+    """Raise ``NumericError`` naming pass [lo, hi) if its table rows or output are not finite."""
+    for what, value in (("table rows", table.p0[:, rows]), ("table rows", table.rest[:, rows]),
+                        ("output", out)):
+        if not np.all(np.isfinite(value)):
+            raise NumericError(f"non-finite {what} in run pass [{lo}, {hi})")
 
 
 def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> CompressedSnapshot:
@@ -414,9 +524,12 @@ def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> Com
     from it with one ``slice_time`` copy.  Given as the raw (..., T, n, 1)
     window, a plain array, every pass folds E (module docstring), and no
     embedded snapshot or block is built.  When that batch is a run
-    (``_run_tables``), each carried pass reads its raw terms from the run's
-    tables, so each raw block is diffused, folded and normalized once, not
-    once per window that holds it.
+    (``_run_tables``) on a non-recording tape, each carried pass reads its
+    raw terms from the run's tables, so each raw block is diffused, folded
+    and normalized once, not once per window that holds it, and the carried
+    passes are feature-major plain arithmetic (module docstring).  Under
+    ``STDIFF_DEBUG`` a non-finite table row or pass output raises
+    ``NumericError`` naming the run pass.
     """
     t_total = history.shape[-3]
     m = model.config.effective_m
@@ -431,17 +544,23 @@ def encode(tape: Tape, model: IstdGcnModel, history: Tensor | np.ndarray) -> Com
     batch = math.prod(history.shape[:-3])
     com, tables = None, {}
     for lo, hi in passes:
-        if folded and lo == m:  # after pass 0, which reads none: its temporaries are freed
-            tables = _run_tables(tape, model, history, passes[1:], theta_fold)
+        # after pass 0, which reads none: its temporaries are freed
+        if folded and lo == m and not tape.recording:
+            tables = _run_tables(model, history, passes[1:], theta_fold.value)
+            run = _run_carry(model, com) if tables else None
         if tables:
             table = tables[hi - lo]
-            com = multi_channel_forward(tape, model, table, com,
-                                        rows=slice(lo - table.start, lo - table.start + batch))
+            rows = slice(lo - table.start, lo - table.start + batch)
+            out = multi_channel_forward(tape, model, table, run, rows=rows)
+            if ad._DEBUG:
+                _check_run_pass(table, rows, out, lo, hi)
         elif folded:
             com = multi_channel_forward(tape, model, history[..., lo:hi, :, :], com, theta_fold)
         else:
             block = ad.slice_time(tape, history, lo, hi, carry=com)
             com = multi_channel_forward(tape, model, block)
+    if tables:  # the last carry, transposed out once
+        com = Tensor(np.ascontiguousarray(out.T).reshape(com.value.shape))
     return CompressedSnapshot(features=com, iterations=len(passes))
 
 

@@ -984,29 +984,6 @@ class TestSliceTime:
                 ad.slice_time(Tape(), x, t0, t1)
 
 
-class TestTakeRows:
-    def test_view_and_backward_into_the_rows(self, rng):
-        x = ParamArray("x", rng.standard_normal((6, 3, 2)))
-        tape = Tape()
-        out = ad.take_rows(tape, x, slice(1, 5), (2, 2))
-        assert out.value.shape == (2, 2, 3, 2)
-        assert np.array_equal(out.value.reshape(4, 3, 2), x.value[1:5])
-        assert np.shares_memory(out.value, x.value)
-        g = rng.standard_normal(out.value.shape)
-        tape.backward(project(tape, out, g))
-        assert np.array_equal(x.grad[1:5], g.reshape(4, 3, 2))
-        assert not x.grad[0].any() and not x.grad[5].any()
-
-    def test_finite_differences(self, rng):
-        x = ParamArray("x", rng.standard_normal((5, 3)))
-        check_op([x], lambda tape: ad.take_rows(tape, x, slice(2, None)), rng)
-        check_op([x], lambda tape: ad.take_rows(tape, x, slice(0, 4), (2, 2)), rng)
-
-    def test_lead_axes_must_hold_the_rows(self, rng):
-        with pytest.raises(ShapeError):
-            ad.take_rows(Tape(), Tensor(rng.random((6, 2))), slice(0, 4), (3,))
-
-
 class TestMlpDecode:
     def make_params(self, rng, d, hidden, horizon):
         return (ParamArray("w1", rng.standard_normal((d, hidden)) * 0.5),
@@ -1150,6 +1127,11 @@ class TestReplayOnce:
 
 
 class TestNonRecordingTape:
+    def test_recording_is_a_read_only_flag(self):
+        assert Tape().recording and not Tape(record=False).recording
+        with pytest.raises(AttributeError):
+            Tape().recording = False
+
     def test_backward_refuses_to_replay(self):
         tape = Tape(record=False)
         theta = ParamArray("t", np.ones((2, 2)))

@@ -159,6 +159,18 @@ class TestSynth:
         assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                                             "MKL_NUM_THREADS": None}
 
+    def test_manifest_records_the_wall_time(self, tmp_path, monkeypatch):
+        assert main(["synth", "--out", str(tmp_path / "s")]) == 0
+        wall = json.loads((tmp_path / "manifest.json").read_text())["wall_s"]
+        assert type(wall) is float and wall > 0
+        # written before the work, finished only once the command succeeds
+        def refused(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_speed_csv", refused)
+        assert main(["synth", "--out", str(tmp_path / "t" / "s")]) == 2
+        assert json.loads((tmp_path / "t" / "manifest.json").read_text())["wall_s"] is None
+
     def test_manifest_records_the_heap_policy(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "s")]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())

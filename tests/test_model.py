@@ -8,7 +8,7 @@ import stdiff.autodiff as ad
 import stdiff.model as model_module
 from stdiff.autodiff import ParamArray, Tape, Tensor, grad_check
 from stdiff.checkpoint import restore_params, save_params
-from stdiff.errors import ArgumentError
+from stdiff.errors import ArgumentError, NumericError
 from stdiff.graph import SensorGraph
 from stdiff.model import (ABLATIONS, IstdGcnModel, ModelConfig, StscChannelParams, encode,
                           expected_iterations, forward, multi_channel_forward, stsc_forward)
@@ -404,21 +404,31 @@ class TestCarryTerm:
 
     def test_inverse_degrees_built_once_per_model(self, rng, monkeypatch):
         # every carried pass gets the operators, and so the (r, n, d) inverse
-        # degrees, that the model built once
+        # degrees, that the model built once; a run's feature-major passes
+        # tile those operators' degrees over its windows
         model = IstdGcnModel(self.CONFIG, random_sensor_graph(rng, 4), seed=0)
-        seen = []
-        carry_term = ad.carry_term
+        seen, runs = [], []
+        carry_term, run_carry = ad.carry_term, model_module._run_carry
 
         def recording(tape, row0, carry, k_hops, theta):
             seen.append(row0)
             return carry_term(tape, row0, carry, k_hops, theta)
 
+        def run_recording(*args):
+            runs.append(run_carry(*args))
+            return runs[-1]
+
         monkeypatch.setattr(ad, "carry_term", recording)
-        for windows in self.batches(rng, 4):
-            forward(Tape(record=False), model, windows)
+        monkeypatch.setattr(model_module, "_run_carry", run_recording)
+        per_pass, run = self.batches(rng, 4)
+        forward(Tape(record=False), model, per_pass)
         carried = expected_iterations(self.CONFIG.T, self.CONFIG.m) - 1
-        assert len(seen) == 2 * carried
+        assert len(seen) == carried
         assert all(row0 is model.carry_ops for row0 in seen)
+        forward(Tape(record=False), model, run)
+        assert len(seen) == carried and len(runs) == 1
+        rows = np.stack([op.inv_deg[0] for op in model.carry_ops.ops])
+        assert np.array_equal(runs[0].inv, np.tile(rows, len(run)))
         assert model.carry_ops.inv.shape == (2, 4, self.CONFIG.d)
 
 
@@ -830,12 +840,17 @@ def carried_widths(cfg):
 
 
 class TestRunPath:
-    """A batch of consecutive windows folds each raw block once, for every window that holds it."""
+    """A batch of consecutive windows folds each raw block once, for every window that holds it.
+
+    On a non-recording tape its carried passes are feature-major plain arithmetic;
+    a recording tape takes the per-pass path.
+    """
 
     CONFIGS = [dict(K=1, m=2, s=1), dict(K=3, m=2, s=2),
                dict(K=2, m=4, s=2),  # tail passes of 3 and 2 raw snapshots: two length groups
                dict(K=3, m=3, s=1), dict(K=2, m=4, s=1, ablation="no_hstg"),
                dict(K=2, m=3, s=2, ablation="no_two_step")]
+    WIDE = [dict(K=1, m=2, s=1, d=8), dict(K=2, m=4, s=2, d=16)]  # at n = 12; the rest at n = 4
 
     @staticmethod
     def model(rng, n, **config):
@@ -845,56 +860,92 @@ class TestRunPath:
             p.value[...] += 0.1 * rng.standard_normal(p.value.shape)
         return model
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_run_equals_each_window_alone(self, rng, config):
-        model = self.model(rng, 4, **config)
-        windows = run_of_windows(rng, 30, model.config.T, 4)
+    @staticmethod
+    def feature_major_passes(monkeypatch):
+        """The recording flag of the tape behind each feature-major pass, as they run."""
+        seen, run_pass, encode = [], model_module._run_pass, model_module.encode
+        tapes = []
+
+        def encoding(tape, *args):
+            tapes.append(tape)
+            try:
+                return encode(tape, *args)
+            finally:
+                tapes.pop()
+
+        def recording(*args):
+            seen.append(tapes[-1].recording)
+            return run_pass(*args)
+
+        monkeypatch.setattr(model_module, "encode", encoding)
+        monkeypatch.setattr(model_module, "_run_pass", recording)
+        return seen
+
+    def gradients(self, run, model, windows, target):
+        model.zero_grads()
+        tape = Tape()
+        tape.backward(mae_l2_loss(tape, run(tape, model, windows), target, model.params(), 1e-4))
+        return [p.grad.copy() for p in model.params()]
+
+    @staticmethod
+    def assert_gradients_equal(model, got, want):
+        for p, a, b in zip(model.params(), got, want):
+            assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), p.name
+
+    @pytest.mark.parametrize("config", CONFIGS + WIDE)
+    def test_run_equals_each_window_alone(self, rng, monkeypatch, config):
+        n = 12 if config in self.WIDE else 4
+        model = self.model(rng, n, **config)
+        passes = self.feature_major_passes(monkeypatch)
+        windows = run_of_windows(rng, 30, model.config.T, n)
         got = forward(Tape(record=False), model, windows).value
+        assert passes == [False] * len(carried_widths(model.config))
         want = np.stack([forward(Tape(record=False), model, w).value for w in windows])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("config", [dict(K=2, m=4, s=2), dict(K=1, m=2, s=1)])
+    @pytest.mark.parametrize("config", CONFIGS + WIDE)
     def test_run_equals_the_reference_path(self, rng, config):
         # the generic path diffuses each pass at full width, with the carry in
         # its block, and folds nothing: it shares neither the fold nor the
         # carry split with a run
-        model = self.model(rng, 4, **config)
-        cfg = model.config
-        windows = run_of_windows(rng, 8, cfg.T, 4)
+        n = 12 if config in self.WIDE else 4
+        model = self.model(rng, n, **config)
+        windows = run_of_windows(rng, 8, model.config.T, n)
         got = forward(Tape(record=False), model, windows).value
         want = np.stack([generic_forward(Tape(record=False), model, w).value for w in windows])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        target = rng.standard_normal((8, cfg.H, 4, 1))
-        grads = []
-        for run in (forward, generic_forward):
-            model.zero_grads()
-            tape = Tape()
-            tape.backward(mae_l2_loss(tape, run(tape, model, windows), target, model.params(),
-                                      1e-4))
-            grads.append([p.grad.copy() for p in model.params()])
-        for p, got_grad, want_grad in zip(model.params(), *grads):
-            assert (np.max(np.abs(got_grad - want_grad))
-                    <= 1e-10 * max(1.0, np.max(np.abs(want_grad)))), p.name
+
+    @pytest.mark.parametrize("config", [dict(K=2, m=4, s=2), dict(K=1, m=2, s=1)])
+    def test_recording_run_gradients_equal_the_reference_path(self, rng, monkeypatch, config):
+        model = self.model(rng, 4, **config)
+        passes = self.feature_major_passes(monkeypatch)
+        windows = run_of_windows(rng, 8, model.config.T, 4)
+        target = rng.standard_normal((8, model.config.H, 4, 1))
+        got = self.gradients(forward, model, windows, target)
+        assert passes == []
+        self.assert_gradients_equal(model, got, self.gradients(generic_forward, model, windows,
+                                                               target))
 
     @pytest.mark.parametrize("config", CONFIGS)
-    def test_gradients_equal_the_per_pass_path(self, rng, config):
+    def test_gradients_equal_the_per_pass_path(self, rng, monkeypatch, config):
         # reversed, the same windows are no run: the per-pass path, and the same mean loss
         model = self.model(rng, 4, **config)
+        passes = self.feature_major_passes(monkeypatch)
         windows = run_of_windows(rng, 6, model.config.T, 4)
         target = rng.standard_normal((6, model.config.H, 4, 1))
-        grads = []
-        for order in (slice(None), slice(None, None, -1)):
-            model.zero_grads()
-            tape = Tape()
-            loss = mae_l2_loss(tape, forward(tape, model, windows[order]), target[order],
-                               model.params(), 1e-4)
-            tape.backward(loss)
-            grads.append([p.grad.copy() for p in model.params()])
-        for p, got, want in zip(model.params(), *grads):
-            assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want))), p.name
+        got = self.gradients(forward, model, windows, target)
+        backwards = slice(None, None, -1)
+        self.assert_gradients_equal(
+            model, got, self.gradients(forward, model, windows[backwards], target[backwards]))
+        assert passes == []
+        self.assert_gradients_equal(model, got, self.gradients(generic_forward, model, windows,
+                                                               target))
 
-    def test_grad_check_through_a_run(self, rng):
+    def test_grad_check_through_a_run(self, rng, monkeypatch):
+        # the analytic pass records, so it takes the per-pass path; the finite
+        # differences run on non-recording tapes, so they difference the run path
         model = self.model(rng, 3, K=2, m=3, s=2, T=6, H=2)  # carried passes of 2 and 1
+        passes = self.feature_major_passes(monkeypatch)
         windows = run_of_windows(rng, 4, model.config.T, 3)
         target = rng.standard_normal((4, model.config.H, 3, 1))
         params = model.params()
@@ -904,13 +955,18 @@ class TestRunPath:
 
         reports = grad_check(loss_fn, params, tol=1e-4, rng=rng)
         assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+        assert passes and not any(passes)
+        analytic = [p.grad.copy() for p in params]
+        self.assert_gradients_equal(model, analytic, self.gradients(generic_forward, model,
+                                                                    windows, target))
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_spatial_products_and_layer_norms(self, rng, monkeypatch, config):
         model = self.model(rng, 4, **config)
         cfg = model.config
-        counts = {"products": 0, "norms": 0}
-        matmul_dense, layer_norm = SparseMatrix.matmul_dense, ad.layer_norm
+        counts = {"products": 0, "norms": 0, "feature-major norms": 0}
+        matmul_dense, layer_norm, normalize = (SparseMatrix.matmul_dense, ad.layer_norm,
+                                               model_module._normalize)
 
         def product(self, *args, **kwargs):
             counts["products"] += 1
@@ -921,20 +977,28 @@ class TestRunPath:
             counts["norms"] += 1
             return layer_norm(tape, d, *args, **kwargs)
 
+        def plain_norm(*args):
+            counts["feature-major norms"] += 1
+            return normalize(*args)
+
         monkeypatch.setattr(SparseMatrix, "matmul_dense", product)
         monkeypatch.setattr(ad, "layer_norm", norm)
+        monkeypatch.setattr(model_module, "_normalize", plain_norm)
 
-        def count(windows):
-            counts.update(products=0, norms=0)
-            forward(Tape(record=False), model, windows)
-            return counts["products"], counts["norms"]
+        def count(windows, tape=None):
+            counts.update(products=0, norms=0, **{"feature-major norms": 0})
+            forward(Tape(record=False) if tape is None else tape, model, windows)
+            return tuple(counts.values())
 
         passes = expected_iterations(cfg.T, cfg.m)
         groups = len(set(carried_widths(cfg)))
         windows = run_of_windows(rng, 8, cfg.T, 4)
-        assert count(windows) == (cfg.K * (passes + groups), passes + groups)
-        assert count(windows[:2]) == (cfg.K * (passes + groups), passes + groups)
-        per_pass = (cfg.K * (2 * passes - 1), passes)
+        # K products per pass and per raw block length; pass 0 alone takes the op
+        run = (cfg.K * (passes + groups), 1, groups + passes - 1)
+        assert count(windows) == run
+        assert count(windows[:2]) == run
+        per_pass = (cfg.K * (2 * passes - 1), passes, 0)
+        assert count(windows, Tape()) == per_pass  # a recording tape
         assert count(windows[::2]) == per_pass  # two snapshots apart
         assert count(windows[[0, 2, 1, 3]]) == per_pass  # one swapped
         assert count(windows[:1]) == count(windows[0]) == per_pass  # one window, no batch axis
@@ -947,20 +1011,53 @@ class TestRunPath:
         assert np.max(np.abs(got.value.reshape(flat.shape) - flat)) <= 1e-12 * np.max(np.abs(flat))
 
     def test_passes_leave_the_tables_as_built(self, rng, monkeypatch):
-        # the snapshot-0 layer norm consumes its Y in place: each pass copies its rows of p0
-        model = self.model(rng, 4, K=2, m=2, s=2)
-        built, run_tables = [], model_module._run_tables
+        # each pass reads its rows of the (s*d, U, n) tables and writes only the run's carry
+        model = self.model(rng, 4, K=2, m=4, s=2)
+        cfg, built, run_tables = model.config, [], model_module._run_tables
 
         def recording(*args):
             tables = run_tables(*args)
-            built.extend((t, t.p0.value.copy(), t.rest.value.copy()) for t in tables.values())
+            built.extend((t, t.p0.copy(), t.rest.copy()) for t in tables.values())
             return tables
 
         monkeypatch.setattr(model_module, "_run_tables", recording)
-        forward(Tape(record=False), model, run_of_windows(rng, 8, model.config.T, 4))
-        assert len(built) == 1
+        forward(Tape(record=False), model, run_of_windows(rng, 8, cfg.T, 4))
+        assert len(built) == len(set(carried_widths(cfg))) == 2
         for table, p0, rest in built:
-            assert np.array_equal(table.p0.value, p0) and np.array_equal(table.rest.value, rest)
+            assert table.p0.shape == table.rest.shape == (cfg.s * cfg.d, len(p0[0]), 4)
+            assert np.array_equal(table.p0, p0) and np.array_equal(table.rest, rest)
+
+    def test_non_finite_reading_stays_in_its_windows(self, rng, monkeypatch):
+        # every spatial product, GEMM and norm of a run acts per window column
+        monkeypatch.setattr(ad, "_DEBUG", False)
+        model = self.model(rng, 4, K=2, m=3, s=2)
+        passes = self.feature_major_passes(monkeypatch)
+        t, bad = model.config.T, 20  # series snapshot 20: windows 9..20 hold it
+        series = rng.standard_normal((30 + t - 1, 4, 1))
+        series[bad, 1] = np.nan
+        windows = np.stack([series[b:b + t] for b in range(30)])
+        got = forward(Tape(record=False), model, windows).value
+        assert passes
+        holds = np.isin(np.arange(30), np.arange(bad - t + 1, bad + 1))
+        assert not np.isfinite(got[holds]).all(axis=(1, 2, 3)).any()
+        want = np.stack([forward(Tape(record=False), model, w).value for w in windows[~holds]])
+        assert np.max(np.abs(got[~holds] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("poison,what", [("ch0.ln_scale", "table rows"), ("mix", "output")])
+    def test_debug_names_the_run_pass(self, rng, monkeypatch, poison, what):
+        # poisoned once pass 0 has run: the tables read the scale, the passes the mix
+        monkeypatch.setattr(ad, "_DEBUG", True)
+        model = self.model(rng, 4, K=1, m=3, s=2)
+        param = {p.name: p for p in model.params()}[poison]
+        run_tables = model_module._run_tables
+
+        def poisoning(*args):
+            param.value[0] = np.nan
+            return run_tables(*args)
+
+        monkeypatch.setattr(model_module, "_run_tables", poisoning)
+        with pytest.raises(NumericError, match=rf"non-finite {what} in run pass \[3, 5\)"):
+            forward(Tape(record=False), model, run_of_windows(rng, 8, model.config.T, 4))
 
 
 class TestConfig:

@@ -251,11 +251,16 @@ class TestTrainLoop:
 
 class TestForwardOnlyPasses:
     def test_predict_batch_equals_recording_forward(self):
+        # bit for bit where both tapes take the per-pass loop (windows two
+        # apart); on a run only the non-recording tape takes the run path,
+        # which sums a pass's terms in another order
         _cfg, _g, _series, windows, model = tiny_setup()
-        hist = np.stack([w.history for w in windows[:8]])
+        hist = np.stack([w.history for w in windows[:16]])
         stats = compute_norm_stats(hist)
-        want = inverse_zscore(forward(Tape(), model, zscore(hist, stats)).value, stats)
-        assert np.array_equal(predict_batch(model, hist, stats), want)
+        for batch, rtol in ((hist[::2], 0.0), (hist[:8], 1e-12)):
+            want = inverse_zscore(forward(Tape(), model, zscore(batch, stats)).value, stats)
+            got = predict_batch(model, batch, stats)
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
     def test_evaluate_keeps_no_records(self, tapes_seen):
         _cfg, _g, _series, windows, model = tiny_setup()
